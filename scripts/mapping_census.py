@@ -19,13 +19,6 @@ from spinorspace.lounesto import LounestoClass, classify, generate
 REGULAR = (LounestoClass.C1, LounestoClass.C2, LounestoClass.C3)
 
 
-def random_params(rng):
-    values = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    while abs(values[1]) < 0.2:
-        values[1] = complex(rng.standard_normal(), rng.standard_normal())
-    return classmap.MappingParams(*values)
-
-
 def census(rng, draws, hermitian):
     histogram = {}
     worst_det = worst_con = worst_scalar = 0.0
@@ -34,7 +27,7 @@ def census(rng, draws, hermitian):
         if hermitian:
             m = classmap.hermitian_constrain(classmap.random_hermitian_params(rng))
         else:
-            m = classmap.build_M(random_params(rng))
+            m = classmap.build_M(classmap.random_params(rng))
         worst_det = max(worst_det, classmap.no_inverse_witness(m) / m.frobenius() ** 4)
         worst_con = max(worst_con,
                         max(classmap.constraint_residuals(m.matrix)) / m.frobenius() ** 2)

@@ -43,8 +43,8 @@ from .fierz import (
     FpkResiduals,
     SingularAggregateParams,
     aggregate,
+    boomerang_residual,
     build_singular_aggregate,
-    euclidean_aggregate,
     fpk_residuals,
     generalized_fpk_residuals,
     is_boomerang,
@@ -72,7 +72,6 @@ from .spinor_forms import (
     quaternion_rep_e,
 )
 from .topology import (
-    BilinearPoint,
     fpk_membership,
     project_regular,
     regular_sphere_check,

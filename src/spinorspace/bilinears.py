@@ -16,6 +16,9 @@ Euclidean signature: the adjoint degenerates to the plain conjugate
 transpose and the generator images below are fixed so the closed-form
 component expressions (sigma = sum |psi_i|^2, J0 = |psi1|^2 + |psi2|^2
 - |psi3|^2 - |psi4|^2, ...) come out of the matrix route verbatim.
+
+Both signatures share one kernel over a stack of 16 Hermitian forms; they
+differ only in the generators, the adjoint and the ORIENTATION sign.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conventions
-from .clifford import GammaRep, Signature, PAULI
-from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor, Quaternion
+from .clifford import _I2, _O2, GammaRep, PAULI, Signature
+from .spinor_forms import _QI, _QJ, _QK, BIVECTOR_ORDER, ClassicalSpinor, Quaternion
 
 __all__ = [
     "BilinearSet",
@@ -64,10 +67,13 @@ class BilinearSet:
             raise ValueError("J and K must have 4 components")
         if s.shape != (6,):
             raise ValueError("S must have 6 components (01, 02, 03, 12, 13, 23)")
+        sigma, omega = float(self.sigma), float(self.omega)
+        if not np.all(np.isfinite(np.concatenate([[sigma, omega], j, k, s]))):
+            raise ValueError("covariants must be finite")
         for arr in (j, k, s):
             arr.flags.writeable = False
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "J", j)
         object.__setattr__(self, "K", k)
         object.__setattr__(self, "S", s)
@@ -98,73 +104,10 @@ def minkowski_dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3])
 
 
-# -- time-minus signature ----------------------------------------------------
-
-
 def dirac_adjoint(psi: ClassicalSpinor) -> np.ndarray:
     """Row psi^dag g0 in the spinor's own representation."""
     return psi.components.conj() @ psi.rep.gammas[0]
 
-
-@functools.lru_cache(maxsize=None)
-def _minkowski_forms(rep: GammaRep):
-    g = rep.gammas
-    g0 = g[0]
-    g123 = g[1] @ g[2] @ g[3]
-    f_sigma = g0
-    f_omega = -g123
-    f_j = tuple(g0 @ g[mu] for mu in range(4))
-    f_k = tuple(1j * (g123 @ g[mu]) for mu in range(4))
-    f_s = tuple(g0 @ (g[mu] @ g[nu] - g[nu] @ g[mu]) for mu, nu in BIVECTOR_ORDER)
-    return f_sigma, f_omega, f_j, f_k, f_s
-
-
-def _real_sandwich(psi: np.ndarray, form: np.ndarray, scale: float, label: str) -> float:
-    value = complex(psi.conj() @ form @ psi)
-    if abs(value.imag) > REALITY_TOL * max(scale, 1e-300):
-        raise ValueError(
-            f"internal consistency: {label} acquired an imaginary part "
-            f"{value.imag:.3e} beyond tolerance"
-        )
-    return value.real
-
-
-def _imag_sandwich(psi: np.ndarray, form: np.ndarray, scale: float, label: str) -> float:
-    value = complex(psi.conj() @ form @ psi)
-    if abs(value.real) > REALITY_TOL * max(scale, 1e-300):
-        raise ValueError(
-            f"internal consistency: {label} acquired a real part "
-            f"{value.real:.3e} beyond tolerance"
-        )
-    return value.imag
-
-
-def bilinear_covariants(psi: ClassicalSpinor, c_S: float | None = None) -> BilinearSet:
-    """All five covariants of a time-minus spinor in its own representation.
-
-    c_S is the calibrated normalization of the tensor bilinear; the default
-    comes from the frozen conventions and should not normally be overridden.
-    """
-    if c_S is None:
-        c_S = conventions.S_SCALE
-    comps = psi.components
-    scale = float(np.vdot(comps, comps).real)
-    f_sigma, f_omega, f_j, f_k, f_s = _minkowski_forms(psi.rep)
-    sigma = _real_sandwich(comps, f_sigma, scale, "sigma")
-    omega = _real_sandwich(comps, f_omega, scale, "omega")
-    j = np.array([_real_sandwich(comps, f, scale, f"J_{mu}")
-                  for mu, f in enumerate(f_j)])
-    k = np.array([_real_sandwich(comps, f, scale, f"K_{mu}")
-                  for mu, f in enumerate(f_k)])
-    s = np.array([c_S * _imag_sandwich(comps, f, scale, f"S_{mu}{nu}")
-                  for (mu, nu), f in zip(BIVECTOR_ORDER, f_s)])
-    return BilinearSet(sigma, omega, j, k, s, Signature.MINKOWSKI)
-
-
-# -- Euclidean signature -----------------------------------------------------
-
-_I2 = np.eye(2, dtype=np.complex128)
-_O2 = np.zeros((2, 2), dtype=np.complex128)
 
 # generators of the Euclidean algebra acting on C^4; squares are +1 and the
 # five closed-form component expressions are exactly their sandwiches
@@ -182,17 +125,68 @@ EUCLIDEAN_VOLUME = np.block([[_O2, _I2], [_I2, _O2]])
 for _m in EUCLIDEAN_GENERATORS + (EUCLIDEAN_VOLUME,):
     _m.flags.writeable = False
 
+# Orientation of the volume element relative to the stored omega: +1 in the
+# time-minus signature, -1 in the Euclidean one, whose omega is read through
+# the reversed volume EUCLIDEAN_VOLUME.  The sign fixes the K forms, the
+# aggregate's volume term and the mirrored quadratic identities.
+ORIENTATION = {Signature.MINKOWSKI: 1.0, Signature.EUCLIDEAN: -1.0}
+
+_LABELS = (
+    ("sigma", "omega")
+    + tuple(f"J_{mu}" for mu in range(4))
+    + tuple(f"K_{mu}" for mu in range(4))
+    + tuple(f"S_{mu}{nu}" for mu, nu in BIVECTOR_ORDER)
+)
+
 
 @functools.lru_cache(maxsize=None)
-def _euclidean_forms():
-    e = EUCLIDEAN_GENERATORS
-    w = EUCLIDEAN_VOLUME
-    f_sigma = np.eye(4, dtype=np.complex128)
-    f_omega = w
-    f_j = tuple(e[mu] for mu in range(4))
-    f_k = tuple(1j * (w @ e[mu]) for mu in range(4))
-    f_s = tuple(e[mu] @ e[nu] - e[nu] @ e[mu] for mu, nu in BIVECTOR_ORDER)
-    return f_sigma, f_omega, f_j, f_k, f_s
+def _forms(signature: Signature, rep: GammaRep | None) -> np.ndarray:
+    """(16, 4, 4) Hermitian forms whose sandwiches are sigma, omega, J, K and
+    the unscaled S, in stored order.  With adjoint A and volume e0123:
+
+        sigma = A,  omega = -A e0123,  J_mu = A e_mu,
+        K_mu = orientation i A e0123 e_mu,  S_munu = -i A [e_mu, e_nu]
+
+    (the commutator sandwich is imaginary, so its form carries -i)."""
+    if signature is Signature.MINKOWSKI:
+        g, adj = rep.gammas, rep.gammas[0]
+    else:
+        g, adj = EUCLIDEAN_GENERATORS, np.eye(4, dtype=np.complex128)
+    vol = adj @ g[0] @ g[1] @ g[2] @ g[3]
+    forms = np.stack(
+        [adj, -vol]
+        + [adj @ g[mu] for mu in range(4)]
+        + [ORIENTATION[signature] * 1j * (vol @ g[mu]) for mu in range(4)]
+        + [-1j * (adj @ (g[mu] @ g[nu] - g[nu] @ g[mu])) for mu, nu in BIVECTOR_ORDER]
+    )
+    forms.flags.writeable = False
+    return forms
+
+
+def _covariants(comps: np.ndarray, c_S: float, signature: Signature,
+                rep: GammaRep | None = None) -> BilinearSet:
+    values = np.einsum("i,kij,j->k", comps.conj(), _forms(signature, rep), comps)
+    scale = float(np.vdot(comps, comps).real)
+    bad = np.abs(values.imag) > REALITY_TOL * max(scale, 1e-300)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"internal consistency: {_LABELS[k]} acquired an imaginary part "
+            f"{values.imag[k]:.3e} beyond tolerance"
+        )
+    v = values.real
+    return BilinearSet(v[0], v[1], v[2:6], v[6:10], c_S * v[10:], signature)
+
+
+def bilinear_covariants(psi: ClassicalSpinor, c_S: float | None = None) -> BilinearSet:
+    """All five covariants of a time-minus spinor in its own representation.
+
+    c_S is the calibrated normalization of the tensor bilinear; the default
+    comes from the frozen conventions and should not normally be overridden.
+    """
+    if c_S is None:
+        c_S = conventions.S_SCALE
+    return _covariants(psi.components, c_S, Signature.MINKOWSKI, psi.rep)
 
 
 def euclidean_bilinears(psi, c_S: float | None = None) -> BilinearSet:
@@ -200,17 +194,7 @@ def euclidean_bilinears(psi, c_S: float | None = None) -> BilinearSet:
     if c_S is None:
         c_S = conventions.S_SCALE_EUCLIDEAN
     comps = np.asarray(psi, dtype=np.complex128).reshape(4)
-    scale = float(np.vdot(comps, comps).real)
-    f_sigma, f_omega, f_j, f_k, f_s = _euclidean_forms()
-    sigma = _real_sandwich(comps, f_sigma, scale, "sigma")
-    omega = _real_sandwich(comps, f_omega, scale, "omega")
-    j = np.array([_real_sandwich(comps, f, scale, f"J_{mu}")
-                  for mu, f in enumerate(f_j)])
-    k = np.array([_real_sandwich(comps, f, scale, f"K_{mu}")
-                  for mu, f in enumerate(f_k)])
-    s = np.array([c_S * _imag_sandwich(comps, f, scale, f"S_{mu}{nu}")
-                  for (mu, nu), f in zip(BIVECTOR_ORDER, f_s)])
-    return BilinearSet(sigma, omega, j, k, s, Signature.EUCLIDEAN)
+    return _covariants(comps, c_S, Signature.EUCLIDEAN)
 
 
 def euclidean_components_closed_form(psi):
@@ -225,11 +209,6 @@ def euclidean_components_closed_form(psi):
         2.0 * (p3 * p1.conjugate() + p2 * p4.conjugate()).imag,
     ])
     return float(sigma), float(omega), j
-
-
-_QI = Quaternion(0.0, 1.0, 0.0, 0.0)
-_QJ = Quaternion(0.0, 0.0, 1.0, 0.0)
-_QK = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def quaternion_pair_to_c4(q1: Quaternion, q2: Quaternion) -> np.ndarray:

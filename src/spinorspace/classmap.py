@@ -192,6 +192,14 @@ def hermitian_constrain(p: MappingParams, tol: float = 1e-12) -> MappingMatrix:
     return m
 
 
+def random_params(rng: np.random.Generator) -> MappingParams:
+    """Draw generic parameters, redrawing m12 until |m12| >= 0.2."""
+    values = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    while abs(values[1]) < 0.2:
+        values[1] = complex(rng.standard_normal(), rng.standard_normal())
+    return MappingParams(*values)
+
+
 def random_hermitian_params(rng: np.random.Generator) -> MappingParams:
     """Draw parameters satisfying every self-adjointness relation."""
     m11 = rng.standard_normal()

@@ -9,6 +9,10 @@ whose matrix image equals the rank-one operator 4 psi psibar.  That single
 fact drives everything here: the scalar identities, the idempotency
 Z Z = 4 sigma Z (nilpotency when sigma = 0), the quarter-sandwich identity
 family, and the inversion Z xi proportional to psi.
+
+Euclidean covariants go through the same aggregate and identity residuals
+with the Euclidean contraction; the orientation sign of bilinears flips the
+volume term to -omega e0123 and mirrors the identities.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conventions
-from .bilinears import BilinearSet, bilinear_covariants, minkowski_dot, minkowski_square
+from .bilinears import ORIENTATION, BilinearSet, minkowski_dot, minkowski_square
 from .clifford import (
     Multivector,
     Signature,
@@ -38,7 +42,7 @@ __all__ = [
     "SingularAggregateParams",
     "fpk_residuals",
     "aggregate",
-    "euclidean_aggregate",
+    "boomerang_residual",
     "is_boomerang",
     "generalized_fpk_residuals",
     "build_singular_aggregate",
@@ -102,59 +106,56 @@ class FpkResiduals:
         return {"r1": self.r1, "r2": self.r2, "r3": self.r3, "r4": self.r4}
 
 
+def _identity_residuals(b: BilinearSet) -> tuple[float, float, float, float]:
+    """With the signature's contraction and orientation o:
+
+        r1 = J.J - sigma^2 - o omega^2
+        r2 = J.J + o K.K
+        r3 = J.K
+        r4 = max-norm of J wedge K + o (omega + sigma e0123) S
+    """
+    sig = b.signature
+    o = ORIENTATION[sig]
+    eta = np.array(sig.metric)
+    j2 = float(np.dot(eta * b.J, b.J))
+    k2 = float(np.dot(eta * b.K, b.K))
+    jk = float(np.dot(eta * b.J, b.K))
+    wedge = grade_projection(vector_multivector(b.J, sig) * vector_multivector(b.K, sig), 2)
+    volume = scalar(o * b.omega, sig) + (o * b.sigma) * pseudoscalar(sig)
+    resid = wedge + volume * bivector_multivector(b.S, sig)
+    return j2 - b.sigma ** 2 - o * b.omega ** 2, j2 + o * k2, jk, resid.max_abs()
+
+
 def fpk_residuals(b: BilinearSet) -> FpkResiduals:
     if b.signature is not Signature.MINKOWSKI:
         raise ValueError("covariant identities here use the time-minus contraction")
-    j2 = minkowski_square(b.J)
-    k2 = minkowski_square(b.K)
-    r1 = j2 - b.sigma ** 2 - b.omega ** 2
-    r2 = k2 + j2
-    r3 = minkowski_dot(b.J, b.K)
-    jmv = vector_multivector(b.J)
-    kmv = vector_multivector(b.K)
-    smv = bivector_multivector(b.S)
-    wedge = grade_projection(jmv * kmv, 2)
-    resid = wedge + (scalar(b.omega) + b.sigma * pseudoscalar()) * smv
-    return FpkResiduals(float(r1), float(r2), float(r3), resid.max_abs())
+    return FpkResiduals(*_identity_residuals(b))
 
 
 def aggregate(b: BilinearSet) -> Multivector:
-    """The complex multivector sigma + J + iS + iK e0123 + omega e0123."""
-    if b.signature is not Signature.MINKOWSKI:
-        raise ValueError("the aggregate is assembled in the time-minus signature")
-    e5 = pseudoscalar()
+    """The complex multivector sigma + J + iS + iK e0123 + o omega e0123 in
+    the covariants' signature, o its orientation (+1 time-minus, -1
+    Euclidean, where the stored omega is read through the reversed volume)."""
+    sig = b.signature
+    e5 = pseudoscalar(sig)
     return (
-        scalar(b.sigma)
-        + vector_multivector(b.J)
-        + 1j * bivector_multivector(b.S)
-        + 1j * (vector_multivector(b.K) * e5)
-        + b.omega * e5
+        scalar(b.sigma, sig)
+        + vector_multivector(b.J, sig)
+        + 1j * bivector_multivector(b.S, sig)
+        + 1j * (vector_multivector(b.K, sig) * e5)
+        + (ORIENTATION[sig] * b.omega) * e5
     )
 
 
-def euclidean_aggregate(b: BilinearSet) -> Multivector:
-    """Euclidean counterpart sigma + J + iS + iK e0123 - omega e0123; the
-    volume term is oriented opposite to the stored omega (the component
-    formulas fix omega through the reversed volume element)."""
-    if b.signature is not Signature.EUCLIDEAN:
-        raise ValueError("expected Euclidean covariants")
-    e5 = pseudoscalar(Signature.EUCLIDEAN)
-    return (
-        scalar(b.sigma, Signature.EUCLIDEAN)
-        + vector_multivector(b.J, Signature.EUCLIDEAN)
-        + 1j * bivector_multivector(b.S, Signature.EUCLIDEAN)
-        + 1j * (vector_multivector(b.K, Signature.EUCLIDEAN) * e5)
-        - b.omega * e5
-    )
+def boomerang_residual(z: Multivector, sigma: float) -> float:
+    """Max-norm of Z Z - 4 sigma Z relative to |Z|^2 (0 for Z = 0)."""
+    resid = z * z - (4.0 * sigma) * z
+    return resid.max_abs() / max(z.norm() ** 2, 1e-300)
 
 
 def is_boomerang(z: Multivector, sigma: float, tol: float = 1e-9) -> bool:
     """True when Z Z = 4 sigma Z within tol relative to |Z|^2."""
-    n2 = z.norm() ** 2
-    if n2 == 0.0:
-        return True
-    resid = z * z - (4.0 * sigma) * z
-    return resid.max_abs() <= tol * n2
+    return boomerang_residual(z, sigma) <= tol
 
 
 @functools.lru_cache(maxsize=None)
@@ -292,11 +293,6 @@ def reconstruct(
     return ClassicalSpinor(psi, xi.rep)
 
 
-def spinor_aggregate(psi: ClassicalSpinor) -> Multivector:
-    """Aggregate of a spinor's own covariants."""
-    return aggregate(bilinear_covariants(psi))
-
-
 def euclidean_fierz_residuals(b: BilinearSet) -> np.ndarray:
     """Residuals of the four Euclidean identities:
 
@@ -310,17 +306,4 @@ def euclidean_fierz_residuals(b: BilinearSet) -> np.ndarray:
     """
     if b.signature is not Signature.EUCLIDEAN:
         raise ValueError("expected Euclidean covariants")
-    j2 = float(b.J @ b.J)
-    k2 = float(b.K @ b.K)
-    e5 = pseudoscalar(Signature.EUCLIDEAN)
-    jmv = vector_multivector(b.J, Signature.EUCLIDEAN)
-    kmv = vector_multivector(b.K, Signature.EUCLIDEAN)
-    smv = bivector_multivector(b.S, Signature.EUCLIDEAN)
-    wedge = grade_projection(jmv * kmv, 2)
-    resid = wedge - (scalar(b.omega, Signature.EUCLIDEAN) + b.sigma * e5) * smv
-    return np.array([
-        j2 - b.sigma ** 2 + b.omega ** 2,
-        j2 - k2,
-        float(b.J @ b.K),
-        resid.max_abs(),
-    ])
+    return np.array(_identity_residuals(b))

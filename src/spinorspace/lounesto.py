@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import BilinearSet, bilinear_covariants
-from .clifford import GammaRep, Signature, WEYL, rep_by_tag
+from .clifford import GammaRep, Signature, WEYL
 from .fierz import fpk_residuals
 from .spinor_forms import ClassicalSpinor
 
@@ -265,6 +265,3 @@ def generate(
             out.append(candidate.to_rep(rep))
     return out
 
-
-def rep_from_tag(tag: str) -> GammaRep:
-    return rep_by_tag(tag)

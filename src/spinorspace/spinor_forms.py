@@ -283,7 +283,7 @@ def operator_to_quat_matrix(op: SpinorOperator) -> QuatMatrix2:
     opposite sign on the off-diagonal quaternion."""
     s, b, p = operator_coeffs(op)
     one = quat_matrix(_Q1, _Q0, _Q0, _Q1)
-    acc = one.scale(0.0) + one.scale(s)
+    acc = one.scale(s)
     for (mu, nu), value in zip(BIVECTOR_ORDER, b):
         if value != 0.0:
             acc = acc + (quaternion_rep_e(mu) @ quaternion_rep_e(nu)).scale(value)

@@ -19,7 +19,6 @@ from .bilinears import BilinearSet
 from .fierz import fpk_residuals
 
 __all__ = [
-    "BilinearPoint",
     "WindingReport",
     "project_regular",
     "winding_number",
@@ -28,14 +27,11 @@ __all__ = [
     "fpk_membership",
 ]
 
-# a covariant-space point carries the same data as a covariant set
-BilinearPoint = BilinearSet
-
 MAX_SEGMENT_ANGLE = np.pi / 2
 ROUNDING_RESIDUE_LIMIT = 0.01
 
 
-def project_regular(p: BilinearPoint) -> BilinearPoint:
+def project_regular(p: BilinearSet) -> BilinearSet:
     """Zero K and S, keeping (sigma, J, omega); idempotent."""
     return replace(p, K=np.zeros(4), S=np.zeros(6))
 
@@ -113,7 +109,7 @@ def regular_sphere_check(psi, tol: float = 1e-8) -> float:
     return float(abs(float(j @ j) + omega ** 2 - 1.0))
 
 
-def fpk_membership(p: BilinearPoint, tol: float = 1e-8) -> bool:
+def fpk_membership(p: BilinearSet, tol: float = 1e-8) -> bool:
     """Whether the point satisfies the quadratic covariant identities (the
     membership gate of the physical sector).  The all-zero point passes as a
     degenerate member."""

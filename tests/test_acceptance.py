@@ -169,19 +169,12 @@ def test_criterion_06_isomorphism_round_trips():
     _announce(6, f"round trips {worst:.2e}, product agreement {worst_prod:.2e}")
 
 
-def _random_params(rng):
-    values = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    while abs(values[1]) < 0.2:
-        values[1] = complex(rng.standard_normal(), rng.standard_normal())
-    return classmap.MappingParams(*values)
-
-
 def test_criterion_07_mapping_matrix():
     rng = np.random.default_rng(107)
     worst_det = 0.0
     worst_con = 0.0
     for _ in range(1000):
-        m = classmap.build_M(_random_params(rng))
+        m = classmap.build_M(classmap.random_params(rng))
         worst_det = max(worst_det, classmap.no_inverse_witness(m) / m.frobenius() ** 4)
         r0, r123 = classmap.constraint_residuals(m.matrix)
         worst_con = max(worst_con, max(r0, r123) / m.frobenius() ** 2)
@@ -191,7 +184,7 @@ def test_criterion_07_mapping_matrix():
     class_four = 0
     total = 100
     for seed in range(total):
-        m = classmap.build_M(_random_params(rng))
+        m = classmap.build_M(classmap.random_params(rng))
         phi = lounesto.generate(SIX[seed % 3], seed=seed, count=1)[0]
         mapped = classmap.map_to_class4(m, phi)
         b = bilinear_covariants(mapped.spinor)

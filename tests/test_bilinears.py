@@ -183,6 +183,10 @@ def test_bilinear_set_shape_validation():
         bl.BilinearSet(1.0, 0.0, np.zeros(4), np.zeros(4), np.zeros(5))
     with pytest.raises(ValueError, match="4 components"):
         bl.BilinearSet(1.0, 0.0, np.zeros(3), np.zeros(4), np.zeros(6))
+    with pytest.raises(ValueError, match="finite"):
+        bl.BilinearSet(np.nan, 0.0, np.zeros(4), np.zeros(4), np.zeros(6))
+    with pytest.raises(ValueError, match="finite"):
+        bl.BilinearSet(1.0, 0.0, np.zeros(4), [0, np.inf, 0, 0], np.zeros(6))
 
 
 def test_s_component_order_is_documented_order():

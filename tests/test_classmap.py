@@ -11,13 +11,6 @@ from spinorspace.lounesto import LounestoClass, classify, generate
 from spinorspace.spinor_forms import ClassicalSpinor
 
 
-def random_params(rng):
-    values = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    while abs(values[1]) < 0.2:
-        values[1] = rng.standard_normal() + 1j * rng.standard_normal()
-    return classmap.MappingParams(*values)
-
-
 def test_all_ones_row_structure():
     p = classmap.MappingParams(*([1.0] * 9))
     m = classmap.build_M(p).matrix
@@ -32,13 +25,13 @@ def test_m12_zero_rejected():
 
 def test_determinant_vanishes(rng):
     for _ in range(300):
-        m = classmap.build_M(random_params(rng))
+        m = classmap.build_M(classmap.random_params(rng))
         assert classmap.no_inverse_witness(m) < 1e-12 * m.frobenius() ** 4
 
 
 def test_constraint_residuals(rng):
     for _ in range(100):
-        m = classmap.build_M(random_params(rng))
+        m = classmap.build_M(classmap.random_params(rng))
         r0, r123 = classmap.constraint_residuals(m.matrix)
         bound = 1e-12 * m.frobenius() ** 2
         assert r0 < bound and r123 < bound
@@ -58,7 +51,7 @@ def test_no_inverse_witness_contrast():
 @pytest.mark.parametrize("source", [LounestoClass.C1, LounestoClass.C2, LounestoClass.C3])
 def test_image_kills_both_scalars(rng, source):
     for seed in range(5):
-        m = classmap.build_M(random_params(rng))
+        m = classmap.build_M(classmap.random_params(rng))
         phi = generate(source, seed=seed, count=1)[0]
         mapped = classmap.map_to_class4(m, phi)
         b = bilinear_covariants(mapped.spinor)
@@ -70,7 +63,7 @@ def test_image_kills_both_scalars(rng, source):
 def test_image_generically_class_four(rng):
     hits = 0
     for seed in range(20):
-        m = classmap.build_M(random_params(rng))
+        m = classmap.build_M(classmap.random_params(rng))
         phi = generate(LounestoClass.C1, seed=seed, count=1)[0]
         mapped = classmap.map_to_class4(m, phi)
         if classify(mapped.spinor).lounesto_class is LounestoClass.C4:
@@ -80,7 +73,7 @@ def test_image_generically_class_four(rng):
 
 
 def test_kernel_input_rejected(rng):
-    m = classmap.build_M(random_params(rng))
+    m = classmap.build_M(classmap.random_params(rng))
     # a kernel direction exists since the matrix is singular
     _, svals, vh = np.linalg.svd(m.matrix)
     kernel = vh[-1].conj()
@@ -93,14 +86,14 @@ def test_kernel_input_rejected(rng):
 
 
 def test_non_regular_input_rejected(rng):
-    m = classmap.build_M(random_params(rng))
+    m = classmap.build_M(classmap.random_params(rng))
     weyl = generate(LounestoClass.C6, seed=0, count=1)[0]
     with pytest.raises(ValueError, match="regular"):
         classmap.map_to_class4(m, weyl)
 
 
 def test_wrong_representation_rejected(rng):
-    m = classmap.build_M(random_params(rng))
+    m = classmap.build_M(classmap.random_params(rng))
     phi = random_spinor(rng, cl.DIRAC)
     with pytest.raises(ValueError, match="chiral"):
         classmap.map_to_class4(m, phi)
@@ -109,7 +102,7 @@ def test_wrong_representation_rejected(rng):
 def test_no_right_inverse(rng):
     """Solving M x = phi fails whenever phi leaves the column space."""
     for _ in range(20):
-        m = classmap.build_M(random_params(rng)).matrix
+        m = classmap.build_M(classmap.random_params(rng)).matrix
         phi = random_spinor(rng).components
         x, residual, rank, _ = np.linalg.lstsq(m, phi, rcond=None)
         assert rank < 4

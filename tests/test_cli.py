@@ -149,6 +149,19 @@ def test_verify_fpk_anomalous_bilinear_file(tmp_path, capsys):
     assert json.loads(out)["all_pass"] is False
 
 
+def test_verify_nan_covariant_is_schema_error(tmp_path, capsys):
+    doc = {"version": 1, "entries": [{
+        "id": "nan", "sigma": float("nan"), "omega": 0.0,
+        "J": [1, 0, 0, 0], "K": [0, 1, 0, 0], "S": [0, 0, 0, 0, 0, 0],
+    }]}
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps(doc))
+    code, out = run_cli(["verify", str(f), "--mode", "fpk"], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite" in run_cli.err
+
+
 def test_verify_boomerang_class5(tmp_path, capsys):
     gen = tmp_path / "c5.json"
     run_cli(["generate", "--class", "5", "--count", "3", "--seed", "2",

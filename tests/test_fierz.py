@@ -6,7 +6,7 @@ import pytest
 from conftest import random_spinor, ray_angle_sine
 from spinorspace import clifford as cl
 from spinorspace import fierz
-from spinorspace.bilinears import BilinearSet, bilinear_covariants
+from spinorspace.bilinears import BilinearSet, bilinear_covariants, euclidean_bilinears
 from spinorspace.conventions import GENERALIZED_S_FACTOR, S_SCALE
 from spinorspace.lounesto import LounestoClass, generate
 from spinorspace.spinor_forms import ClassicalSpinor
@@ -139,6 +139,14 @@ def test_boomerang_singular_nilpotent(rng):
 def test_boomerang_rejects_fabricated_point():
     z = fierz.aggregate(bset(sigma=1.0))
     assert not fierz.is_boomerang(z, 1.0)
+
+
+def test_boomerang_euclidean(rng):
+    for _ in range(100):
+        b = euclidean_bilinears(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        z = fierz.aggregate(b)
+        assert z.signature is cl.Signature.EUCLIDEAN
+        assert fierz.boomerang_residual(z, b.sigma) < 1e-12
 
 
 # -- generalized identity family -------------------------------------------------------
