@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilinears import bilinear_covariants
 from .clifford import WEYL
+from .lounesto import ClassificationReport, classify
 from .spinor_forms import ClassicalSpinor
 
 __all__ = [
@@ -106,11 +106,13 @@ def no_inverse_witness(m: MappingMatrix | np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class MappedSpinor:
-    """Image spinor plus a degeneracy report: covariants that fell below the
-    classification threshold even though a generic image keeps them."""
+    """Image spinor, its classification report, and a degeneracy report:
+    covariants that fell below the classification threshold even though a
+    generic image keeps them."""
 
     spinor: ClassicalSpinor
     degenerate: tuple[str, ...]
+    report: ClassificationReport
 
 
 def map_to_class4(
@@ -125,8 +127,6 @@ def map_to_class4(
     falling below threshold is reported rather than silently accepted, since
     the flag-dipole outcome is generic but not universal.
     """
-    from .lounesto import classify
-
     if phi.rep is not WEYL:
         raise ValueError("the mapping is written in the chiral representation")
     report = classify(phi, tol)
@@ -142,18 +142,9 @@ def map_to_class4(
             "guarantees a nontrivial kernel)"
         )
     out = ClassicalSpinor(image, WEYL)
-    b = bilinear_covariants(out)
-    threshold = tol * norm2
-    degenerate = tuple(
-        name
-        for name, value in (
-            ("J", float(np.linalg.norm(b.J))),
-            ("K", float(np.linalg.norm(b.K))),
-            ("S", float(np.linalg.norm(b.S))),
-        )
-        if value <= threshold
-    )
-    return MappedSpinor(out, degenerate)
+    image_report = classify(out, tol)
+    degenerate = tuple(name for name in ("J", "K", "S") if image_report.zero_flags[name])
+    return MappedSpinor(out, degenerate, image_report)
 
 
 def hermitian_constrain(p: MappingParams, tol: float = 1e-12) -> MappingMatrix:

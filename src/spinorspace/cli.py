@@ -65,9 +65,17 @@ def _dump(obj, out: str | None) -> None:
 
 def _complex_from_pair(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(x, (int, float)) for x in value)):
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
         raise SchemaError(f"{where}: expected a [re, im] pair, got {value!r}")
     return complex(value[0], value[1])
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite, non-negative float."""
+    value = float(text)
+    if not np.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return value
 
 
 def _pair(z: complex) -> list[float]:
@@ -136,11 +144,6 @@ def _parse_bilinear_entries(doc, where: str) -> list[dict]:
 def load_spinor_file(path: str) -> list[dict]:
     """Entries of a spinor file: {id, rep, components: 4 [re, im] pairs}."""
     return _parse_spinor_entries(_load_json(path), path)
-
-
-def load_bilinear_file(path: str) -> list[dict]:
-    """Entries of a covariant file: {id, sigma, omega, J: 4, K: 4, S: 6}."""
-    return _parse_bilinear_entries(_load_json(path), path)
 
 
 def _detect_input_kind(path: str) -> tuple[str, list[dict]]:
@@ -224,7 +227,7 @@ def _verify_entry(b: BilinearSet, mode: str, tol: float) -> dict:
         row["pass_per_identity"] = {
             name: abs(value) <= bound for name, value in res.as_dict().items()
         }
-        row["pass"] = res.max_abs() <= bound
+        row["pass"] = res.passes(tol, scale)
         return row
     z = fierz.aggregate(b)
     if mode == "boomerang":
@@ -282,8 +285,7 @@ def cmd_map4(args) -> int:
         except ValueError as exc:
             results.append({"id": entry["id"], "error": str(exc)})
             continue
-        image = mapped.spinor
-        report = lounesto.classify(image, args.tol)
+        image, report = mapped.spinor, mapped.report
         cls = report.lounesto_class.value
         histogram[cls] = histogram.get(cls, 0) + 1
         results.append({
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify each spinor in a file")
     p.add_argument("input", help="spinor file path or - for stdin")
-    p.add_argument("--tol", type=float, default=lounesto.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=lounesto.DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify)
 
@@ -378,21 +380,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rep", choices=["weyl", "dirac"], default="weyl")
-    p.add_argument("--tol", type=float, default=lounesto.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=lounesto.DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="identity residual tables")
     p.add_argument("input", help="spinor or covariant file path, - for stdin")
     p.add_argument("--mode", choices=["fpk", "aggregate", "boomerang"], default="fpk")
-    p.add_argument("--tol", type=float, default=lounesto.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=lounesto.DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("map4", help="apply a class-4 mapping to regular spinors")
     p.add_argument("input", help="spinor file path or - for stdin")
     p.add_argument("--params", required=True, help="mapping parameter JSON path")
-    p.add_argument("--tol", type=float, default=lounesto.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=lounesto.DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_map4)
 
@@ -402,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="rebuild spinors from their aggregates")
     p.add_argument("input", help="spinor file path or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_reconstruct)
 

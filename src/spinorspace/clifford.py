@@ -7,9 +7,10 @@ lexicographically, with generator indices ascending inside each blade:
 
     1 | e0 e1 e2 e3 | e01 e02 e03 e12 e13 e23 | e012 e013 e023 e123 | e0123
 
-The geometric product is driven by a precomputed structure tensor per
-signature.  All sign bookkeeping reduces to counting transpositions, so
-algebraic identities hold to machine precision on top of exact integer signs.
+The geometric product is driven by a precomputed (16, 16) product table per
+signature: each blade pair maps to one output blade and a sign.  The sign
+counts transpositions and shared generators, so algebraic identities hold to
+machine precision on top of exact integer signs.
 """
 
 from __future__ import annotations
@@ -76,38 +77,32 @@ class Signature(enum.Enum):
 def _blade_product(
     a: tuple[int, ...], b: tuple[int, ...], metric: tuple[float, ...]
 ) -> tuple[tuple[int, ...], float]:
-    """Multiply two basis blades, returning the canonical blade and its sign."""
-    seq = list(a) + list(b)
-    sign = 1.0
-    n = len(seq)
-    # bubble sort; each transposition of distinct generators flips the sign
-    for i in range(n):
-        for j in range(n - 1 - i):
-            if seq[j] > seq[j + 1]:
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                sign = -sign
-    out: list[int] = []
-    k = 0
-    while k < len(seq):
-        if k + 1 < len(seq) and seq[k] == seq[k + 1]:
-            sign *= metric[seq[k]]
-            k += 2
-        else:
-            out.append(seq[k])
-            k += 1
-    return tuple(out), sign
+    """Multiply two basis blades, returning the canonical blade and its sign.
+
+    Sorting a + b takes one transposition per pair x in a, y in b with x > y;
+    each shared generator then contracts to its square metric[g].
+    """
+    sign = (-1.0) ** sum(x > y for x in a for y in b)
+    for g in set(a) & set(b):
+        sign *= metric[g]
+    return tuple(sorted(set(a) ^ set(b))), sign
 
 
 @functools.lru_cache(maxsize=None)
-def _structure_tensor(signature: Signature) -> np.ndarray:
-    """(16, 16, 16) tensor G with blade_i blade_j = sum_k G[i, j, k] blade_k."""
-    g = np.zeros((DIM, DIM, DIM))
+def _product_table(signature: Signature) -> tuple[np.ndarray, np.ndarray]:
+    """(16, 16) tables with blade_i blade_j = sign[i, j] * blade_{index[i, j]}.
+
+    Each row and each column of index is a permutation of the 16 blades.
+    """
+    index = np.empty((DIM, DIM), dtype=np.intp)
+    sign = np.empty((DIM, DIM))
     for i, bi in enumerate(BLADES):
         for j, bj in enumerate(BLADES):
-            bk, s = _blade_product(bi, bj, signature.metric)
-            g[i, j, BLADE_INDEX[bk]] = s
-    g.flags.writeable = False
-    return g
+            bk, sign[i, j] = _blade_product(bi, bj, signature.metric)
+            index[i, j] = BLADE_INDEX[bk]
+    index.flags.writeable = False
+    sign.flags.writeable = False
+    return index, sign
 
 
 _REVERSION_SIGNS = np.array([(-1.0) ** (k * (k - 1) // 2) for k in BLADE_GRADES])
@@ -244,24 +239,29 @@ def from_blade_dict(
 # -- core operations ------------------------------------------------------
 
 
+def _mul_matrix(coeffs: np.ndarray, index: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """M with M[index[i, j], j] = sign[i, j] coeffs[i]; no entry is written
+    twice because each column of index is a permutation."""
+    m = np.zeros((DIM, DIM), dtype=np.complex128)
+    m[index, np.arange(DIM)] = sign * coeffs[:, None]
+    return m
+
+
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     a._check_signature(b)
-    g = _structure_tensor(a.signature)
-    # contract a first: (16, 16) table of blade_j -> output coefficients
-    partial = np.tensordot(a.coeffs, g, axes=(0, 0))
-    return Multivector(a.signature, b.coeffs @ partial)
+    left = _mul_matrix(a.coeffs, *_product_table(a.signature))
+    return Multivector(a.signature, left @ b.coeffs)
 
 
 def left_mul_matrix(a: Multivector) -> np.ndarray:
     """Matrix L with (a b).coeffs = L @ b.coeffs."""
-    g = _structure_tensor(a.signature)
-    return np.tensordot(a.coeffs, g, axes=(0, 0)).T
+    return _mul_matrix(a.coeffs, *_product_table(a.signature))
 
 
 def right_mul_matrix(a: Multivector) -> np.ndarray:
     """Matrix R with (b a).coeffs = R @ b.coeffs."""
-    g = _structure_tensor(a.signature)
-    return np.tensordot(g, a.coeffs, axes=(1, 0)).T
+    index, sign = _product_table(a.signature)
+    return _mul_matrix(a.coeffs, index.T, sign.T)
 
 
 def reversion(a: Multivector) -> Multivector:

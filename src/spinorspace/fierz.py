@@ -53,33 +53,20 @@ __all__ = [
 ]
 
 
-def _raise_vector(v: np.ndarray) -> np.ndarray:
-    return np.array([v[0], -v[1], -v[2], -v[3]])
-
-
-def _raise_bivector(s: np.ndarray) -> np.ndarray:
-    # one spatial index for the (0k) slots, two for the (jk) slots
-    return np.array([-s[0], -s[1], -s[2], s[3], s[4], s[5]])
-
-
 def vector_multivector(components, signature: Signature = Signature.MINKOWSKI) -> Multivector:
-    """Grade-1 multivector with index-down components; raising is applied for
-    the time-minus signature."""
-    v = np.asarray(components, dtype=np.complex128)
-    if signature is Signature.MINKOWSKI:
-        v = _raise_vector(v)
+    """Grade-1 multivector with index-down components, raised with eta_mu."""
     c = np.zeros(16, dtype=np.complex128)
-    c[1:5] = v
+    c[1:5] = np.asarray(components, dtype=np.complex128) * signature.metric
     return Multivector(signature, c)
 
 
 def bivector_multivector(components, signature: Signature = Signature.MINKOWSKI) -> Multivector:
-    """Grade-2 multivector with index-down components in (01, 02, 03, 12, 13, 23) order."""
-    s = np.asarray(components, dtype=np.complex128)
-    if signature is Signature.MINKOWSKI:
-        s = _raise_bivector(s)
+    """Grade-2 multivector with index-down components in (01, 02, 03, 12, 13, 23)
+    order, raised with eta_mu eta_nu."""
+    eta = signature.metric
+    raising = [eta[mu] * eta[nu] for mu, nu in BIVECTOR_ORDER]
     c = np.zeros(16, dtype=np.complex128)
-    c[5:11] = s
+    c[5:11] = np.asarray(components, dtype=np.complex128) * raising
     return Multivector(signature, c)
 
 
@@ -99,8 +86,10 @@ class FpkResiduals:
     def max_abs(self) -> float:
         return max(abs(self.r1), abs(self.r2), abs(self.r3), abs(self.r4))
 
-    def passes(self, tol: float) -> bool:
-        return self.max_abs() <= tol
+    def passes(self, tol: float, scale: float) -> bool:
+        """Whether every residual is within tol relative to scale^2, scale
+        being the covariants' component norm."""
+        return self.max_abs() <= tol * scale ** 2
 
     def as_dict(self) -> dict:
         return {"r1": self.r1, "r2": self.r2, "r3": self.r3, "r4": self.r4}
@@ -159,19 +148,18 @@ def is_boomerang(z: Multivector, sigma: float, tol: float = 1e-9) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _sandwich_probes() -> tuple[np.ndarray, ...]:
-    """Coefficient vectors of the probe elements 1; g_mu; i [g_mu, g_nu];
-    i g0123 g_mu; -g0123, grouped per identity line."""
+def _sandwich_probes() -> np.ndarray:
+    """(16, 16) coefficient rows of the probe elements 1; g_mu; i [g_mu, g_nu];
+    i g0123 g_mu; -g0123, in the covariant order sigma, J, S, K, omega."""
     e5 = pseudoscalar()
-    unit = scalar(1.0).coeffs
-    vectors = np.stack([basis_vector(mu).coeffs for mu in range(4)])
-    tensors = np.stack([
-        (1j * (basis_vector(mu) * basis_vector(nu) - basis_vector(nu) * basis_vector(mu))).coeffs
-        for mu, nu in BIVECTOR_ORDER
-    ])
-    axials = np.stack([(1j * (e5 * basis_vector(mu))).coeffs for mu in range(4)])
-    volume = (-1 * e5).coeffs
-    return unit, vectors, tensors, axials, volume
+    g = [basis_vector(mu) for mu in range(4)]
+    probes = [scalar(1.0), *g]
+    probes += [1j * (g[mu] * g[nu] - g[nu] * g[mu]) for mu, nu in BIVECTOR_ORDER]
+    probes += [1j * (e5 * v) for v in g]
+    probes.append(-1 * e5)
+    stack = np.stack([p.coeffs for p in probes])
+    stack.flags.writeable = False
+    return stack
 
 
 def generalized_fpk_residuals(z: Multivector, b: BilinearSet) -> np.ndarray:
@@ -189,19 +177,9 @@ def generalized_fpk_residuals(z: Multivector, b: BilinearSet) -> np.ndarray:
     kappa = conventions.GENERALIZED_S_FACTOR
     # (1/4) Z A Z is linear in the probe A: one sandwich matrix serves all
     sandwich = 0.25 * (left_mul_matrix(z) @ right_mul_matrix(z))
-    unit, vectors, tensors, axials, volume = _sandwich_probes()
-    zc = z.coeffs
-
-    def resid(probe: np.ndarray, coefficient: float) -> float:
-        return float(np.max(np.abs(sandwich @ probe - coefficient * zc)))
-
-    res = np.zeros(5)
-    res[0] = resid(unit, b.sigma)
-    res[1] = max(resid(vectors[mu], b.J[mu]) for mu in range(4))
-    res[2] = max(resid(tensors[i], kappa * b.S[i]) for i in range(6))
-    res[3] = max(resid(axials[mu], b.K[mu]) for mu in range(4))
-    res[4] = resid(volume, b.omega)
-    return res
+    expected = np.concatenate([[b.sigma], b.J, kappa * b.S, b.K, [b.omega]])
+    resid = np.abs(_sandwich_probes() @ sandwich.T - np.outer(expected, z.coeffs))
+    return np.array([np.max(line) for line in np.split(resid, [1, 5, 11, 15])])
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,7 @@ def classify_bilinears(b: BilinearSet, tol: float = DEFAULT_TOL) -> LounestoClas
     scale = b.component_norm()
     if scale == 0.0:
         return LounestoClass.ANOMALOUS
-    if fpk_residuals(b).max_abs() > tol * scale ** 2:
+    if not fpk_residuals(b).passes(tol, scale):
         return LounestoClass.ANOMALOUS
     return _report(b, scale, tol).lounesto_class
 
@@ -255,7 +255,7 @@ def generate(
     while len(out) < count:
         attempts += 1
         if attempts > _MAX_ATTEMPTS * count:
-            raise RuntimeError(
+            raise ValueError(
                 f"generator for class {target.value} failed to converge"
             )
         candidate = ClassicalSpinor(draw(rng), WEYL)

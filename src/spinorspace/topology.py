@@ -116,4 +116,4 @@ def fpk_membership(p: BilinearSet, tol: float = 1e-8) -> bool:
     scale = p.component_norm()
     if scale == 0.0:
         return True
-    return fpk_residuals(p).max_abs() <= tol * scale ** 2
+    return fpk_residuals(p).passes(tol, scale)

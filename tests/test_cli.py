@@ -97,6 +97,35 @@ def test_classify_schema_violation(tmp_path, capsys):
     assert code == 2
 
 
+def test_classify_boolean_pair_is_schema_error(tmp_path, capsys):
+    doc = {"version": 1, "entries": [{
+        "id": "b", "components": [[True, False], [0, 0], [1, 0], [0, 0]],
+    }]}
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(doc))
+    code, out = run_cli(["classify", str(f)], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "[re, im] pair" in run_cli.err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["classify", "in.json"],
+    ["generate", "--class", "1"],
+    ["verify", "in.json"],
+    ["map4", "in.json", "--params", "p.json"],
+    ["reconstruct", "in.json"],
+], ids=["classify", "generate", "verify", "map4", "reconstruct"])
+def test_tol_must_be_finite_and_nonnegative(capsys, argv, tol):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv + ["--tol", tol])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
 # -- generate -------------------------------------------------------------------
 
 
@@ -117,6 +146,13 @@ def test_generate_deterministic_bytes(tmp_path, capsys):
     run_cli(["generate", "--class", "3", "--count", "4", "--seed", "11", "--out", str(b)],
             capsys=capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_generate_unreachable_target_is_usage_error(capsys):
+    code, out = run_cli(["generate", "--class", "4", "--tol", "10"], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "failed to converge" in run_cli.err
 
 
 def test_generate_invalid_class_usage_error():

@@ -12,6 +12,61 @@ MINK = cl.Signature.MINKOWSKI
 EUC = cl.Signature.EUCLIDEAN
 
 
+def _reference_blade_product(a, b, metric):
+    """Bubble-sort the concatenated generators, flipping the sign per
+    transposition, then contract equal neighbours to their squares."""
+    seq = list(a) + list(b)
+    sign = 1.0
+    n = len(seq)
+    for i in range(n):
+        for j in range(n - 1 - i):
+            if seq[j] > seq[j + 1]:
+                seq[j], seq[j + 1] = seq[j + 1], seq[j]
+                sign = -sign
+    out = []
+    k = 0
+    while k < len(seq):
+        if k + 1 < len(seq) and seq[k] == seq[k + 1]:
+            sign *= metric[seq[k]]
+            k += 2
+        else:
+            out.append(seq[k])
+            k += 1
+    return tuple(out), sign
+
+
+def _reference_structure_tensor(signature):
+    """Dense (16, 16, 16) G with blade_i blade_j = sum_k G[i, j, k] blade_k."""
+    g = np.zeros((16, 16, 16))
+    for i, bi in enumerate(cl.BLADES):
+        for j, bj in enumerate(cl.BLADES):
+            bk, s = _reference_blade_product(bi, bj, signature.metric)
+            g[i, j, cl.BLADE_INDEX[bk]] = s
+    return g
+
+
+@pytest.mark.parametrize("signature", [MINK, EUC])
+def test_product_table_matches_reference(signature):
+    index, sign = cl._product_table(signature)
+    dense = np.zeros((16, 16, 16))
+    rows, cols = np.indices((16, 16))
+    dense[rows, cols, index] = sign
+    assert np.array_equal(dense, _reference_structure_tensor(signature))
+
+
+@pytest.mark.parametrize("signature", [MINK, EUC])
+def test_mul_matrices_match_reference_contraction(rng, signature):
+    g = _reference_structure_tensor(signature)
+    for _ in range(50):
+        a = random_multivector(rng, signature)
+        b = random_multivector(rng, signature)
+        want = np.einsum("i,j,ijk->k", a.coeffs, b.coeffs, g)
+        tol = 1e-12 * a.norm() * b.norm()
+        assert np.max(np.abs(cl.left_mul_matrix(a) @ b.coeffs - want)) < tol
+        assert np.max(np.abs(cl.right_mul_matrix(b) @ a.coeffs - want)) < tol
+        assert np.max(np.abs(cl.geometric_product(a, b).coeffs - want)) < tol
+
+
 @pytest.mark.parametrize("signature", [MINK, EUC])
 def test_generator_relations_exact(signature):
     """e_mu e_nu + e_nu e_mu = 2 eta_munu, coefficient-exact."""
