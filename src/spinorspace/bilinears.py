@@ -18,7 +18,9 @@ component expressions (sigma = sum |psi_i|^2, J0 = |psi1|^2 + |psi2|^2
 - |psi3|^2 - |psi4|^2, ...) come out of the matrix route verbatim.
 
 Both signatures share one kernel over a stack of 16 Hermitian forms; they
-differ only in the generators, the adjoint and the ORIENTATION sign.
+differ only in the generators, the adjoint and the ORIENTATION sign.  The
+kernel takes a batch of spinors, (..., 4), and gives covariants of that
+batch shape; each row is bit for bit the single-spinor result.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conventions
-from .clifford import _I2, _O2, GammaRep, PAULI, Signature
+from .clifford import _I2, _O2, GammaRep, PAULI, RowError, Signature, _unbox
 from .spinor_forms import _QI, _QJ, _QK, BIVECTOR_ORDER, ClassicalSpinor, Quaternion
 
 __all__ = [
@@ -49,8 +51,14 @@ REALITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class BilinearSet:
-    """The observables of one spinor.  Vector components are stored with the
-    index down; S components follow the (01, 02, 03, 12, 13, 23) order."""
+    """The observables of one spinor, or of a batch of them.  Vector
+    components are stored with the index down; S components follow the
+    (01, 02, 03, 12, 13, 23) order.
+
+    For a batch of shape B, sigma and omega have shape B, J and K shape
+    B + (4,) and S shape B + (6,); a single set has B = () with float sigma
+    and omega.
+    """
 
     sigma: float
     omega: float
@@ -60,39 +68,67 @@ class BilinearSet:
     signature: Signature = Signature.MINKOWSKI
 
     def __post_init__(self) -> None:
-        j = np.array(self.J, dtype=float)
-        k = np.array(self.K, dtype=float)
-        s = np.array(self.S, dtype=float)
-        if j.shape != (4,) or k.shape != (4,):
+        sigma = np.asarray(self.sigma, dtype=float)
+        omega = np.asarray(self.omega, dtype=float)
+        j = np.asarray(self.J, dtype=float)
+        k = np.asarray(self.K, dtype=float)
+        s = np.asarray(self.S, dtype=float)
+        batch = sigma.shape
+        if j.shape != batch + (4,) or k.shape != batch + (4,):
             raise ValueError("J and K must have 4 components")
-        if s.shape != (6,):
+        if s.shape != batch + (6,):
             raise ValueError("S must have 6 components (01, 02, 03, 12, 13, 23)")
-        sigma, omega = float(self.sigma), float(self.omega)
-        if not np.all(np.isfinite(np.concatenate([[sigma, omega], j, k, s]))):
+        if omega.shape != batch:
+            raise ValueError("sigma and omega must have the same batch shape")
+        self._adopt(np.concatenate([sigma[..., None], omega[..., None], j, k, s], axis=-1))
+
+    def _adopt(self, v: np.ndarray) -> None:
+        """Keep v, a fresh (..., 16) float array, as the one read-only copy of
+        all components; the fields are views of it."""
+        if not np.isfinite(v).all():
             raise ValueError("covariants must be finite")
-        for arr in (j, k, s):
-            arr.flags.writeable = False
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "J", j)
-        object.__setattr__(self, "K", k)
-        object.__setattr__(self, "S", s)
+        v.flags.writeable = False
+        object.__setattr__(self, "_stack", v)
+        object.__setattr__(self, "sigma", _unbox(v[..., 0]))
+        object.__setattr__(self, "omega", _unbox(v[..., 1]))
+        object.__setattr__(self, "J", v[..., 2:6])
+        object.__setattr__(self, "K", v[..., 6:10])
+        object.__setattr__(self, "S", v[..., 10:])
+
+    @classmethod
+    def from_stack(cls, v: np.ndarray, signature: Signature = Signature.MINKOWSKI) -> "BilinearSet":
+        """The set whose stack() is v, a (..., 16) array (copied)."""
+        v = np.array(v, dtype=float)
+        if v.shape[-1:] != (16,):
+            raise ValueError(f"expected 16 covariant components, got shape {v.shape}")
+        b = object.__new__(cls)
+        object.__setattr__(b, "signature", signature)
+        b._adopt(v)
+        return b
+
+    def stack(self) -> np.ndarray:
+        """(..., 16) read-only array of sigma, omega, J, K, S in stored order."""
+        return self._stack
 
     def component_norm(self) -> float:
         """2-norm over the 16 stored components; scales like |psi|^2."""
-        return float(np.sqrt(
+        return _unbox(np.sqrt(
             self.sigma ** 2 + self.omega ** 2
-            + np.sum(self.J ** 2) + np.sum(self.K ** 2) + np.sum(self.S ** 2)
+            + (self.J ** 2).sum(axis=-1) + (self.K ** 2).sum(axis=-1) + (self.S ** 2).sum(axis=-1)
         ))
 
     def as_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "omega": self.omega,
+        """Plain JSON values; a list of one dict per row for a 1-d batch."""
+        fields = {
+            "sigma": np.asarray(self.sigma).tolist(),
+            "omega": np.asarray(self.omega).tolist(),
             "J": self.J.tolist(),
             "K": self.K.tolist(),
             "S": self.S.tolist(),
         }
+        if np.ndim(self.sigma) == 0:
+            return fields
+        return [dict(zip(fields, row)) for row in zip(*fields.values())]
 
 
 def minkowski_square(v: np.ndarray) -> float:
@@ -163,38 +199,56 @@ def _forms(signature: Signature, rep: GammaRep | None) -> np.ndarray:
     return forms
 
 
+def _fitting(values: np.ndarray) -> np.ndarray:
+    """values itself; rows holding a non-finite entry raise RowError."""
+    if not np.isfinite(values).all():
+        raise RowError("covariants do not fit in float64", ~np.isfinite(values).all(axis=-1))
+    return values
+
+
 def _covariants(comps: np.ndarray, c_S: float, signature: Signature,
-                rep: GammaRep | None = None) -> BilinearSet:
-    values = np.einsum("i,kij,j->k", comps.conj(), _forms(signature, rep), comps)
-    scale = float(np.vdot(comps, comps).real)
-    bad = np.abs(values.imag) > REALITY_TOL * max(scale, 1e-300)
+                rep: GammaRep | None = None) -> np.ndarray:
+    """(..., 16) real covariants sigma, omega, J, K, S of the (..., 4) batch
+    comps, in stored order.  Rows that do not fit in float64 raise RowError."""
+    values = _fitting(np.einsum("...i,kij,...j->...k", comps.conj(), _forms(signature, rep), comps))
+    # every row holds |psi|^2 (J_0 or sigma) and nothing larger than 2 |psi|^2
+    scale = np.abs(values.real).max(axis=-1, keepdims=True)
+    bad = np.abs(values.imag) > REALITY_TOL * np.maximum(scale, 1e-300)
     if bad.any():
-        k = int(np.argmax(bad))
+        k = int(np.argmax(bad.reshape(-1, len(_LABELS)).any(axis=0)))
         raise ValueError(
             f"internal consistency: {_LABELS[k]} acquired an imaginary part "
-            f"{values.imag[k]:.3e} beyond tolerance"
+            f"{np.max(np.abs(values.imag[..., k])):.3e} beyond tolerance"
         )
     v = values.real
-    return BilinearSet(v[0], v[1], v[2:6], v[6:10], c_S * v[10:], signature)
+    v[..., 10:] *= c_S
+    return v
 
 
 def bilinear_covariants(psi: ClassicalSpinor, c_S: float | None = None) -> BilinearSet:
-    """All five covariants of a time-minus spinor in its own representation.
+    """All five covariants of a time-minus spinor in its own representation;
+    a batch of spinors gives the covariant batch of the same shape.
 
     c_S is the calibrated normalization of the tensor bilinear; the default
     comes from the frozen conventions and should not normally be overridden.
+    Spinors whose covariants overflow float64 raise RowError (a ValueError)
+    naming their rows.
     """
     if c_S is None:
         c_S = conventions.S_SCALE
-    return _covariants(psi.components, c_S, Signature.MINKOWSKI, psi.rep)
+    v = _covariants(psi.components, c_S, Signature.MINKOWSKI, psi.rep)
+    return BilinearSet.from_stack(v, Signature.MINKOWSKI)
 
 
 def euclidean_bilinears(psi, c_S: float | None = None) -> BilinearSet:
-    """Observables of psi in C^4 read through the Euclidean algebra."""
+    """Observables of psi in C^4 read through the Euclidean algebra; psi may
+    be a (..., 4) batch."""
     if c_S is None:
         c_S = conventions.S_SCALE_EUCLIDEAN
-    comps = np.asarray(psi, dtype=np.complex128).reshape(4)
-    return _covariants(comps, c_S, Signature.EUCLIDEAN)
+    comps = np.asarray(psi, dtype=np.complex128)
+    if comps.shape[-1:] != (4,):
+        raise ValueError(f"expected 4 components, got shape {comps.shape}")
+    return BilinearSet.from_stack(_covariants(comps, c_S, Signature.EUCLIDEAN), Signature.EUCLIDEAN)
 
 
 def euclidean_components_closed_form(psi):

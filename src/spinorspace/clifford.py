@@ -11,6 +11,12 @@ The geometric product is driven by a precomputed (16, 16) product table per
 signature: each blade pair maps to one output blade and a sign.  The sign
 counts transpositions and shared generators, so algebraic identities hold to
 machine precision on top of exact integer signs.
+
+Every operation takes a leading batch shape: coefficients are (..., 16)
+arrays and a single multivector is the batch of shape ().  Reductions such
+as norm() give a float for shape () and an array of the batch shape
+otherwise.  Batched rows are computed with the same arithmetic as single
+ones, so a row of a batch equals the single result bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ __all__ = [
     "rep_matrix",
     "idempotent_f",
     "weyl_to_dirac_matrix",
+    "RowError",
 ]
 
 BLADES: tuple[tuple[int, ...], ...] = (
@@ -59,6 +66,25 @@ BLADE_NAMES: tuple[str, ...] = tuple(
 )
 BLADE_GRADES: tuple[int, ...] = tuple(len(b) for b in BLADES)
 DIM = 16
+
+
+class RowError(ValueError):
+    """A batched computation that fails for some rows of its batch.
+
+    rows is a boolean mask over the batch shape marking the failing rows (a
+    0-d True for a single item), so a caller can report them and compute the
+    others; for a single item this is an ordinary ValueError.
+    """
+
+    def __init__(self, message: str, rows) -> None:
+        super().__init__(message)
+        self.rows = np.asarray(rows, dtype=bool)
+
+
+def _unbox(x):
+    """Python scalar for a 0-d result, the array itself for a batch."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
 
 
 class Signature(enum.Enum):
@@ -105,20 +131,43 @@ def _product_table(signature: Signature) -> tuple[np.ndarray, np.ndarray]:
     return index, sign
 
 
+@functools.lru_cache(maxsize=None)
+def _mul_gather(signature: Signature, right: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(source, sign) with M[k, j] = sign[k, j] * coeffs[source[k, j]] for the
+    left (or right) multiplication matrix M of a multivector with coefficients
+    coeffs: the product table read by output blade."""
+    index, sign = _product_table(signature)
+    if right:
+        index, sign = index.T, sign.T
+    source = np.argsort(index, axis=0)
+    gathered = np.take_along_axis(sign, source, axis=0)
+    source.flags.writeable = False
+    gathered.flags.writeable = False
+    return source, gathered
+
+
 _REVERSION_SIGNS = np.array([(-1.0) ** (k * (k - 1) // 2) for k in BLADE_GRADES])
 _GRADE_MASKS = {k: np.array([g == k for g in BLADE_GRADES]) for k in range(5)}
 
 
 @dataclass(frozen=True)
 class Multivector:
-    """Immutable multivector: 16 complex blade coefficients plus a signature."""
+    """Immutable multivector: complex blade coefficients plus a signature.
+
+    coeffs has shape (..., 16): the leading axes are a batch of multivectors
+    sharing the signature, and shape (16,) is a single one.
+    """
 
     signature: Signature
     coeffs: np.ndarray
 
+    # an array times a multivector scales it row by row (see _scale)
+    # instead of numpy broadcasting over the multivector as an object
+    __array_ufunc__ = None
+
     def __post_init__(self) -> None:
         c = np.array(self.coeffs, dtype=np.complex128)
-        if c.shape != (DIM,):
+        if c.shape[-1:] != (DIM,):
             raise ValueError(f"expected {DIM} blade coefficients, got shape {c.shape}")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -139,10 +188,16 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return geometric_product(self, other)
-        return Multivector(self.signature, self.coeffs * complex(other))
+        return self._scale(other)
 
     def __rmul__(self, other) -> "Multivector":
-        return Multivector(self.signature, self.coeffs * complex(other))
+        return self._scale(other)
+
+    def _scale(self, factor) -> "Multivector":
+        """Scale by a number, or row by row by an array of the batch shape."""
+        return Multivector(
+            self.signature, self.coeffs * np.asarray(factor, dtype=np.complex128)[..., None]
+        )
 
     def _check_signature(self, other: "Multivector") -> None:
         if self.signature is not other.signature:
@@ -164,20 +219,23 @@ class Multivector:
 
     @property
     def scalar_part(self) -> complex:
-        return complex(self.coeffs[0])
+        return _unbox(self.coeffs[..., 0])
 
     def norm(self) -> float:
         """Euclidean 2-norm of the coefficient vector."""
-        return float(np.linalg.norm(self.coeffs))
+        return _unbox(np.sqrt((self.coeffs.conj() * self.coeffs).real.sum(axis=-1)))
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+        return _unbox(np.abs(self.coeffs).max(axis=-1))
 
     def isclose(self, other: "Multivector", tol: float = 1e-12) -> bool:
+        """Whether every coefficient of every row is within tol."""
         self._check_signature(other)
         return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
 
     def __repr__(self) -> str:
+        if self.coeffs.ndim > 1:
+            return f"<batch of {self.coeffs.shape[:-1]} [{self.signature.value}]>"
         terms = []
         for name, c in zip(BLADE_NAMES, self.coeffs):
             if c != 0:
@@ -197,8 +255,9 @@ def zero(signature: Signature = Signature.MINKOWSKI) -> Multivector:
 
 
 def scalar(value: complex, signature: Signature = Signature.MINKOWSKI) -> Multivector:
-    c = np.zeros(DIM, dtype=np.complex128)
-    c[0] = value
+    """Scalar multivector; an array of values gives a batch of that shape."""
+    c = np.zeros(np.shape(value) + (DIM,), dtype=np.complex128)
+    c[..., 0] = value
     return Multivector(signature, c)
 
 
@@ -239,29 +298,29 @@ def from_blade_dict(
 # -- core operations ------------------------------------------------------
 
 
-def _mul_matrix(coeffs: np.ndarray, index: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """M with M[index[i, j], j] = sign[i, j] coeffs[i]; no entry is written
-    twice because each column of index is a permutation."""
-    m = np.zeros((DIM, DIM), dtype=np.complex128)
-    m[index, np.arange(DIM)] = sign * coeffs[:, None]
-    return m
+def _mul_matrix(a: Multivector, right: bool) -> np.ndarray:
+    """(..., 16, 16) stack of the left (or right) multiplication matrices of
+    a: entry [index[i, j], j] of L is sign[i, j] a_i, and R uses the
+    transposed table.  Each column of index is a permutation, so every entry
+    is one signed coefficient, gathered in a single pass."""
+    source, sign = _mul_gather(a.signature, right)
+    return sign * np.take(a.coeffs, source, axis=-1)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
+    """a b, broadcasting the batch shapes of a and b against each other."""
     a._check_signature(b)
-    left = _mul_matrix(a.coeffs, *_product_table(a.signature))
-    return Multivector(a.signature, left @ b.coeffs)
+    return Multivector(a.signature, np.matmul(_mul_matrix(a, False), b.coeffs[..., None])[..., 0])
 
 
 def left_mul_matrix(a: Multivector) -> np.ndarray:
-    """Matrix L with (a b).coeffs = L @ b.coeffs."""
-    return _mul_matrix(a.coeffs, *_product_table(a.signature))
+    """Matrix L with (a b).coeffs = L @ b.coeffs; (..., 16, 16) for a batch."""
+    return _mul_matrix(a, False)
 
 
 def right_mul_matrix(a: Multivector) -> np.ndarray:
-    """Matrix R with (b a).coeffs = R @ b.coeffs."""
-    index, sign = _product_table(a.signature)
-    return _mul_matrix(a.coeffs, index.T, sign.T)
+    """Matrix R with (b a).coeffs = R @ b.coeffs; (..., 16, 16) for a batch."""
+    return _mul_matrix(a, True)
 
 
 def reversion(a: Multivector) -> Multivector:
@@ -353,10 +412,11 @@ def _blade_matrices(rep: GammaRep) -> np.ndarray:
 
 
 def rep_matrix(a: Multivector, rep: GammaRep = WEYL) -> np.ndarray:
-    """4x4 complex image of a Minkowski multivector under e_mu -> gamma_mu."""
+    """4x4 complex image of a Minkowski multivector under e_mu -> gamma_mu;
+    (..., 4, 4) for a batch."""
     if a.signature is not Signature.MINKOWSKI:
         raise ValueError("matrix representation requires the Minkowski signature")
-    return np.tensordot(a.coeffs, _blade_matrices(rep), axes=(0, 0))
+    return np.einsum("...k,kij->...ij", a.coeffs, _blade_matrices(rep))
 
 
 def idempotent_f(complexified: bool = False) -> Multivector:
@@ -369,6 +429,11 @@ def idempotent_f(complexified: bool = False) -> Multivector:
     return f * (0.5 * (one + blade((1, 2), 1j)))
 
 
+_WEYL_TO_DIRAC = np.block([[_I2, _I2], [-_I2, _I2]]) / np.sqrt(2.0)
+_WEYL_TO_DIRAC.flags.writeable = False
+
+
 def weyl_to_dirac_matrix() -> np.ndarray:
-    """Unitary U with U gamma_weyl U^dagger = gamma_dirac (acts on components)."""
-    return _block(_I2, _I2, -_I2, _I2) / np.sqrt(2.0)
+    """Unitary U with U gamma_weyl U^dagger = gamma_dirac (acts on components);
+    one shared read-only array."""
+    return _WEYL_TO_DIRAC

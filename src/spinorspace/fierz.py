@@ -13,6 +13,11 @@ family, and the inversion Z xi proportional to psi.
 Euclidean covariants go through the same aggregate and identity residuals
 with the Euclidean contraction; the orientation sign of bilinears flips the
 volume term to -omega e0123 and mirrors the identities.
+
+Every function takes a batch: covariants of batch shape B give aggregates
+with coefficients B + (16,) and residuals of shape B (or B + (k,) for a
+family of k), reduced over the trailing axes only.  A single set is the
+batch of shape () and gives floats.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ from . import conventions
 from .bilinears import ORIENTATION, BilinearSet, minkowski_dot, minkowski_square
 from .clifford import (
     Multivector,
+    RowError,
     Signature,
+    _unbox,
     basis_vector,
     grade_projection,
     left_mul_matrix,
@@ -54,19 +61,21 @@ __all__ = [
 
 
 def vector_multivector(components, signature: Signature = Signature.MINKOWSKI) -> Multivector:
-    """Grade-1 multivector with index-down components, raised with eta_mu."""
-    c = np.zeros(16, dtype=np.complex128)
-    c[1:5] = np.asarray(components, dtype=np.complex128) * signature.metric
+    """Grade-1 multivector with index-down (..., 4) components, raised with eta_mu."""
+    components = np.asarray(components, dtype=np.complex128)
+    c = np.zeros(components.shape[:-1] + (16,), dtype=np.complex128)
+    c[..., 1:5] = components * signature.metric
     return Multivector(signature, c)
 
 
 def bivector_multivector(components, signature: Signature = Signature.MINKOWSKI) -> Multivector:
-    """Grade-2 multivector with index-down components in (01, 02, 03, 12, 13, 23)
-    order, raised with eta_mu eta_nu."""
+    """Grade-2 multivector with index-down (..., 6) components in (01, 02, 03,
+    12, 13, 23) order, raised with eta_mu eta_nu."""
     eta = signature.metric
     raising = [eta[mu] * eta[nu] for mu, nu in BIVECTOR_ORDER]
-    c = np.zeros(16, dtype=np.complex128)
-    c[5:11] = np.asarray(components, dtype=np.complex128) * raising
+    components = np.asarray(components, dtype=np.complex128)
+    c = np.zeros(components.shape[:-1] + (16,), dtype=np.complex128)
+    c[..., 5:11] = components * raising
     return Multivector(signature, c)
 
 
@@ -75,7 +84,8 @@ class FpkResiduals:
     """Deviations from the four quadratic covariant identities.
 
     r1 = J.J - sigma^2 - omega^2, r2 = K.K + J.J, r3 = J.K, and r4 is the
-    coefficient max-norm of J wedge K + (omega + sigma e0123) S.
+    coefficient max-norm of J wedge K + (omega + sigma e0123) S.  Each is a
+    float, or an array of the batch shape for a batch of covariants.
     """
 
     r1: float
@@ -84,12 +94,12 @@ class FpkResiduals:
     r4: float
 
     def max_abs(self) -> float:
-        return max(abs(self.r1), abs(self.r2), abs(self.r3), abs(self.r4))
+        return _unbox(np.abs([self.r1, self.r2, self.r3, self.r4]).max(axis=0))
 
     def passes(self, tol: float, scale: float) -> bool:
         """Whether every residual is within tol relative to scale^2, scale
         being the covariants' component norm."""
-        return self.max_abs() <= tol * scale ** 2
+        return _unbox(self.max_abs() <= tol * scale ** 2)
 
     def as_dict(self) -> dict:
         return {"r1": self.r1, "r2": self.r2, "r3": self.r3, "r4": self.r4}
@@ -106,16 +116,18 @@ def _identity_residuals(b: BilinearSet) -> tuple[float, float, float, float]:
     sig = b.signature
     o = ORIENTATION[sig]
     eta = np.array(sig.metric)
-    j2 = float(np.dot(eta * b.J, b.J))
-    k2 = float(np.dot(eta * b.K, b.K))
-    jk = float(np.dot(eta * b.J, b.K))
+    j2 = (eta * b.J * b.J).sum(axis=-1)
+    k2 = (eta * b.K * b.K).sum(axis=-1)
+    jk = (eta * b.J * b.K).sum(axis=-1)
     wedge = grade_projection(vector_multivector(b.J, sig) * vector_multivector(b.K, sig), 2)
     volume = scalar(o * b.omega, sig) + (o * b.sigma) * pseudoscalar(sig)
     resid = wedge + volume * bivector_multivector(b.S, sig)
-    return j2 - b.sigma ** 2 - o * b.omega ** 2, j2 + o * k2, jk, resid.max_abs()
+    return (_unbox(j2 - b.sigma ** 2 - o * b.omega ** 2), _unbox(j2 + o * k2), _unbox(jk),
+            resid.max_abs())
 
 
 def fpk_residuals(b: BilinearSet) -> FpkResiduals:
+    """Residuals of the four time-minus identities, per row of a batch."""
     if b.signature is not Signature.MINKOWSKI:
         raise ValueError("covariant identities here use the time-minus contraction")
     return FpkResiduals(*_identity_residuals(b))
@@ -124,7 +136,8 @@ def fpk_residuals(b: BilinearSet) -> FpkResiduals:
 def aggregate(b: BilinearSet) -> Multivector:
     """The complex multivector sigma + J + iS + iK e0123 + o omega e0123 in
     the covariants' signature, o its orientation (+1 time-minus, -1
-    Euclidean, where the stored omega is read through the reversed volume)."""
+    Euclidean, where the stored omega is read through the reversed volume).
+    A batch of covariants gives a batch of aggregates."""
     sig = b.signature
     e5 = pseudoscalar(sig)
     return (
@@ -137,14 +150,15 @@ def aggregate(b: BilinearSet) -> Multivector:
 
 
 def boomerang_residual(z: Multivector, sigma: float) -> float:
-    """Max-norm of Z Z - 4 sigma Z relative to |Z|^2 (0 for Z = 0)."""
+    """Max-norm of Z Z - 4 sigma Z relative to |Z|^2 (0 for Z = 0), per row
+    of a batch of aggregates and their sigmas."""
     resid = z * z - (4.0 * sigma) * z
-    return resid.max_abs() / max(z.norm() ** 2, 1e-300)
+    return _unbox(resid.max_abs() / np.maximum(z.norm() ** 2, 1e-300))
 
 
 def is_boomerang(z: Multivector, sigma: float, tol: float = 1e-9) -> bool:
     """True when Z Z = 4 sigma Z within tol relative to |Z|^2."""
-    return boomerang_residual(z, sigma) <= tol
+    return _unbox(boomerang_residual(z, sigma) <= tol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -172,14 +186,19 @@ def generalized_fpk_residuals(z: Multivector, b: BilinearSet) -> np.ndarray:
        -(1/4) Z g0123 Z              = omega   Z
 
     The factor 2 on the tensor line is the calibrated companion of the S
-    normalization; the remaining four lines carry no free constant.
+    normalization; the remaining four lines carry no free constant.  The
+    result has shape (5,), or B + (5,) for a batch of shape B.
     """
     kappa = conventions.GENERALIZED_S_FACTOR
     # (1/4) Z A Z is linear in the probe A: one sandwich matrix serves all
     sandwich = 0.25 * (left_mul_matrix(z) @ right_mul_matrix(z))
-    expected = np.concatenate([[b.sigma], b.J, kappa * b.S, b.K, [b.omega]])
-    resid = np.abs(_sandwich_probes() @ sandwich.T - np.outer(expected, z.coeffs))
-    return np.array([np.max(line) for line in np.split(resid, [1, 5, 11, 15])])
+    expected = np.concatenate([
+        np.asarray(b.sigma)[..., None], b.J, kappa * b.S, b.K, np.asarray(b.omega)[..., None],
+    ], axis=-1)
+    resid = np.abs(_sandwich_probes() @ np.swapaxes(sandwich, -1, -2)
+                   - expected[..., :, None] * z.coeffs[..., None, :])
+    return np.stack([np.max(line, axis=(-2, -1))
+                     for line in np.split(resid, [1, 5, 11, 15], axis=-2)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -225,19 +244,10 @@ def build_singular_aggregate(p: SingularAggregateParams, tol: float = 1e-9) -> M
 
 def default_probe_spinor(z: Multivector, rep) -> ClassicalSpinor:
     """Deterministic probe: the canonical basis spinor maximizing the
-    reconstruction kernel |xi^dag g0 Z xi|."""
-    zm = rep_matrix(z, rep)
-    g0 = rep.gammas[0]
-    best, best_val = 0, -1.0
-    for i in range(4):
-        xi = np.zeros(4, dtype=np.complex128)
-        xi[i] = 1.0
-        val = abs(complex(xi.conj() @ g0 @ zm @ xi))
-        if val > best_val:
-            best, best_val = i, val
-    comp = np.zeros(4, dtype=np.complex128)
-    comp[best] = 1.0
-    return ClassicalSpinor(comp, rep)
+    reconstruction kernel |xi^dag g0 Z xi| (the first such one on ties), one
+    per row of a batch of aggregates."""
+    kernels = np.abs(np.diagonal(rep.gammas[0] @ rep_matrix(z, rep), axis1=-2, axis2=-1))
+    return ClassicalSpinor(np.eye(4, dtype=np.complex128)[np.argmax(kernels, axis=-1)], rep)
 
 
 def reconstruct(
@@ -250,24 +260,30 @@ def reconstruct(
 
     Without a reference the phase is set to zero and the result is the
     original spinor up to a unit phase.  With psi_ref supplied the phase is
-    solved so the recovery is exact.
+    solved so the recovery is exact.  Batches of aggregates, probes and
+    references are taken row by row; rows with a degenerate probe or an
+    orthogonal reference raise RowError naming them.
     """
     zm = rep_matrix(z, xi.rep)
-    g0 = xi.rep.gammas[0]
-    zxi = zm @ xi.components
-    kernel = complex(xi.components.conj() @ g0 @ zxi)
-    scale = float(np.max(np.abs(zm))) * float(np.vdot(xi.components, xi.components).real)
-    if abs(kernel) <= max(tol * scale, 1e-300):
-        raise ValueError(
-            "degenerate probe: xi^dag g0 Z xi vanishes; choose a different test spinor"
+    xc = xi.components
+    zxi = np.matmul(zm, xc[..., None])[..., 0]
+    kernel = np.sum(xc.conj() * (zxi @ xi.rep.gammas[0].T), axis=-1)
+    scale = np.max(np.abs(zm), axis=(-2, -1)) * np.sum(np.abs(xc) ** 2, axis=-1)
+    degenerate = np.abs(kernel) <= np.maximum(tol * scale, 1e-300)
+    if degenerate.any():
+        raise RowError(
+            "degenerate probe: xi^dag g0 Z xi vanishes; choose a different test spinor",
+            degenerate,
         )
-    psi = zxi / (2.0 * np.sqrt(complex(kernel)))
+    psi = zxi / (2.0 * np.sqrt(kernel))[..., None]
     if psi_ref is not None:
         ref = psi_ref.to_rep(xi.rep).components
-        overlap = complex(np.vdot(psi, ref))
-        if abs(overlap) <= tol * max(np.linalg.norm(psi) * np.linalg.norm(ref), 1e-300):
-            raise ValueError("reference spinor is orthogonal to the reconstruction ray")
-        psi = psi * (overlap / abs(overlap))
+        overlap = np.sum(psi.conj() * ref, axis=-1)
+        bound = np.linalg.norm(psi, axis=-1) * np.linalg.norm(ref, axis=-1)
+        orthogonal = np.abs(overlap) <= tol * np.maximum(bound, 1e-300)
+        if orthogonal.any():
+            raise RowError("reference spinor is orthogonal to the reconstruction ray", orthogonal)
+        psi = psi * (overlap / np.abs(overlap))[..., None]
     return ClassicalSpinor(psi, xi.rep)
 
 
@@ -280,8 +296,9 @@ def euclidean_fierz_residuals(b: BilinearSet) -> np.ndarray:
         J wedge K = (omega + sigma e0123) S
 
     contractions Euclidean throughout; the wedge identity mirrors the
-    time-minus one with the opposite overall sign.
+    time-minus one with the opposite overall sign.  The result has shape
+    (4,), or B + (4,) for a batch of shape B.
     """
     if b.signature is not Signature.EUCLIDEAN:
         raise ValueError("expected Euclidean covariants")
-    return np.array(_identity_residuals(b))
+    return np.stack(_identity_residuals(b), axis=-1)

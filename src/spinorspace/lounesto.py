@@ -12,12 +12,15 @@ matching no known pattern is reported as anomalous.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bilinears import BilinearSet, bilinear_covariants
-from .clifford import GammaRep, Signature, WEYL
+from . import conventions
+from .bilinears import BilinearSet, _covariants, _fitting
+from .clifford import GammaRep, RowError, Signature, WEYL, _unbox
 from .fierz import fpk_residuals
 from .spinor_forms import ClassicalSpinor
 
@@ -57,6 +60,13 @@ class LounestoClass(enum.Enum):
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """Class, covariants, zero flags and margin of one spinor or a batch.
+
+    For a batch of shape B, lounesto_class is an object array of shape B,
+    each zero flag a bool array and margin a float array of shape B; a
+    single report has scalars throughout.
+    """
+
     lounesto_class: LounestoClass
     bilinears: BilinearSet
     zero_flags: dict
@@ -64,22 +74,35 @@ class ClassificationReport:
     margin: float
 
     def as_dict(self) -> dict:
-        d = {"class": self.lounesto_class.value}
-        d.update(self.bilinears.as_dict())
-        d["zero_flags"] = dict(self.zero_flags)
-        d["tol"] = self.tol
-        d["margin"] = self.margin
-        return d
+        """Plain JSON values; a list of one dict per row for a 1-d batch."""
+        covariants = self.bilinears.as_dict()
+        if isinstance(covariants, dict):
+            return {"class": self.lounesto_class.value, **covariants,
+                    "zero_flags": dict(self.zero_flags), "tol": self.tol, "margin": self.margin}
+        flags = [dict(zip(self.zero_flags, row))
+                 for row in zip(*(v.tolist() for v in self.zero_flags.values()))]
+        return [
+            {"class": cls.value, **cov, "zero_flags": flag, "tol": self.tol, "margin": margin}
+            for cls, cov, flag, margin in zip(
+                self.lounesto_class.tolist(), covariants, flags, self.margin.tolist())
+        ]
 
 
-def _norms(b: BilinearSet) -> dict:
-    return {
-        "sigma": abs(b.sigma),
-        "omega": abs(b.omega),
-        "J": float(np.linalg.norm(b.J)),
-        "K": float(np.linalg.norm(b.K)),
-        "S": float(np.linalg.norm(b.S)),
-    }
+_PATTERN_KEYS = ("sigma", "omega", "J", "K", "S")
+# where each of sigma, omega, J, K, S starts in a covariant stack
+_PATTERN_STARTS = np.array([0, 1, 2, 6, 10])
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern_table() -> np.ndarray:
+    """Class of every zero pattern, indexed by the nonzero flags in
+    _PATTERN_KEYS order read as little-endian bits."""
+    table = np.empty(2 ** len(_PATTERN_KEYS), dtype=object)
+    for bits in itertools.product((False, True), repeat=len(_PATTERN_KEYS)):
+        code = sum(bit << i for i, bit in enumerate(bits))
+        table[code] = _pattern_class(dict(zip(_PATTERN_KEYS, bits)))
+    table.flags.writeable = False
+    return table
 
 
 def _pattern_class(nonzero: dict) -> LounestoClass:
@@ -109,36 +132,63 @@ def _pattern_class(nonzero: dict) -> LounestoClass:
     return LounestoClass.ANOMALOUS
 
 
-def _report(b: BilinearSet, scale: float, tol: float) -> ClassificationReport:
-    threshold = tol * scale
-    norms = _norms(b)
-    nonzero = {key: value > threshold for key, value in norms.items()}
-    cls = _pattern_class(nonzero)
-    kept = [norms[key] / threshold for key, flag in nonzero.items() if flag]
-    margin = float(min(kept)) if kept else 0.0
-    zero_flags = {key: not flag for key, flag in nonzero.items()}
-    return ClassificationReport(cls, b, zero_flags, tol, margin)
+def _pattern(v: np.ndarray, scale, tol: float):
+    """Classes, zero flags and margins of the (..., 16) covariant stack v
+    against thresholds tol * scale, computed once for the whole batch.  The
+    margin is the smallest ratio of a kept magnitude to its threshold (0
+    when nothing is kept, which also covers scale 0)."""
+    if not tol > 0.0:
+        raise ValueError(f"classification tolerance must be positive, got {tol!r}")
+    threshold = tol * np.asarray(scale)
+    norms = np.sqrt(np.add.reduceat(v * v, _PATTERN_STARTS, axis=-1))
+    nonzero = norms > threshold[..., None]
+    code = np.packbits(nonzero, axis=-1, bitorder="little")[..., 0]
+    smallest = norms.min(axis=-1, where=nonzero, initial=np.inf)
+    margin = np.where(code, smallest / threshold, 0.0)
+    cls = _pattern_table()[code]
+    zero = ~nonzero
+    if zero.ndim == 1:
+        zero_flags = dict(zip(_PATTERN_KEYS, zero.tolist()))
+    else:
+        zero_flags = {key: zero[..., i] for i, key in enumerate(_PATTERN_KEYS)}
+    return cls, zero_flags, _unbox(margin)
 
 
 def classify(psi: ClassicalSpinor, tol: float = DEFAULT_TOL) -> ClassificationReport:
-    """Classify a nonzero spinor; thresholds are relative to |psi|^2."""
-    if psi.is_zero:
-        raise ValueError("zero spinor cannot be classified")
-    b = bilinear_covariants(psi)
-    return _report(b, psi.norm() ** 2, tol)
+    """Classify a nonzero spinor, or a batch of them at once.
+
+    Thresholds are tol * |psi|^2.  Everything is computed on psi scaled by
+    the power of two 2^-e that brings its largest real or imaginary part
+    into [0.5, 1), so no covariant underflows or overflows and the class is
+    the same at every scale of psi.  The report carries those covariants
+    times 4^e: the scaling is exact, so they equal the covariants of psi
+    itself wherever those are normal floats.  Zero spinors, and spinors
+    whose covariants overflow float64, raise RowError naming their rows.
+    """
+    parts = psi.components.view(np.float64)
+    peak = np.abs(parts).max(axis=-1, keepdims=True)
+    if not peak.all():
+        raise RowError("zero spinor cannot be classified", peak[..., 0] == 0.0)
+    _, exponent = np.frexp(peak)
+    ray = np.ldexp(parts, -exponent).view(np.complex128)
+    v = _covariants(ray, conventions.S_SCALE, Signature.MINKOWSKI, psi.rep)
+    # J_0 = psi^dag psi: the squared norm of the ray is its own J_0
+    cls, zero_flags, margin = _pattern(v, v[..., 2], tol)
+    with np.errstate(over="ignore"):
+        v = _fitting(np.ldexp(v, 2 * exponent))
+    return ClassificationReport(cls, BilinearSet.from_stack(v), zero_flags, tol, margin)
 
 
 def classify_bilinears(b: BilinearSet, tol: float = DEFAULT_TOL) -> LounestoClass:
-    """Classify a raw covariant set.  Sets breaking the quadratic identities
-    are anomalous regardless of their zero pattern."""
+    """Classify a raw covariant set, or a batch of them (an object array of
+    classes).  Sets breaking the quadratic identities are anomalous
+    regardless of their zero pattern."""
     if b.signature is not Signature.MINKOWSKI:
         raise ValueError("classification applies to time-minus covariants")
     scale = b.component_norm()
-    if scale == 0.0:
-        return LounestoClass.ANOMALOUS
-    if not fpk_residuals(b).passes(tol, scale):
-        return LounestoClass.ANOMALOUS
-    return _report(b, scale, tol).lounesto_class
+    cls, _, _ = _pattern(b.stack(), scale, tol)
+    anomalous = (np.asarray(scale) == 0.0) | ~np.asarray(fpk_residuals(b).passes(tol, scale))
+    return _unbox(np.where(anomalous, LounestoClass.ANOMALOUS, cls))
 
 
 def rescale_class_invariance(psi: ClassicalSpinor, c: complex, tol: float = DEFAULT_TOL) -> bool:

@@ -23,6 +23,7 @@ from .clifford import (
     GammaRep,
     Multivector,
     Signature,
+    _unbox,
     from_blade_dict,
     idempotent_f,
     rep_matrix,
@@ -172,14 +173,20 @@ def quaternion_rep_e(mu: int) -> QuatMatrix2:
 
 @dataclass(frozen=True)
 class ClassicalSpinor:
-    """Complex 4-component column spinor tagged with its gamma representation."""
+    """Complex 4-component column spinor tagged with its gamma representation.
+
+    components has shape (..., 4): the leading axes are a batch of spinors
+    in one representation, and shape (4,) is a single spinor.  norm() and
+    is_zero give a float and a bool for a single spinor and arrays of the
+    batch shape otherwise.
+    """
 
     components: np.ndarray
     rep: GammaRep = DIRAC
 
     def __post_init__(self) -> None:
         c = np.array(self.components, dtype=np.complex128)
-        if c.shape != (4,):
+        if c.shape[-1:] != (4,):
             raise ValueError(f"expected 4 components, got shape {c.shape}")
         if not np.all(np.isfinite(c.view(np.float64))):
             raise ValueError("spinor components must be finite")
@@ -187,21 +194,22 @@ class ClassicalSpinor:
         object.__setattr__(self, "components", c)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
+        c = self.components
+        return _unbox(np.sqrt((c.conj() * c).real.sum(axis=-1)))
 
     @property
     def is_zero(self) -> bool:
-        return bool(np.all(self.components == 0))
+        return _unbox((self.components == 0).all(axis=-1))
 
     def to_rep(self, rep: GammaRep) -> "ClassicalSpinor":
         if rep is self.rep:
             return self
         u = weyl_to_dirac_matrix()
-        if self.rep.tag == "weyl" and rep.tag == "dirac":
-            return ClassicalSpinor(u @ self.components, rep)
         if self.rep.tag == "dirac" and rep.tag == "weyl":
-            return ClassicalSpinor(u.conj().T @ self.components, rep)
-        raise ValueError(f"no change of basis from {self.rep.tag} to {rep.tag}")
+            u = u.conj().T
+        elif not (self.rep.tag == "weyl" and rep.tag == "dirac"):
+            raise ValueError(f"no change of basis from {self.rep.tag} to {rep.tag}")
+        return ClassicalSpinor(np.matmul(u, self.components[..., None])[..., 0], rep)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,114 @@ def test_tol_must_be_finite_and_nonnegative(capsys, argv, tol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tol" in captured.err
+
+
+def overflow_file(tmp_path):
+    """An entry whose covariants overflow float64 ahead of a valid one."""
+    return spinor_file(tmp_path / "in.json", [entry("big", [1e200, 0, 1, 0]), entry("ok", [1, 0, 1, 0])])
+
+
+def run_without_warnings(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(argv, capsys=capsys)
+
+
+def test_classify_overflow_entry_is_error_row(tmp_path, capsys):
+    code, out = run_without_warnings(["classify", overflow_file(tmp_path)], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results[0] == {"id": "big", "error": "covariants do not fit in float64"}
+    assert results[1]["id"] == "ok" and results[1]["class"] == "2"
+    assert run_cli.err == ""
+
+
+@pytest.mark.parametrize("mode", ["fpk", "boomerang", "aggregate"])
+def test_verify_overflow_entry_fails_run(tmp_path, capsys, mode):
+    code, out = run_without_warnings(["verify", overflow_file(tmp_path), "--mode", mode], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["all_pass"] is False
+    assert doc["results"][0] == {"id": "big", "error": "covariants do not fit in float64"}
+    assert doc["results"][1]["pass"] is True
+    assert run_cli.err == ""
+
+
+def test_reconstruct_overflow_entry_fails_run(tmp_path, capsys):
+    code, out = run_without_warnings(["reconstruct", overflow_file(tmp_path)], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["all_pass"] is False
+    assert doc["results"][0] == {"id": "big", "error": "covariants do not fit in float64"}
+    assert doc["results"][1]["pass"] is True
+    assert run_cli.err == ""
+
+
+def test_classify_tiny_spinor_like_unit_one(tmp_path, capsys):
+    f = spinor_file(tmp_path / "in.json", [entry("tiny", [1e-200, 0, 1e-200, 0])])
+    code, out = run_cli(["classify", f], capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["results"][0]["class"] == "2"
+
+
+@pytest.mark.parametrize("covariant_first", [False, True], ids=["spinor-first", "covariant-first"])
+def test_verify_mixed_file_is_schema_error(tmp_path, capsys, covariant_first):
+    spinor = entry("s", [1, 0, 1, 0])
+    covariant = {"id": "c", "sigma": 1.0, "omega": 0.0,
+                 "J": [1, 0, 0, 0], "K": [0, 1, 0, 0], "S": [0, 0, 0, 0, 0, 0]}
+    entries = [covariant, spinor] if covariant_first else [spinor, covariant]
+    f = spinor_file(tmp_path / "in.json", entries)
+    code, out = run_cli(["verify", f], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "entries[1]" in run_cli.err
+    assert "spinor" in run_cli.err and "covariant" in run_cli.err
+
+
+def test_verify_missing_covariant_field_named(tmp_path, capsys):
+    good = {"id": "c", "sigma": 1.0, "omega": 0.0,
+            "J": [1, 0, 0, 0], "K": [0, 1, 0, 0], "S": [0, 0, 0, 0, 0, 0]}
+    missing = {k: v for k, v in good.items() if k != "sigma"}
+    f = spinor_file(tmp_path / "in.json", [good, missing])
+    code, out = run_cli(["verify", f], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "entries[1]: missing field 'sigma'" in run_cli.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"], ["verify", "--mode", "fpk"], ["verify", "--mode", "boomerang"],
+    ["verify", "--mode", "aggregate"], ["reconstruct"],
+], ids=["classify", "fpk", "boomerang", "aggregate", "reconstruct"])
+def test_block_report_equals_one_entry_runs(tmp_path, capsys, argv):
+    """A file spanning three blocks, with a zero spinor inside one, gives
+    the same rows as running each entry on its own."""
+    rng = np.random.default_rng(5)
+    n = 2 * cli.BLOCK + 1
+    comps = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    comps[cli.BLOCK + 3] = 0
+    entries = [entry(f"e{i}", c, rep=("weyl", "dirac")[i % 3 == 0]) for i, c in enumerate(comps)]
+    whole = tmp_path / "whole.json"
+    cli.main([argv[0], spinor_file(tmp_path / "in.json", entries), *argv[1:], "--out", str(whole)])
+    singles = []
+    for e in entries:
+        one = tmp_path / "one.json"
+        cli.main([argv[0], spinor_file(tmp_path / "in1.json", [e]), *argv[1:], "--out", str(one)])
+        singles += json.loads(one.read_text())["results"]
+    results = json.loads(whole.read_text())["results"]
+    assert results[cli.BLOCK + 3]["error"] == "zero spinor"
+    assert json.dumps(results, indent=2, sort_keys=True) == json.dumps(singles, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [["classify", "in.json"], ["generate", "--class", "1"]],
+                         ids=["classify", "generate"])
+def test_classification_tol_zero_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    spinor_file(tmp_path / "in.json", [entry("a", [1, 0, 1, 0])])
+    code, out = run_without_warnings(argv + ["--tol", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be positive" in run_cli.err
 
 
 # -- generate -------------------------------------------------------------------

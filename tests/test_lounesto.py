@@ -151,3 +151,39 @@ def test_rescale_invariance_property(re, im, cls_index):
         return
     psi = lounesto.generate(ALL_SIX[cls_index], seed=17, count=1)[0]
     assert lounesto.rescale_class_invariance(psi, c)
+
+
+def test_classify_tiny_spinor_on_its_ray():
+    """(1e-200, 0, 1e-200, 0) has covariants below the smallest float64; the
+    class comes from the rescaled ray, like that of (1, 0, 1, 0)."""
+    tiny = lounesto.classify(ClassicalSpinor([1e-200, 0, 1e-200, 0], cl.WEYL))
+    unit = lounesto.classify(ClassicalSpinor([1, 0, 1, 0], cl.WEYL))
+    assert tiny.lounesto_class is unit.lounesto_class is LounestoClass.C2
+    assert tiny.zero_flags == unit.zero_flags
+    assert tiny.margin == pytest.approx(unit.margin, rel=1e-14)
+    assert tiny.bilinears.sigma == 0.0
+
+
+def test_classify_overflowing_covariants_rejected():
+    with pytest.raises(ValueError, match="do not fit in float64"):
+        lounesto.classify(ClassicalSpinor([1e200, 0, 1, 0], cl.WEYL))
+
+
+def test_classify_reports_covariants_of_psi(rng):
+    for scale in (1e-3, 1.0, 1e3):
+        psi = ClassicalSpinor(scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4)), cl.DIRAC)
+        got = lounesto.classify(psi).bilinears
+        want = bilinear_covariants(psi)
+        for name in ("sigma", "omega", "J", "K", "S"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@given(
+    st.floats(min_value=-150, max_value=150),
+    st.floats(min_value=0.0, max_value=2 * np.pi),
+    st.integers(min_value=0, max_value=5),
+)
+def test_rescale_invariance_over_three_hundred_decades(log10_abs, phase, cls_index):
+    c = 10.0 ** log10_abs * np.exp(1j * phase)
+    psi = lounesto.generate(ALL_SIX[cls_index], seed=17, count=1)[0]
+    assert lounesto.rescale_class_invariance(psi, c)
