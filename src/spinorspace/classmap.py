@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import WEYL
+from .clifford import RowError, WEYL
 from .lounesto import ClassificationReport, classify
 from .spinor_forms import ClassicalSpinor
 
@@ -108,11 +108,31 @@ def no_inverse_witness(m: MappingMatrix | np.ndarray) -> float:
 class MappedSpinor:
     """Image spinor, its classification report, and a degeneracy report:
     covariants that fell below the classification threshold even though a
-    generic image keeps them."""
+    generic image keeps them.
+
+    For a batch of shape B, degenerate is an object array of shape B
+    holding one such tuple per image.
+    """
 
     spinor: ClassicalSpinor
     degenerate: tuple[str, ...]
     report: ClassificationReport
+
+
+_KEPT = ("J", "K", "S")
+
+
+def _degenerate_table() -> np.ndarray:
+    """The names in _KEPT whose zero flags are set, indexed by those flags
+    read as little-endian bits."""
+    table = np.empty(2 ** len(_KEPT), dtype=object)
+    for code in range(len(table)):
+        table[code] = tuple(name for i, name in enumerate(_KEPT) if code >> i & 1)
+    table.flags.writeable = False
+    return table
+
+
+_DEGENERATE = _degenerate_table()
 
 
 def map_to_class4(
@@ -120,31 +140,38 @@ def map_to_class4(
     phi: ClassicalSpinor,
     tol: float = 1e-8,
 ) -> MappedSpinor:
-    """Apply the mapping to a regular spinor.
+    """Apply the mapping to a regular spinor, or to a batch of them at once.
 
     The input must classify regular (class 1, 2, or 3) in the chiral
     representation.  The image always has sigma = omega = 0; K, S, or J
     falling below threshold is reported rather than silently accepted, since
-    the flag-dipole outcome is generic but not universal.
+    the flag-dipole outcome is generic but not universal.  Rows that cannot
+    be mapped raise RowError naming them: a representation other than the
+    chiral one, inputs of one non-regular class at a time, and inputs in
+    the kernel of the mapping.
     """
+    batch = phi.components.shape[:-1]
     if phi.rep is not WEYL:
-        raise ValueError("the mapping is written in the chiral representation")
-    report = classify(phi, tol)
-    if not report.lounesto_class.is_regular:
-        raise ValueError(
-            f"input must be a regular spinor (class 1-3), got {report.lounesto_class.value}"
-        )
-    image = m.matrix @ phi.components
-    norm2 = float(np.vdot(image, image).real)
-    if norm2 <= (tol * phi.norm()) ** 2:
-        raise ValueError(
+        raise RowError("the mapping is written in the chiral representation", np.ones(batch, dtype=bool))
+    classes = np.asarray(classify(phi, tol).lounesto_class, dtype=object)
+    irregular = np.array([not cls.is_regular for cls in classes.flat], dtype=bool).reshape(batch)
+    if irregular.any():
+        first = classes[irregular][0]
+        raise RowError(f"input must be a regular spinor (class 1-3), got {first.value}", classes == first)
+    out = ClassicalSpinor(np.matmul(m.matrix, phi.components[..., None])[..., 0], WEYL)
+    with np.errstate(over="ignore"):
+        # an image too large to square is no kernel vector; classify rejects it
+        kernel = out.norm() <= tol * phi.norm()
+    if np.any(kernel):
+        raise RowError(
             "image vanishes: phi lies in the kernel of the mapping (det M = 0 "
-            "guarantees a nontrivial kernel)"
+            "guarantees a nontrivial kernel)",
+            kernel,
         )
-    out = ClassicalSpinor(image, WEYL)
     image_report = classify(out, tol)
-    degenerate = tuple(name for name in ("J", "K", "S") if image_report.zero_flags[name])
-    return MappedSpinor(out, degenerate, image_report)
+    zero = np.stack([image_report.zero_flags[name] for name in _KEPT], axis=-1)
+    code = np.packbits(zero, axis=-1, bitorder="little")[..., 0]
+    return MappedSpinor(out, _DEGENERATE[code], image_report)
 
 
 def hermitian_constrain(p: MappingParams, tol: float = 1e-12) -> MappingMatrix:

@@ -11,11 +11,13 @@ Commands
 Exit codes: 0 success, 1 verification failure, 2 usage or schema error.
 Input paths accept "-" for stdin.  Complex numbers are [re, im] pairs.
 
-classify, verify and reconstruct compute BLOCK entries at a time, grouped
-by representation, and write one row per entry in file order.  An entry
-that cannot be computed (a zero spinor, covariants that overflow float64,
-a degenerate reconstruction) gets an {id, error} row: classify still exits
-0, verify and reconstruct count it as a failure.
+classify, verify, reconstruct and map4 compute BLOCK entries at a time,
+grouped by representation, and write one row per entry in file order.  An
+entry that cannot be computed (a zero spinor, covariants or residuals that
+overflow float64, a degenerate reconstruction, a map4 input that is not a
+regular Weyl spinor or lies in the kernel) gets an {id, error} row:
+classify and map4 still exit 0, verify and reconstruct count it as a
+failure.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -211,12 +214,30 @@ def load_mapping_params(path: str) -> classmap.MappingParams:
 # -- commands ------------------------------------------------------------------
 
 
-def _entry_spinor(entry: dict) -> ClassicalSpinor:
-    return ClassicalSpinor(entry["components"], rep_by_tag(entry["rep"]))
-
-
 def _blocks(entries: list) -> list[list]:
     return [entries[start:start + BLOCK] for start in range(0, len(entries), BLOCK)]
+
+
+def _retrying(live: np.ndarray, compute) -> dict[int, dict]:
+    """Row dicts by position for the True entries of the boolean mask live.
+
+    compute(live) returns one row per True entry.  Entries it rejects with
+    RowError get an error row instead, and the rest are computed again
+    without them.
+    """
+    live = live.copy()
+    rows = {}
+    while live.any():
+        try:
+            computed = compute(live)
+        except RowError as exc:
+            rejected = np.flatnonzero(live)[exc.rows].tolist()
+            rows.update((i, {"error": str(exc)}) for i in rejected)
+            live[rejected] = False
+            continue
+        rows.update(zip(np.flatnonzero(live).tolist(), computed))
+        break
+    return rows
 
 
 def _spinor_rows(entries: list[dict], compute) -> list[dict]:
@@ -224,31 +245,18 @@ def _spinor_rows(entries: list[dict], compute) -> list[dict]:
 
     compute(psi) takes a batch of spinors in one representation and returns
     a row dict per spinor.  A zero spinor, or a spinor that compute rejects
-    with RowError, gets an error row instead; the rest of its batch is
-    computed again without it.
+    with RowError, gets an error row instead.
     """
     results = []
     for block in _blocks(entries):
         rows: list[dict] = [{} for _ in block]
         for tag in ("weyl", "dirac"):
-            pos = np.array([i for i, entry in enumerate(block) if entry["rep"] == tag], dtype=np.intp)
+            pos = [i for i, entry in enumerate(block) if entry["rep"] == tag]
             comps = np.array([block[i]["components"] for i in pos]).reshape(-1, 4)
-            zero = (comps == 0).all(axis=-1)
-            failed = {i: "zero spinor" for i in pos[zero]}
-            live = ~zero
-            while live.any():
-                try:
-                    computed = compute(ClassicalSpinor(comps[live], rep_by_tag(tag)))
-                except RowError as exc:
-                    rejected = np.flatnonzero(live)[exc.rows]
-                    failed.update((i, str(exc)) for i in pos[rejected])
-                    live[rejected] = False
-                    continue
-                for i, row in zip(pos[live], computed):
-                    rows[i] = row
-                break
-            for i, message in failed.items():
-                rows[i] = {"error": message}
+            computed = _retrying((comps != 0).any(axis=-1),
+                                 lambda live: compute(ClassicalSpinor(comps[live], rep_by_tag(tag))))
+            for k, i in enumerate(pos):
+                rows[i] = computed.get(k, {"error": "zero spinor"})
         results += [{"id": entry["id"], **row} for entry, row in zip(block, rows)]
     return results
 
@@ -279,26 +287,36 @@ def cmd_generate(args) -> int:
 
 
 def _verify_rows(b: BilinearSet, mode: str, tol: float) -> list[dict]:
-    """One verify row per set of the 1-d covariant batch b."""
-    scale = np.maximum(b.component_norm(), 1e-300)
+    """One verify row per set of the 1-d covariant batch b.  Sets whose norm
+    or residuals do not fit in float64 raise RowError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(b.component_norm(), 1e-300)
+        if mode == "fpk":
+            res = fierz.fpk_residuals(b)
+            residuals = res.as_dict()
+            values = np.stack(list(residuals.values()), axis=-1)
+            within = np.abs(values) <= tol * scale[:, None] ** 2
+            passes = res.passes(tol, scale)
+        elif mode == "boomerang":
+            values = fierz.boomerang_residual(fierz.aggregate(b), b.sigma)[:, None]
+            passes = values[:, 0] <= tol
+        else:
+            z = fierz.aggregate(b)
+            zscale = np.maximum(z.norm() ** 2, 1e-300)
+            res5 = fierz.generalized_fpk_residuals(z, b)
+            values = res5 / zscale[:, None]
+            passes = res5.max(axis=-1) <= tol * zscale
+    unfit = ~np.isfinite(scale) | ~np.isfinite(values).all(axis=-1)
+    if unfit.any():
+        raise RowError("residuals do not fit in float64", unfit)
     if mode == "fpk":
-        res = fierz.fpk_residuals(b)
-        residuals = res.as_dict()
-        values = zip(*(r.tolist() for r in residuals.values()))
-        within = zip(*((np.abs(r) <= tol * scale ** 2).tolist() for r in residuals.values()))
         return [
             {**dict(zip(residuals, v)), "pass_per_identity": dict(zip(residuals, w)), "pass": ok}
-            for v, w, ok in zip(values, within, res.passes(tol, scale).tolist())
+            for v, w, ok in zip(values.tolist(), within.tolist(), passes.tolist())
         ]
-    z = fierz.aggregate(b)
     if mode == "boomerang":
-        resid = fierz.boomerang_residual(z, b.sigma).tolist()
-        return [{"residual": r, "pass": r <= tol} for r in resid]
-    zscale = np.maximum(z.norm() ** 2, 1e-300)
-    res5 = fierz.generalized_fpk_residuals(z, b)
-    relative = (res5 / zscale[:, None]).tolist()
-    passes = (res5.max(axis=-1) <= tol * zscale).tolist()
-    return [{"residuals": r, "pass": ok} for r, ok in zip(relative, passes)]
+        return [{"residual": r, "pass": ok} for r, ok in zip(values[:, 0].tolist(), passes.tolist())]
+    return [{"residuals": r, "pass": ok} for r, ok in zip(values.tolist(), passes.tolist())]
 
 
 def cmd_verify(args) -> int:
@@ -309,9 +327,10 @@ def cmd_verify(args) -> int:
     else:
         results = []
         for block in _blocks(entries):
-            b = BilinearSet.from_stack(np.array([entry["bilinears"].stack() for entry in block]))
-            rows = _verify_rows(b, args.mode, args.tol)
-            results += [{"id": entry["id"], **row} for entry, row in zip(block, rows)]
+            stack = np.array([entry["bilinears"].stack() for entry in block])
+            rows = _retrying(np.ones(len(block), dtype=bool), lambda live: _verify_rows(
+                BilinearSet.from_stack(stack[live]), args.mode, args.tol))
+            results += [{"id": entry["id"], **rows[k]} for k, entry in enumerate(block)]
     all_pass = all(row.get("pass", False) for row in results)
     _dump({
         "version": SCHEMA_VERSION,
@@ -322,6 +341,19 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
+def _map4_rows(m: classmap.MappingMatrix, psi: ClassicalSpinor, tol: float) -> list[dict]:
+    """Image, class, scalars and degenerate covariants of each spinor of the batch."""
+    mapped = classmap.map_to_class4(m, psi, tol)
+    b = mapped.report.bilinears
+    # [re, im] pairs of every image component, as _pair would give them
+    images = mapped.spinor.components.view(np.float64).reshape(-1, 4, 2).tolist()
+    return [
+        {"image": image, "class": cls.value, "sigma": sigma, "omega": omega, "degenerate": list(names)}
+        for image, cls, sigma, omega, names in zip(
+            images, mapped.report.lounesto_class, b.sigma.tolist(), b.omega.tolist(), mapped.degenerate)
+    ]
+
+
 def cmd_map4(args) -> int:
     params = load_mapping_params(args.params)
     entries = load_spinor_file(args.input)
@@ -330,26 +362,8 @@ def cmd_map4(args) -> int:
     params_blob = json.dumps(
         {k: _pair(v) for k, v in params.as_dict().items()}, sort_keys=True
     ).encode()
-    results = []
-    histogram: dict[str, int] = {}
-    for entry in entries:
-        psi = _entry_spinor(entry)
-        try:
-            mapped = classmap.map_to_class4(m, psi, args.tol)
-        except ValueError as exc:
-            results.append({"id": entry["id"], "error": str(exc)})
-            continue
-        image, report = mapped.spinor, mapped.report
-        cls = report.lounesto_class.value
-        histogram[cls] = histogram.get(cls, 0) + 1
-        results.append({
-            "id": entry["id"],
-            "image": [_pair(z) for z in image.components],
-            "class": cls,
-            "sigma": report.bilinears.sigma,
-            "omega": report.bilinears.omega,
-            "degenerate": list(mapped.degenerate),
-        })
+    results = _spinor_rows(entries, lambda psi: _map4_rows(m, psi, args.tol))
+    histogram = Counter(row["class"] for row in results if "class" in row)
     _dump({
         "version": SCHEMA_VERSION,
         "meta": {

@@ -293,6 +293,12 @@ def generate(
     Only the six column-spinor classes are generatable; the J = 0 labels have
     no nonzero column representative (J_0 = |psi|^2), and anomalous sets by
     definition come from no spinor at all.
+
+    Candidates are drawn one at a time and classified a round at a time.  A
+    round draws no more candidates than are still needed, so the draws and
+    the spinors kept are those of classifying each draw on its own.  Fewer
+    than `count` accepted within _MAX_ATTEMPTS * count draws is a
+    ValueError.
     """
     if target not in _GENERATABLE:
         raise ValueError(f"cannot generate spinors for class {target.value!r}")
@@ -300,18 +306,18 @@ def generate(
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(np.random.PCG64(seed))
     draw = _DRAWERS[target]
-    out: list[ClassicalSpinor] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS * count:
+    accepted: list[np.ndarray] = []
+    attempts_left = _MAX_ATTEMPTS * count
+    while len(accepted) < count:
+        size = min(count - len(accepted), attempts_left)
+        if size == 0:
             raise ValueError(
                 f"generator for class {target.value} failed to converge"
             )
-        candidate = ClassicalSpinor(draw(rng), WEYL)
-        if candidate.norm() < 1e-6:
-            continue
-        if classify(candidate, tol).lounesto_class is target:
-            out.append(candidate.to_rep(rep))
-    return out
-
+        attempts_left -= size
+        candidates = ClassicalSpinor(np.array([draw(rng) for _ in range(size)]), WEYL)
+        kept = candidates.components[candidates.norm() >= 1e-6]
+        if len(kept):
+            accepted += list(kept[classify(ClassicalSpinor(kept, WEYL), tol).lounesto_class == target])
+    spinors = ClassicalSpinor(np.array(accepted), WEYL).to_rep(rep)
+    return [ClassicalSpinor(c, rep) for c in spinors.components]

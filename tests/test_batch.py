@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spinorspace import clifford as cl
-from spinorspace import fierz, lounesto
+from spinorspace import classmap, fierz, lounesto
 from spinorspace.bilinears import BilinearSet, bilinear_covariants, euclidean_bilinears
 from spinorspace.spinor_forms import ClassicalSpinor
 
@@ -126,6 +126,46 @@ def test_row_errors_name_their_rows():
     with pytest.raises(cl.RowError, match="zero spinor") as excinfo:
         lounesto.classify(zero)
     assert excinfo.value.rows.tolist() == [False, True]
+
+
+def test_map_to_class4_batch_matches_rows(rng):
+    """At tol 0.3 some images lose K or S, so the degenerate flags vary."""
+    m = classmap.build_M(classmap.random_params(rng))
+    tol = 0.3
+    comps = []
+    for c in stack(rng, 200):
+        try:
+            classmap.map_to_class4(m, ClassicalSpinor(c, cl.WEYL), tol)
+        except ValueError:
+            continue
+        comps.append(c)
+    batch = classmap.map_to_class4(m, ClassicalSpinor(np.array(comps), cl.WEYL), tol)
+    rows = [classmap.map_to_class4(m, ClassicalSpinor(c, cl.WEYL), tol) for c in comps]
+    assert np.array_equal(batch.spinor.components, [r.spinor.components for r in rows])
+    assert list(batch.degenerate) == [r.degenerate for r in rows]
+    assert {r.degenerate for r in rows} >= {(), ("K",), ("S",)}
+    assert batch.report.as_dict() == [r.report.as_dict() for r in rows]
+    assert isinstance(rows[0].degenerate, tuple)
+
+
+def test_map_to_class4_row_errors(rng):
+    m = classmap.build_M(classmap.random_params(rng))
+    _, _, vh = np.linalg.svd(m.matrix)
+    regular, c5, c6, kernel = [1, 0, 1, 0], [1, 0, 0, -1], [1, 0, 0, 0], vh[-1].conj()
+    assert lounesto.classify(ClassicalSpinor(kernel, cl.WEYL)).lounesto_class.is_regular
+    phi = ClassicalSpinor([regular, c6, c5, kernel, c6, regular], cl.WEYL)
+    with pytest.raises(cl.RowError, match="got 6") as excinfo:
+        classmap.map_to_class4(m, phi)
+    assert excinfo.value.rows.tolist() == [False, True, False, False, True, False]
+    with pytest.raises(cl.RowError, match="got 5") as excinfo:
+        classmap.map_to_class4(m, ClassicalSpinor(phi.components[[0, 2, 3]], cl.WEYL))
+    assert excinfo.value.rows.tolist() == [False, True, False]
+    with pytest.raises(cl.RowError, match="kernel") as excinfo:
+        classmap.map_to_class4(m, ClassicalSpinor(phi.components[[0, 3, 5]], cl.WEYL))
+    assert excinfo.value.rows.tolist() == [False, True, False]
+    with pytest.raises(cl.RowError, match="chiral") as excinfo:
+        classmap.map_to_class4(m, ClassicalSpinor(phi.components[[0, 5]], cl.DIRAC))
+    assert excinfo.value.rows.tolist() == [True, True]
 
 
 def test_bilinear_set_batch_shapes_must_agree():

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spinorspace import cli
+from spinorspace import classmap, cli
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -158,6 +158,28 @@ def test_verify_overflow_entry_fails_run(tmp_path, capsys, mode):
     assert run_cli.err == ""
 
 
+@pytest.mark.parametrize("mode", ["fpk", "boomerang", "aggregate"])
+@pytest.mark.parametrize("kind", ["spinors", "bilinears"])
+def test_verify_unfit_residuals_fail_run(tmp_path, capsys, mode, kind):
+    """Covariants near 1e200 fit in float64, but their squares do not."""
+    if kind == "spinors":
+        entries = [entry("big", [1e100, 0, 1e100, 0]), entry("ok", [1, 0, 1, 0])]
+    else:
+        entries = [{"id": "big", "sigma": 2e200, "omega": 0.0, "J": [2e200, 0, 0, 0],
+                    "K": [0, 0, 0, -2e200], "S": [0, 0, 0, 0, 0, 0]},
+                   {"id": "ok", "sigma": 2.0, "omega": 0.0, "J": [2, 0, 0, 0],
+                    "K": [0, 0, 0, -2], "S": [0, 0, 0, 0, 0, 0]}]
+    code, out = run_without_warnings(["verify", spinor_file(tmp_path / "in.json", entries), "--mode", mode],
+                                     capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["meta"]["input_kind"] == kind
+    assert doc["all_pass"] is False
+    assert doc["results"][0] == {"id": "big", "error": "residuals do not fit in float64"}
+    assert doc["results"][1]["id"] == "ok"
+    assert run_cli.err == ""
+
+
 def test_reconstruct_overflow_entry_fails_run(tmp_path, capsys):
     code, out = run_without_warnings(["reconstruct", overflow_file(tmp_path)], capsys)
     assert code == 1
@@ -202,12 +224,14 @@ def test_verify_missing_covariant_field_named(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["classify"], ["verify", "--mode", "fpk"], ["verify", "--mode", "boomerang"],
-    ["verify", "--mode", "aggregate"], ["reconstruct"],
-], ids=["classify", "fpk", "boomerang", "aggregate", "reconstruct"])
-def test_block_report_equals_one_entry_runs(tmp_path, capsys, argv):
+    ["verify", "--mode", "aggregate"], ["reconstruct"], ["map4", "--params", "params.json"],
+], ids=["classify", "fpk", "boomerang", "aggregate", "reconstruct", "map4"])
+def test_block_report_equals_one_entry_runs(tmp_path, capsys, monkeypatch, argv):
     """A file spanning three blocks, with a zero spinor inside one, gives
     the same rows as running each entry on its own."""
     rng = np.random.default_rng(5)
+    monkeypatch.chdir(tmp_path)
+    params_file(tmp_path / "params.json", np.random.default_rng(6))
     n = 2 * cli.BLOCK + 1
     comps = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     comps[cli.BLOCK + 3] = 0
@@ -362,6 +386,35 @@ def test_map4_rejects_zero_m12(tmp_path, capsys):
     pf.write_text(json.dumps({n: [1.0, 0.0] if n != "m12" else [0.0, 0.0] for n in names}))
     code, _ = run_cli(["map4", str(gen), "--params", str(pf)], capsys=capsys)
     assert code == 2
+
+
+def test_map4_error_rows(tmp_path, capsys, rng):
+    """Entries that cannot be mapped get error rows in file order; the
+    others are mapped and counted."""
+    pf = params_file(tmp_path / "p.json", rng)
+    params = json.loads((tmp_path / "p.json").read_text())
+    m = classmap.build_M(classmap.MappingParams(**{k: complex(*v) for k, v in params.items()}))
+    kernel = np.linalg.svd(m.matrix)[2][-1].conj()
+    f = spinor_file(tmp_path / "in.json", [
+        entry("a", [1, 0, 1, 0]), entry("zero", [0, 0, 0, 0]), entry("dirac", [1, 0, 1, 0], rep="dirac"),
+        entry("c5", [1, 0, 0, -1]), entry("c6", [1, 0, 0, 0]), entry("kernel", kernel),
+        entry("over", [1e200, 0, 1, 0]), entry("b", [1, 2, 3j, 4]),
+    ])
+    code, out = run_without_warnings(["map4", f, "--params", pf], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["id"] for r in doc["results"]] == ["a", "zero", "dirac", "c5", "c6", "kernel", "over", "b"]
+    errors = {r["id"]: r.get("error") for r in doc["results"]}
+    assert errors == {
+        "a": None, "zero": "zero spinor", "dirac": "the mapping is written in the chiral representation",
+        "c5": "input must be a regular spinor (class 1-3), got 5",
+        "c6": "input must be a regular spinor (class 1-3), got 6",
+        "kernel": "image vanishes: phi lies in the kernel of the mapping (det M = 0 guarantees a "
+                  "nontrivial kernel)",
+        "over": "covariants do not fit in float64", "b": None,
+    }
+    assert doc["class_histogram"] == {"4": 2}
+    assert run_cli.err == ""
 
 
 def test_map4_non_regular_entry_reported(tmp_path, capsys, rng):

@@ -123,6 +123,65 @@ def test_generate_rejects_nonspinor_classes():
         lounesto.generate(LounestoClass.C1, seed=0, count=0)
 
 
+def generate_one_at_a_time(target, seed, count, rep=cl.WEYL, tol=lounesto.DEFAULT_TOL):
+    """Reference generator classifying each candidate on its own as it is
+    drawn; generate must return exactly its spinors and fail where it does."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    draw = lounesto._DRAWERS[target]
+    out = []
+    attempts = 0
+    while len(out) < count:
+        attempts += 1
+        if attempts > lounesto._MAX_ATTEMPTS * count:
+            raise ValueError(f"generator for class {target.value} failed to converge")
+        candidate = ClassicalSpinor(draw(rng), cl.WEYL)
+        if candidate.norm() < 1e-6:
+            continue
+        if lounesto.classify(candidate, tol).lounesto_class is target:
+            out.append(candidate.to_rep(rep))
+    return out
+
+
+def outcome(generator, *args, **kwargs):
+    """('ok', stacked components) or ('error', message)."""
+    try:
+        spinors = generator(*args, **kwargs)
+    except ValueError as exc:
+        return "error", str(exc)
+    assert all(psi.rep is kwargs.get("rep", cl.WEYL) for psi in spinors)
+    return "ok", np.array([psi.components for psi in spinors])
+
+
+def same_outcome(a, b):
+    return a[0] == b[0] and (np.array_equal(a[1], b[1]) if a[0] == "ok" else a[1] == b[1])
+
+
+@pytest.mark.parametrize("rep", [cl.WEYL, cl.DIRAC], ids=["weyl", "dirac"])
+@pytest.mark.parametrize("target", ALL_SIX)
+def test_generate_equals_one_at_a_time(target, rep):
+    for seed in (0, 7, 21):
+        for count in (1, 70):
+            got = outcome(lounesto.generate, target, seed, count, rep=rep)
+            assert got[0] == "ok" and got[1].shape == (count, 4)
+            assert same_outcome(got, outcome(generate_one_at_a_time, target, seed, count, rep=rep))
+
+
+def test_generate_fails_where_one_at_a_time_fails(monkeypatch):
+    """At tol 0.2 about half the class-1 draws classify as class 1, so with
+    2 draws allowed per spinor some seeds fill 10 spinors and some run out."""
+    monkeypatch.setattr(lounesto, "_MAX_ATTEMPTS", 2)
+    kinds = set()
+    for seed in range(20):
+        got = outcome(lounesto.generate, LounestoClass.C1, seed, 10, tol=0.2)
+        assert same_outcome(got, outcome(generate_one_at_a_time, LounestoClass.C1, seed, 10, tol=0.2))
+        kinds.add(got[0])
+    assert kinds == {"ok", "error"}
+    monkeypatch.undo()
+    got = outcome(lounesto.generate, LounestoClass.C4, 0, 1, tol=10.0)
+    assert got == ("error", "generator for class 4 failed to converge")
+    assert same_outcome(got, outcome(generate_one_at_a_time, LounestoClass.C4, 0, 1, tol=10.0))
+
+
 def test_generated_currents_never_vanish():
     for target in ALL_SIX:
         for psi in lounesto.generate(target, seed=13, count=3):
