@@ -118,17 +118,9 @@ class BilinearSet:
         ))
 
     def as_dict(self) -> dict:
-        """Plain JSON values; a list of one dict per row for a 1-d batch."""
-        fields = {
-            "sigma": np.asarray(self.sigma).tolist(),
-            "omega": np.asarray(self.omega).tolist(),
-            "J": self.J.tolist(),
-            "K": self.K.tolist(),
-            "S": self.S.tolist(),
-        }
-        if np.ndim(self.sigma) == 0:
-            return fields
-        return [dict(zip(fields, row)) for row in zip(*fields.values())]
+        """Plain JSON values of a single set."""
+        return {"sigma": self.sigma, "omega": self.omega,
+                "J": self.J.tolist(), "K": self.K.tolist(), "S": self.S.tolist()}
 
 
 def minkowski_square(v: np.ndarray) -> float:

@@ -10,14 +10,21 @@ Commands
 
 Exit codes: 0 success, 1 verification failure, 2 usage or schema error.
 Input paths accept "-" for stdin.  Complex numbers are [re, im] pairs.
+Every number read from a spinor, covariant or mapping parameter file must be
+an int or float (not a bool) that is finite in float64; anything else, such
+as true, "1", NaN or an integer beyond float range, is a schema error naming
+the field.
 
-classify, verify, reconstruct and map4 compute BLOCK entries at a time,
-grouped by representation, and write one row per entry in file order.  An
-entry that cannot be computed (a zero spinor, covariants or residuals that
-overflow float64, a degenerate reconstruction, a map4 input that is not a
-regular Weyl spinor or lies in the kernel) gets an {id, error} row:
-classify and map4 still exit 0, verify and reconstruct count it as a
-failure.
+A spinor file is read as one array of components, and each report is
+computed and written by columns: classify, verify, reconstruct and map4
+compute BLOCK entries at a time, grouped by representation, into one array
+per field, and jsonio.dumps writes the report's rows from those arrays in
+file order, byte for byte as json.dumps(report, indent=2, sort_keys=True,
+allow_nan=False) would.  An entry that cannot be computed (a zero spinor,
+covariants or residuals that overflow float64, a degenerate reconstruction,
+a map4 input that is not a regular Weyl spinor or lies in the kernel) gets
+an {id, error} row: classify and map4 still exit 0, verify and reconstruct
+count it as a failure.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ import numpy as np
 
 from . import classmap, fierz, lounesto
 from .bilinears import BilinearSet, bilinear_covariants
-from .clifford import RowError, Signature, rep_by_tag
+from .clifford import RowError, rep_by_tag
+from .jsonio import Rows, dumps, floats
 from .spinor_forms import ClassicalSpinor
 
 SCHEMA_VERSION = 1
@@ -41,7 +49,10 @@ SCHEMA_VERSION = 1
 # bounding the (BLOCK, 16, 16) temporaries of verify --mode aggregate
 BLOCK = 64
 
-_COVARIANT_FIELDS = ("sigma", "omega", "J", "K", "S")
+_REPS = ("weyl", "dirac")
+_PAIR = "a [re, im] pair of finite numbers"
+# the covariant fields in stored order, with their shapes
+_COVARIANT_FIELDS = (("sigma", ()), ("omega", ()), ("J", (4,)), ("K", (4,)), ("S", (6,)))
 
 
 class SchemaError(Exception):
@@ -69,8 +80,8 @@ def _load_json(path: str):
         raise SchemaError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
-def _dump(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _dump(report: dict, out: str | None) -> None:
+    text = dumps(report) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -78,11 +89,13 @@ def _dump(obj, out: str | None) -> None:
             fh.write(text)
 
 
-def _complex_from_pair(value, where: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
-        raise SchemaError(f"{where}: expected a [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+def _field(value, shape: tuple, where: str, what: str) -> np.ndarray:
+    """The numbers of one field as jsonio.floats reads them; anything else
+    is a SchemaError naming the field where and saying what it expected."""
+    values = floats(value, shape)
+    if values is None:
+        raise SchemaError(f"{where}: expected {what}, got {value!r}")
+    return values
 
 
 def _tolerance(text: str) -> float:
@@ -91,10 +104,6 @@ def _tolerance(text: str) -> float:
     if not np.isfinite(value) or value < 0.0:
         raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
     return value
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def _require_version(doc, where: str) -> None:
@@ -112,65 +121,85 @@ def _entries_of(doc, where: str) -> list:
     return entries
 
 
-def _parse_spinor_entries(doc, where: str) -> list[dict]:
-    out = []
-    for pos, entry in enumerate(_entries_of(doc, where)):
-        here = f"{where}: entries[{pos}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{here}: expected an object")
-        ident = entry.get("id", f"entry-{pos}")
-        rep_tag = entry.get("rep", "weyl")
-        if rep_tag not in ("weyl", "dirac"):
-            raise SchemaError(f"{here}: rep must be 'weyl' or 'dirac'")
-        comps = entry.get("components")
-        if not isinstance(comps, list) or len(comps) != 4:
-            raise SchemaError(f"{here}: components must be 4 [re, im] pairs")
-        values = np.array(
-            [_complex_from_pair(c, f"{here}.components[{k}]") for k, c in enumerate(comps)]
-        )
-        if not np.all(np.isfinite(values.view(np.float64))):
-            raise SchemaError(f"{here}: components must be finite")
-        out.append({"id": str(ident), "rep": rep_tag, "components": values})
-    return out
+def _ids(entries: list) -> np.ndarray:
+    return np.array([str(entry.get("id", f"entry-{pos}")) for pos, entry in enumerate(entries)], dtype=object)
 
 
-def _parse_bilinear_entries(doc, where: str) -> list[dict]:
-    out = []
-    for pos, entry in enumerate(_entries_of(doc, where)):
-        here = f"{where}: entries[{pos}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{here}: expected an object")
-        ident = str(entry.get("id", f"entry-{pos}"))
-        try:
-            b = BilinearSet(
-                float(entry["sigma"]),
-                float(entry["omega"]),
-                np.array(entry["J"], dtype=float),
-                np.array(entry["K"], dtype=float),
-                np.array(entry["S"], dtype=float),
-                Signature.MINKOWSKI,
-            )
-        except KeyError as exc:
-            raise SchemaError(f"{here}: missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{here}: {exc}") from exc
-        out.append({"id": ident, "bilinears": b})
-    return out
+def _check_spinor_entry(entry, here: str) -> None:
+    if not isinstance(entry, dict):
+        raise SchemaError(f"{here}: expected an object")
+    if entry.get("rep", "weyl") not in _REPS:
+        raise SchemaError(f"{here}: rep must be 'weyl' or 'dirac'")
+    comps = entry.get("components")
+    if not isinstance(comps, list) or len(comps) != 4:
+        raise SchemaError(f"{here}: components must be 4 [re, im] pairs")
+    for k, pair in enumerate(comps):
+        _field(pair, (2,), f"{here}.components[{k}]", _PAIR)
 
 
-def load_spinor_file(path: str) -> list[dict]:
-    """Entries of a spinor file: {id, rep, components: 4 [re, im] pairs}."""
+def _parse_spinor_entries(doc, where: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ids, rep tags and (n, 4) complex components of a spinor file's entries.
+
+    The components of all entries are read as one array; only when that
+    fails are the entries checked one at a time, so that the error names
+    the first bad one.
+    """
+    entries = _entries_of(doc, where)
+    values = None
+    if all(isinstance(entry, dict) and entry.get("rep", "weyl") in _REPS for entry in entries):
+        values = floats([entry.get("components") for entry in entries] or np.empty((0, 4, 2)),
+                         (len(entries), 4, 2))
+    if values is None:
+        for pos, entry in enumerate(entries):
+            _check_spinor_entry(entry, f"{where}: entries[{pos}]")
+        raise SchemaError(f"{where}: unreadable spinor entries")
+    reps = np.array([entry.get("rep", "weyl") for entry in entries], dtype=object)
+    return _ids(entries), reps, values.view(np.complex128)[..., 0]
+
+
+def _check_covariant_entry(entry, here: str) -> None:
+    if not isinstance(entry, dict):
+        raise SchemaError(f"{here}: expected an object")
+    for name, shape in _COVARIANT_FIELDS:
+        if name not in entry:
+            raise SchemaError(f"{here}: missing field {name!r}")
+        what = f"{shape[0]} finite numbers" if shape else "a finite number"
+        _field(entry[name], shape, f"{here}.{name}", what)
+
+
+def _parse_bilinear_entries(doc, where: str) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and the (n, 16) covariant stacks of a covariant file's entries,
+    read field by field for the whole file like _parse_spinor_entries."""
+    entries = _entries_of(doc, where)
+    n = len(entries)
+    columns = []
+    if all(isinstance(entry, dict) for entry in entries):
+        for name, shape in _COVARIANT_FIELDS:
+            column = floats([entry.get(name) for entry in entries] or np.empty((0,) + shape), (n,) + shape)
+            if column is None:
+                break
+            columns.append(column)
+    if len(columns) < len(_COVARIANT_FIELDS):
+        for pos, entry in enumerate(entries):
+            _check_covariant_entry(entry, f"{where}: entries[{pos}]")
+        raise SchemaError(f"{where}: unreadable covariant entries")
+    return _ids(entries), np.column_stack(columns)
+
+
+def load_spinor_file(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ids, rep tags and (n, 4) complex components of the entries of a
+    spinor file: {id, rep, components: 4 [re, im] pairs}."""
     return _parse_spinor_entries(_load_json(path), path)
 
 
 def _entry_kind(entry) -> str:
     """'bilinears' for an object with any covariant field, else 'spinors'."""
-    if isinstance(entry, dict) and any(name in entry for name in _COVARIANT_FIELDS):
+    if isinstance(entry, dict) and any(name in entry for name, _ in _COVARIANT_FIELDS):
         return "bilinears"
     return "spinors"
 
 
-def _detect_input_kind(path: str) -> tuple[str, list[dict]]:
+def _detect_input_kind(path: str) -> tuple[str, tuple]:
     """The file's kind, set by its first entry, and its parsed entries; a
     later entry of the other kind is a schema error."""
     doc = _load_json(path)
@@ -188,14 +217,6 @@ def _detect_input_kind(path: str) -> tuple[str, list[dict]]:
     return kind, _parse_spinor_entries(doc, path)
 
 
-def spinor_entry_to_json(ident: str, rep_tag: str, components: np.ndarray) -> dict:
-    return {
-        "id": ident,
-        "rep": rep_tag,
-        "components": [_pair(z) for z in components],
-    }
-
-
 def load_mapping_params(path: str) -> classmap.MappingParams:
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -204,7 +225,8 @@ def load_mapping_params(path: str) -> classmap.MappingParams:
     for name in classmap.PARAM_NAMES:
         if name not in doc:
             raise SchemaError(f"{path}: missing parameter {name}")
-        values[name] = _complex_from_pair(doc[name], f"{path}.{name}")
+        re_im = _field(doc[name], (2,), f"{path}.{name}", _PAIR)
+        values[name] = complex(re_im[0], re_im[1])
     try:
         return classmap.MappingParams(**values)
     except ValueError as exc:
@@ -214,60 +236,79 @@ def load_mapping_params(path: str) -> classmap.MappingParams:
 # -- commands ------------------------------------------------------------------
 
 
-def _blocks(entries: list) -> list[list]:
-    return [entries[start:start + BLOCK] for start in range(0, len(entries), BLOCK)]
-
-
-def _retrying(live: np.ndarray, compute) -> dict[int, dict]:
-    """Row dicts by position for the True entries of the boolean mask live.
-
-    compute(live) returns one row per True entry.  Entries it rejects with
-    RowError get an error row instead, and the rest are computed again
-    without them.
-    """
-    live = live.copy()
-    rows = {}
+def _retrying(pos: np.ndarray, compute, done: list, errors: list) -> None:
+    """Compute the entries at positions pos: compute(live) takes a boolean
+    mask over pos and returns the columns of the True entries, which go to
+    done as (positions, columns).  Entries it rejects with RowError go to
+    errors as (positions, message), and the rest are computed again
+    without them."""
+    live = np.ones(len(pos), dtype=bool)
     while live.any():
         try:
-            computed = compute(live)
+            done.append((pos[live], compute(live)))
+            return
         except RowError as exc:
-            rejected = np.flatnonzero(live)[exc.rows].tolist()
-            rows.update((i, {"error": str(exc)}) for i in rejected)
+            rejected = np.flatnonzero(live)[exc.rows]
+            errors.append((pos[rejected], str(exc)))
             live[rejected] = False
-            continue
-        rows.update(zip(np.flatnonzero(live).tolist(), computed))
-        break
-    return rows
 
 
-def _spinor_rows(entries: list[dict], compute) -> list[dict]:
-    """One row per spinor entry, in file order, computed a block at a time.
+def _rows(ids: np.ndarray, done: list, errors: list) -> Rows:
+    """The report rows: the computed columns of done and the {id, error}
+    rows of errors, each with the entries' ids."""
+    groups = []
+    if done:
+        pos = np.concatenate([p for p, _ in done])
+        columns = {name: np.concatenate([c[name] for _, c in done]) if isinstance(value, np.ndarray) else value
+                   for name, value in done[0][1].items()}
+        groups.append((pos, {"id": ids[pos], **columns}))
+    errors = [(p, message) for p, message in errors if len(p)]
+    if errors:
+        pos = np.concatenate([p for p, _ in errors])
+        messages = np.repeat(np.array([m for _, m in errors], dtype=object), [len(p) for p, _ in errors])
+        groups.append((pos, {"error": messages, "id": ids[pos]}))
+    return Rows(groups)
+
+
+def _spinor_rows(ids: np.ndarray, reps: np.ndarray, comps: np.ndarray, compute) -> Rows:
+    """The rows of a spinor file's entries, computed a block at a time.
 
     compute(psi) takes a batch of spinors in one representation and returns
-    a row dict per spinor.  A zero spinor, or a spinor that compute rejects
-    with RowError, gets an error row instead.
+    their columns.  A zero spinor, or a spinor that compute rejects with
+    RowError, gets an error row instead.
     """
-    results = []
-    for block in _blocks(entries):
-        rows: list[dict] = [{} for _ in block]
-        for tag in ("weyl", "dirac"):
-            pos = [i for i, entry in enumerate(block) if entry["rep"] == tag]
-            comps = np.array([block[i]["components"] for i in pos]).reshape(-1, 4)
-            computed = _retrying((comps != 0).any(axis=-1),
-                                 lambda live: compute(ClassicalSpinor(comps[live], rep_by_tag(tag))))
-            for k, i in enumerate(pos):
-                rows[i] = computed.get(k, {"error": "zero spinor"})
-        results += [{"id": entry["id"], **row} for entry, row in zip(block, rows)]
-    return results
+    done, errors = [], []
+    for start in range(0, len(ids), BLOCK):
+        for tag in _REPS:
+            pos = start + np.flatnonzero(reps[start:start + BLOCK] == tag)
+            nonzero = (comps[pos] != 0).any(axis=-1)
+            errors.append((pos[~nonzero], "zero spinor"))
+            pos = pos[nonzero]
+            _retrying(pos, lambda live: compute(ClassicalSpinor(comps[pos[live]], rep_by_tag(tag))), done, errors)
+    return _rows(ids, done, errors)
+
+
+def _class_values(classes: np.ndarray) -> np.ndarray:
+    return np.array([cls.value for cls in classes.tolist()], dtype=object)
+
+
+def _classify_rows(psi: ClassicalSpinor, tol: float) -> dict:
+    """Class, covariants, zero flags and margin of each spinor of the batch."""
+    report = lounesto.classify(psi, tol)
+    b = report.bilinears
+    return {
+        "class": _class_values(report.lounesto_class), "sigma": b.sigma, "omega": b.omega,
+        "J": b.J, "K": b.K, "S": b.S, "margin": report.margin, "tol": report.tol,
+        **{f"zero_flags.{key}": flags for key, flags in report.zero_flags.items()},
+    }
 
 
 def cmd_classify(args) -> int:
-    entries = load_spinor_file(args.input)
-    results = _spinor_rows(entries, lambda psi: lounesto.classify(psi, args.tol).as_dict())
+    rows = _spinor_rows(*load_spinor_file(args.input), lambda psi: _classify_rows(psi, args.tol))
     _dump({
         "version": SCHEMA_VERSION,
         "meta": {"command": "classify", "tol": args.tol},
-        "results": results,
+        "results": rows,
     }, args.out)
     return 0
 
@@ -276,19 +317,18 @@ def cmd_generate(args) -> int:
     target = lounesto.LounestoClass(args.lounesto_class)
     rep = rep_by_tag(args.rep)
     spinors = lounesto.generate(target, args.seed, args.count, rep=rep, tol=args.tol)
-    entries = [
-        spinor_entry_to_json(
-            f"c{args.lounesto_class}-s{args.seed}-{i:03d}", args.rep, psi.components
-        )
-        for i, psi in enumerate(spinors)
-    ]
+    comps = np.array([psi.components for psi in spinors])
+    ids = np.array([f"c{args.lounesto_class}-s{args.seed}-{i:03d}" for i in range(len(spinors))], dtype=object)
+    entries = Rows([(np.arange(len(ids)), {
+        "id": ids, "rep": args.rep, "components": comps.view(np.float64).reshape(-1, 4, 2),
+    })])
     _dump({"version": SCHEMA_VERSION, "entries": entries}, args.out)
     return 0
 
 
-def _verify_rows(b: BilinearSet, mode: str, tol: float) -> list[dict]:
-    """One verify row per set of the 1-d covariant batch b.  Sets whose norm
-    or residuals do not fit in float64 raise RowError."""
+def _verify_rows(b: BilinearSet, mode: str, tol: float) -> dict:
+    """The verify columns of the 1-d covariant batch b.  Sets whose norm or
+    residuals do not fit in float64 raise RowError."""
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(b.component_norm(), 1e-300)
         if mode == "fpk":
@@ -310,60 +350,59 @@ def _verify_rows(b: BilinearSet, mode: str, tol: float) -> list[dict]:
     if unfit.any():
         raise RowError("residuals do not fit in float64", unfit)
     if mode == "fpk":
-        return [
-            {**dict(zip(residuals, v)), "pass_per_identity": dict(zip(residuals, w)), "pass": ok}
-            for v, w, ok in zip(values.tolist(), within.tolist(), passes.tolist())
-        ]
+        return {
+            **{name: values[:, k] for k, name in enumerate(residuals)},
+            **{f"pass_per_identity.{name}": within[:, k] for k, name in enumerate(residuals)},
+            "pass": passes,
+        }
     if mode == "boomerang":
-        return [{"residual": r, "pass": ok} for r, ok in zip(values[:, 0].tolist(), passes.tolist())]
-    return [{"residuals": r, "pass": ok} for r, ok in zip(values.tolist(), passes.tolist())]
+        return {"residual": values[:, 0], "pass": passes}
+    return {"residuals": values, "pass": passes}
 
 
 def cmd_verify(args) -> int:
     kind, entries = _detect_input_kind(args.input)
     if kind == "spinors":
-        results = _spinor_rows(
-            entries, lambda psi: _verify_rows(bilinear_covariants(psi), args.mode, args.tol))
+        rows = _spinor_rows(*entries, lambda psi: _verify_rows(bilinear_covariants(psi), args.mode, args.tol))
     else:
-        results = []
-        for block in _blocks(entries):
-            stack = np.array([entry["bilinears"].stack() for entry in block])
-            rows = _retrying(np.ones(len(block), dtype=bool), lambda live: _verify_rows(
-                BilinearSet.from_stack(stack[live]), args.mode, args.tol))
-            results += [{"id": entry["id"], **rows[k]} for k, entry in enumerate(block)]
-    all_pass = all(row.get("pass", False) for row in results)
+        ids, stack = entries
+        done, errors = [], []
+        for start in range(0, len(ids), BLOCK):
+            block = stack[start:start + BLOCK]
+            _retrying(start + np.arange(len(block)), lambda live: _verify_rows(
+                BilinearSet.from_stack(block[live]), args.mode, args.tol), done, errors)
+        rows = _rows(ids, done, errors)
+    all_pass = rows.all_true("pass")
     _dump({
         "version": SCHEMA_VERSION,
         "meta": {"command": "verify", "mode": args.mode, "tol": args.tol, "input_kind": kind},
-        "results": results,
+        "results": rows,
         "all_pass": all_pass,
     }, args.out)
     return 0 if all_pass else 1
 
 
-def _map4_rows(m: classmap.MappingMatrix, psi: ClassicalSpinor, tol: float) -> list[dict]:
+def _map4_rows(m: classmap.MappingMatrix, psi: ClassicalSpinor, tol: float) -> dict:
     """Image, class, scalars and degenerate covariants of each spinor of the batch."""
     mapped = classmap.map_to_class4(m, psi, tol)
     b = mapped.report.bilinears
-    # [re, im] pairs of every image component, as _pair would give them
-    images = mapped.spinor.components.view(np.float64).reshape(-1, 4, 2).tolist()
-    return [
-        {"image": image, "class": cls.value, "sigma": sigma, "omega": omega, "degenerate": list(names)}
-        for image, cls, sigma, omega, names in zip(
-            images, mapped.report.lounesto_class, b.sigma.tolist(), b.omega.tolist(), mapped.degenerate)
-    ]
+    return {
+        "image": mapped.spinor.components.view(np.float64).reshape(-1, 4, 2),
+        "class": _class_values(mapped.report.lounesto_class),
+        "sigma": b.sigma, "omega": b.omega, "degenerate": mapped.degenerate,
+    }
 
 
 def cmd_map4(args) -> int:
     params = load_mapping_params(args.params)
-    entries = load_spinor_file(args.input)
+    spinors = load_spinor_file(args.input)
     m = classmap.build_M(params)
     r0, r123 = classmap.constraint_residuals(m.matrix)
     params_blob = json.dumps(
-        {k: _pair(v) for k, v in params.as_dict().items()}, sort_keys=True
+        {k: [v.real, v.imag] for k, v in params.as_dict().items()}, sort_keys=True
     ).encode()
-    results = _spinor_rows(entries, lambda psi: _map4_rows(m, psi, args.tol))
-    histogram = Counter(row["class"] for row in results if "class" in row)
+    rows = _spinor_rows(*spinors, lambda psi: _map4_rows(m, psi, args.tol))
+    histogram = Counter(cls for _, columns in rows.groups for cls in columns.get("class", ()))
     _dump({
         "version": SCHEMA_VERSION,
         "meta": {
@@ -373,7 +412,7 @@ def cmd_map4(args) -> int:
             "abs_det": classmap.no_inverse_witness(m),
             "constraint_residuals": [r0, r123],
         },
-        "results": results,
+        "results": rows,
         "class_histogram": histogram,
     }, args.out)
     return 0
@@ -394,23 +433,21 @@ def cmd_winding(args) -> int:
     return 0
 
 
-def _reconstruct_rows(psi: ClassicalSpinor, tol: float) -> list[dict]:
+def _reconstruct_rows(psi: ClassicalSpinor, tol: float) -> dict:
     """Rebuild each spinor of the batch from its own aggregate."""
     z = fierz.aggregate(bilinear_covariants(psi))
     recovered = fierz.reconstruct(z, fierz.default_probe_spinor(z, psi.rep), psi_ref=psi)
     err = np.abs(recovered.components - psi.components).max(axis=-1)
-    ok = err <= tol * np.maximum(psi.norm(), 1e-300)
-    return [{"max_abs_error": e, "pass": p} for e, p in zip(err.tolist(), ok.tolist())]
+    return {"max_abs_error": err, "pass": err <= tol * np.maximum(psi.norm(), 1e-300)}
 
 
 def cmd_reconstruct(args) -> int:
-    entries = load_spinor_file(args.input)
-    results = _spinor_rows(entries, lambda psi: _reconstruct_rows(psi, args.tol))
-    all_pass = all(row.get("pass", False) for row in results)
+    rows = _spinor_rows(*load_spinor_file(args.input), lambda psi: _reconstruct_rows(psi, args.tol))
+    all_pass = rows.all_true("pass")
     _dump({
         "version": SCHEMA_VERSION,
         "meta": {"command": "reconstruct", "tol": args.tol},
-        "results": results,
+        "results": rows,
         "all_pass": all_pass,
     }, args.out)
     return 0 if all_pass else 1

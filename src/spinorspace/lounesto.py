@@ -74,18 +74,9 @@ class ClassificationReport:
     margin: float
 
     def as_dict(self) -> dict:
-        """Plain JSON values; a list of one dict per row for a 1-d batch."""
-        covariants = self.bilinears.as_dict()
-        if isinstance(covariants, dict):
-            return {"class": self.lounesto_class.value, **covariants,
-                    "zero_flags": dict(self.zero_flags), "tol": self.tol, "margin": self.margin}
-        flags = [dict(zip(self.zero_flags, row))
-                 for row in zip(*(v.tolist() for v in self.zero_flags.values()))]
-        return [
-            {"class": cls.value, **cov, "zero_flags": flag, "tol": self.tol, "margin": margin}
-            for cls, cov, flag, margin in zip(
-                self.lounesto_class.tolist(), covariants, flags, self.margin.tolist())
-        ]
+        """Plain JSON values of a single report."""
+        return {"class": self.lounesto_class.value, **self.bilinears.as_dict(),
+                "zero_flags": dict(self.zero_flags), "tol": self.tol, "margin": self.margin}
 
 
 _PATTERN_KEYS = ("sigma", "omega", "J", "K", "S")

@@ -96,12 +96,17 @@ def test_classify_batch_matches_rows(rng, rep):
                for s in lounesto.generate(target, seed=3, count=4, rep=rep)]
     comps = np.array(spinors) * np.exp(rng.uniform(-5, 5, size=(len(spinors), 1)))
     batch = lounesto.classify(ClassicalSpinor(comps, rep))
-    rows = [lounesto.classify(ClassicalSpinor(c, rep)) for c in comps]
+    assert_report_rows(batch, [lounesto.classify(ClassicalSpinor(c, rep)) for c in comps])
+
+
+def assert_report_rows(batch, rows):
+    """Every column of a batched classification report equals the per-row reports."""
     assert list(batch.lounesto_class) == [r.lounesto_class for r in rows]
+    assert np.array_equal(batch.bilinears.stack(), [r.bilinears.stack() for r in rows])
     assert np.array_equal(batch.margin, [r.margin for r in rows])
     for key, flags in batch.zero_flags.items():
         assert flags.tolist() == [r.zero_flags[key] for r in rows]
-    assert batch.as_dict() == [r.as_dict() for r in rows]
+    assert all(r.tol == batch.tol for r in rows)
 
 
 def test_reconstruct_batch_matches_rows(rng):
@@ -144,7 +149,7 @@ def test_map_to_class4_batch_matches_rows(rng):
     assert np.array_equal(batch.spinor.components, [r.spinor.components for r in rows])
     assert list(batch.degenerate) == [r.degenerate for r in rows]
     assert {r.degenerate for r in rows} >= {(), ("K",), ("S",)}
-    assert batch.report.as_dict() == [r.report.as_dict() for r in rows]
+    assert_report_rows(batch.report, [r.report for r in rows])
     assert isinstance(rows[0].degenerate, tuple)
 
 

@@ -7,8 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spinorspace import classmap, cli
+from spinorspace import classmap, cli, clifford, lounesto
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -108,6 +110,110 @@ def test_classify_boolean_pair_is_schema_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "[re, im] pair" in run_cli.err
+
+
+HUGE = 10 ** 400  # an integer beyond float64 range
+
+
+@pytest.mark.parametrize("bad", [
+    [True, 0.5], ["1", 0], [None, 0], [[1], 0], [float("nan"), 0], [0, float("-inf")], [HUGE, 0], [1, 0, 0], "10",
+], ids=["bool", "string", "null", "nested", "nan", "inf", "huge-int", "triple", "not-a-pair"])
+def test_bad_component_is_schema_error_naming_entry(tmp_path, capsys, bad):
+    """The whole-file read rejects what the per-entry check rejects (numpy
+    alone would read true as 1.0 and "1" as 1.0), and the error names the
+    first bad entry, not a later one with a bad rep."""
+    f = spinor_file(tmp_path / "in.json", [
+        entry("ok", [1, 0, 1, 0]),
+        {"id": "bad", "components": [[1, 0], bad, [0, 0], [0, 0]]},
+        {"id": "late", "rep": "majorana", "components": [[1, 0], [0, 0], [1, 0], [0, 0]]},
+    ])
+    code, out = run_cli(["classify", f], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "entries[1].components[1]: expected a [re, im] pair of finite numbers" in run_cli.err
+
+
+def test_parsed_components_equal_their_pairs(tmp_path):
+    """Ints, integers beyond 2^53, -0.0 and subnormals read bit for bit as complex(re, im)."""
+    entries = [{"components": [[0, -0.0], [5e-324, -1e300], [10 ** 300, 2 ** 64 + 1], [1, -3]]},
+               {"id": 17, "rep": "dirac", "components": [[-0.0, 0], [2.5, 1e-310], [0, 0], [7, 0.1]]}]
+    ids, reps, comps = cli.load_spinor_file(spinor_file(tmp_path / "in.json", entries))
+    expected = np.array([[complex(*pair) for pair in e["components"]] for e in entries])
+    assert np.array_equal(comps.view(np.uint64), expected.view(np.uint64))
+    assert ids.tolist() == ["entry-0", "17"] and reps.tolist() == ["weyl", "dirac"]
+
+
+NUMBERS = st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70),
+                    st.sampled_from([True, False, "1", None, HUGE, -HUGE, [1.0], {}]))
+VALID = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-2 ** 70, 2 ** 70))
+
+
+def numbers(shape):
+    """Mostly valid nested lists of the given shape, sometimes with a bad number or length."""
+    if not shape:
+        return st.one_of(VALID, VALID, NUMBERS)
+    inner = numbers(shape[1:])
+    return st.one_of(st.lists(inner, min_size=shape[0], max_size=shape[0]), st.lists(inner, max_size=shape[0] + 1))
+
+
+def entries_of(fields):
+    entry = st.fixed_dictionaries({name: numbers(shape) for name, shape in fields},
+                                  optional={"id": st.text(max_size=3),
+                                            "rep": st.sampled_from(["weyl", "dirac", "x"])})
+    return st.lists(st.one_of(entry, entry, entry, NUMBERS), max_size=4)
+
+
+def first_entry_error(check, entries):
+    try:
+        for pos, e in enumerate(entries):
+            check(e, f"f.json: entries[{pos}]")
+    except cli.SchemaError as exc:
+        return str(exc)
+    return None
+
+
+@given(entries_of([("components", (4, 2))]))
+def test_spinor_file_read_agrees_with_entry_checks(entries):
+    """The whole-file read accepts exactly what the per-entry checks accept,
+    with the same values, and otherwise raises their first error."""
+    doc = {"version": 1, "entries": entries}
+    error = first_entry_error(cli._check_spinor_entry, entries)
+    if error is not None:
+        with pytest.raises(cli.SchemaError) as excinfo:
+            cli._parse_spinor_entries(doc, "f.json")
+        assert str(excinfo.value) == error
+        return
+    _, reps, comps = cli._parse_spinor_entries(doc, "f.json")
+    expected = np.array([[complex(*pair) for pair in e["components"]] for e in entries], dtype=complex)
+    assert np.array_equal(comps.view(np.uint64), expected.reshape(-1, 4).view(np.uint64))
+    assert reps.tolist() == [e.get("rep", "weyl") for e in entries]
+
+
+@given(entries_of([("sigma", ()), ("omega", ()), ("J", (4,)), ("K", (4,)), ("S", (6,))]))
+def test_covariant_file_read_agrees_with_entry_checks(entries):
+    doc = {"version": 1, "entries": entries}
+    error = first_entry_error(cli._check_covariant_entry, entries)
+    if error is not None:
+        with pytest.raises(cli.SchemaError) as excinfo:
+            cli._parse_bilinear_entries(doc, "f.json")
+        assert str(excinfo.value) == error
+        return
+    _, stack = cli._parse_bilinear_entries(doc, "f.json")
+    expected = [np.hstack([e[name] for name in ("sigma", "omega", "J", "K", "S")]) for e in entries]
+    assert np.array_equal(stack, np.array(expected, dtype=float).reshape(-1, 16))
+
+
+@pytest.mark.parametrize("bad, field", [
+    ({"sigma": True, "omega": "0"}, "sigma"), ({"omega": "0"}, "omega"), ({"J": [1, 0, 0, HUGE]}, "J"),
+    ({"K": [0, 1, 0, float("nan")]}, "K"), ({"S": [0, 0, 0, 0, 0]}, "S"), ({"J": [1, 0, 0, False]}, "J"),
+])
+def test_bad_covariant_field_is_schema_error(tmp_path, capsys, bad, field):
+    good = {"id": "c", "sigma": 1.0, "omega": 0.0, "J": [1, 0, 0, 0], "K": [0, 1, 0, 0], "S": [0, 0, 0, 0, 0, 0]}
+    f = spinor_file(tmp_path / "in.json", [good, {**good, **bad}])
+    code, out = run_cli(["verify", f], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert f"entries[1].{field}: expected " in run_cli.err
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
@@ -417,6 +523,19 @@ def test_map4_error_rows(tmp_path, capsys, rng):
     assert run_cli.err == ""
 
 
+@pytest.mark.parametrize("value", [[float("nan"), 0], [0, float("inf")], [HUGE, 0], [True, 0]],
+                         ids=["nan", "inf", "huge-int", "bool"])
+def test_map4_bad_parameter_is_named(tmp_path, capsys, rng, value):
+    f = spinor_file(tmp_path / "in.json", [entry("a", [1, 0, 1, 0])])
+    pf = tmp_path / "p.json"
+    params = json.loads(open(params_file(pf, rng)).read())
+    pf.write_text(json.dumps({**params, "m13": value}))
+    code, out = run_cli(["map4", f, "--params", str(pf)], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "p.json.m13: expected a [re, im] pair of finite numbers" in run_cli.err
+
+
 def test_map4_non_regular_entry_reported(tmp_path, capsys, rng):
     f = spinor_file(tmp_path / "in.json", [entry("weyl", [1, 0, 0, 0])])
     pf = params_file(tmp_path / "p.json", rng)
@@ -473,6 +592,52 @@ def test_reports_byte_stable(tmp_path, capsys):
     run_cli(["classify", str(gen), "--out", str(a)], capsys=capsys)
     run_cli(["classify", str(gen), "--out", str(b)], capsys=capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+def assert_canonical(out):
+    """stdout is the indented, key-sorted form json.dumps gives its own parse."""
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("rep", ["weyl", "dirac"])
+@pytest.mark.parametrize("cls", ["1", "2", "3", "4", "5", "6"])
+def test_generate_output_is_canonical(capsys, cls, rep):
+    code, out = run_cli(["generate", "--class", cls, "--rep", rep, "--count", "4", "--seed", "2"], capsys=capsys)
+    assert code == 0
+    assert_canonical(out)
+
+
+def canonical_inputs(tmp_path, rng):
+    generated = []
+    for cls in "123456":
+        for rep in ("weyl", "dirac"):
+            generated += [entry(f"c{cls}-{rep}-{i}", psi.components, rep) for i, psi in enumerate(
+                lounesto.generate(lounesto.LounestoClass(cls), seed=1, count=3, rep=clifford.rep_by_tag(rep)))]
+    errors = [entry("a", [1, 0, 1, 0]), entry("zero", [0, 0, 0, 0]), entry("big", [1e200, 0, 1, 0]),
+              entry("huge", [1e100, 0, 1e100, 0]), entry("dirac", [1, 0, 1, 0], "dirac"),
+              entry("c5", [1, 0, 0, -1]), entry("q\"\\\u00e9\u2603", [1, 2, 3j, 4]), entry("c6", [1, 0, 0, 0])]
+    covariants = [{"id": f"v{i}", "sigma": c[0], "omega": c[1], "J": c[2:6], "K": c[6:10], "S": c[10:]}
+                  for i, c in enumerate(rng.standard_normal((5, 16)).tolist())]
+    params_file(tmp_path / "params.json", rng)
+    return {"generated": spinor_file(tmp_path / "gen.json", generated),
+            "errors": spinor_file(tmp_path / "err.json", errors),
+            "covariants": spinor_file(tmp_path / "cov.json", covariants)}
+
+
+REPORTS = [["classify"], ["verify", "--mode", "fpk"], ["verify", "--mode", "boomerang"],
+           ["verify", "--mode", "aggregate"], ["reconstruct"], ["map4", "--params", "params.json"]]
+
+
+@pytest.mark.parametrize("kind, argv", [
+    (kind, argv) for kind in ("generated", "errors") for argv in REPORTS
+] + [("covariants", argv) for argv in REPORTS if argv[0] == "verify"])
+def test_report_output_is_canonical(tmp_path, capsys, monkeypatch, rng, kind, argv):
+    monkeypatch.chdir(tmp_path)
+    f = canonical_inputs(tmp_path, rng)[kind]
+    code, out = run_without_warnings([argv[0], f, *argv[1:]], capsys)
+    assert code in (0, 1)
+    assert run_cli.err == ""
+    assert_canonical(out)
 
 
 def test_console_entry_point_runs(tmp_path):
