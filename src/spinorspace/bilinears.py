@@ -17,10 +17,11 @@ transpose and the generator images below are fixed so the closed-form
 component expressions (sigma = sum |psi_i|^2, J0 = |psi1|^2 + |psi2|^2
 - |psi3|^2 - |psi4|^2, ...) come out of the matrix route verbatim.
 
-Both signatures share one kernel over a stack of 16 Hermitian forms; they
-differ only in the generators, the adjoint and the ORIENTATION sign.  The
-kernel takes a batch of spinors, (..., 4), and gives covariants of that
-batch shape; each row is bit for bit the single-spinor result.
+Both signatures share one kernel over a stack of 16 Hermitian forms, the
+adjoint times the images of one engine-built covariant basis Gamma_A (which
+fierz also sums into the aggregate and uses as its probes); they differ only
+in the generators, the adjoint and the ORIENTATION sign.  The kernel takes a
+batch (..., 4) of spinors; each row is bit for bit the single-spinor result.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conventions
-from .clifford import _I2, _O2, GammaRep, PAULI, RowError, Signature, _unbox
+from .clifford import (_I2, _O2, PAULI, GammaRep, InternalError, RowError, Signature, _blade_matrices,
+                       _unbox, basis_vector, pseudoscalar, scalar)
 from .spinor_forms import _QI, _QJ, _QK, BIVECTOR_ORDER, ClassicalSpinor, Quaternion
 
 __all__ = [
@@ -153,6 +155,9 @@ EUCLIDEAN_VOLUME = np.block([[_O2, _I2], [_I2, _O2]])
 for _m in EUCLIDEAN_GENERATORS + (EUCLIDEAN_VOLUME,):
     _m.flags.writeable = False
 
+# the Euclidean generators as a representation of their own, not a spinor tag
+_EUCLIDEAN_REP = GammaRep("euclidean", EUCLIDEAN_GENERATORS)
+
 # Orientation of the volume element relative to the stored omega: +1 in the
 # time-minus signature, -1 in the Euclidean one, whose omega is read through
 # the reversed volume EUCLIDEAN_VOLUME.  The sign fixes the K forms, the
@@ -167,26 +172,35 @@ _LABELS = (
 )
 
 
+def _by_group(sigma, omega, j, k, s) -> np.ndarray:
+    """(16,) array holding each group's value (or 4 or 6 values) in stored order."""
+    return np.concatenate([np.broadcast_to(v, (n,)) for v, n in
+                           zip((sigma, omega, j, k, s), (1, 1, 4, 4, 6))]).astype(float)
+
+
+@functools.lru_cache(maxsize=None)
+def _covariant_basis(signature: Signature) -> np.ndarray:
+    """(16, 16) read-only coefficients of the covariant basis Gamma_A in stored
+    order, 1, -e0123, e_mu, i e0123 e_mu, i [e_mu, e_nu]: the elements of the
+    forms, the terms of the aggregate and the quarter-sandwich probes."""
+    e, e5 = [basis_vector(mu, signature) for mu in range(4)], pseudoscalar(signature)
+    basis = np.stack([g.coeffs for g in [scalar(1.0, signature), -e5, *e, *(1j * (e5 * v) for v in e)]
+                      + [1j * (e[mu] * e[nu] - e[nu] * e[mu]) for mu, nu in BIVECTOR_ORDER]])
+    basis.flags.writeable = False
+    return basis
+
+
 @functools.lru_cache(maxsize=None)
 def _forms(signature: Signature, rep: GammaRep | None) -> np.ndarray:
     """(16, 4, 4) Hermitian forms whose sandwiches are sigma, omega, J, K and
-    the unscaled S, in stored order.  With adjoint A and volume e0123:
-
-        sigma = A,  omega = -A e0123,  J_mu = A e_mu,
-        K_mu = orientation i A e0123 e_mu,  S_munu = -i A [e_mu, e_nu]
-
-    (the commutator sandwich is imaginary, so its form carries -i)."""
-    if signature is Signature.MINKOWSKI:
-        g, adj = rep.gammas, rep.gammas[0]
+    the unscaled S: the adjoint times the images of Gamma_A, signed 1, 1, 1,
+    orientation, -1 by group (the commutator sandwich is imaginary)."""
+    if signature is Signature.EUCLIDEAN:
+        rep, adj = _EUCLIDEAN_REP, np.eye(4, dtype=np.complex128)
     else:
-        g, adj = EUCLIDEAN_GENERATORS, np.eye(4, dtype=np.complex128)
-    vol = adj @ g[0] @ g[1] @ g[2] @ g[3]
-    forms = np.stack(
-        [adj, -vol]
-        + [adj @ g[mu] for mu in range(4)]
-        + [ORIENTATION[signature] * 1j * (vol @ g[mu]) for mu in range(4)]
-        + [-1j * (adj @ (g[mu] @ g[nu] - g[nu] @ g[mu])) for mu, nu in BIVECTOR_ORDER]
-    )
+        adj = rep.gammas[0]
+    images = np.einsum("ak,kij->aij", _covariant_basis(signature), _blade_matrices(rep))
+    forms = _by_group(1.0, 1.0, 1.0, ORIENTATION[signature], -1.0)[:, None, None] * (adj @ images)
     forms.flags.writeable = False
     return forms
 
@@ -208,7 +222,7 @@ def _covariants(comps: np.ndarray, c_S: float, signature: Signature,
     bad = np.abs(values.imag) > REALITY_TOL * np.maximum(scale, 1e-300)
     if bad.any():
         k = int(np.argmax(bad.reshape(-1, len(_LABELS)).any(axis=0)))
-        raise ValueError(
+        raise InternalError(
             f"internal consistency: {_LABELS[k]} acquired an imaginary part "
             f"{np.max(np.abs(values.imag[..., k])):.3e} beyond tolerance"
         )

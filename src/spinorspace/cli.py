@@ -8,12 +8,15 @@ Commands
     winding      winding number of a closed (sigma, omega) path
     reconstruct  rebuild each spinor from its own aggregate and compare
 
-Exit codes: 0 success, 1 verification failure, 2 usage or schema error.
-Input paths accept "-" for stdin.  Complex numbers are [re, im] pairs.
-Every number read from a spinor, covariant or mapping parameter file must be
-an int or float (not a bool) that is finite in float64; anything else, such
-as true, "1", NaN or an integer beyond float range, is a schema error naming
-the field.
+Exit codes: 0 success, 1 verification failure, 2 usage or schema error, 3
+internal fault (a result that breaks an invariant of the program, such as a
+covariant with an imaginary part).  Input paths accept "-" for stdin.
+Complex numbers are [re, im] pairs.  Every number read from a spinor,
+covariant, mapping parameter or winding path file must be an int or float
+(not a bool) that is finite in float64; anything else, such as true, "1",
+NaN or an integer beyond float range, is a schema error naming the field,
+as is a path vertex that is not a [sigma, omega] pair.  A path that is open,
+touches the origin, has fewer than 3 vertices or is too coarse exits 1.
 
 A spinor file is read as one array of components, and each report is
 computed and written by columns: classify, verify, reconstruct and map4
@@ -39,9 +42,10 @@ import numpy as np
 
 from . import classmap, fierz, lounesto
 from .bilinears import BilinearSet, bilinear_covariants
-from .clifford import RowError, rep_by_tag
+from .clifford import InternalError, RowError, rep_by_tag
 from .jsonio import Rows, dumps, floats
 from .spinor_forms import ClassicalSpinor
+from .topology import winding_report
 
 SCHEMA_VERSION = 1
 
@@ -63,12 +67,12 @@ class SchemaError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
@@ -78,6 +82,9 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # integers of more digits than int() takes, nesting deeper than the decoder goes
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _dump(report: dict, out: str | None) -> None:
@@ -419,13 +426,16 @@ def cmd_map4(args) -> int:
 
 
 def cmd_winding(args) -> int:
-    from .topology import winding_report
-
     doc = _load_json(args.input)
     if not isinstance(doc, list):
         raise SchemaError(f"{args.input}: expected a top-level list of [sigma, omega] pairs")
+    path = floats(doc or np.empty((0, 2)), (len(doc), 2))
+    if path is None:
+        for k, vertex in enumerate(doc):
+            _field(vertex, (2,), f"{args.input}[{k}]", "a [sigma, omega] pair of finite numbers")
+        raise SchemaError(f"{args.input}: unreadable path")
     try:
-        report = winding_report(doc)
+        report = winding_report(path)
     except ValueError as exc:
         print(f"winding: {exc}", file=sys.stderr)
         return 1
@@ -511,12 +521,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, ValueError, InternalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, InternalError) else 2
 
 
 if __name__ == "__main__":

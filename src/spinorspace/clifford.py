@@ -51,6 +51,7 @@ __all__ = [
     "idempotent_f",
     "weyl_to_dirac_matrix",
     "RowError",
+    "InternalError",
 ]
 
 BLADES: tuple[tuple[int, ...], ...] = (
@@ -79,6 +80,11 @@ class RowError(ValueError):
     def __init__(self, message: str, rows) -> None:
         super().__init__(message)
         self.rows = np.asarray(rows, dtype=bool)
+
+
+class InternalError(RuntimeError):
+    """A result that breaks an invariant the code guarantees: a fault of the
+    program, not of its input."""
 
 
 def _unbox(x):

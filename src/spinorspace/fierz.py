@@ -5,7 +5,8 @@ Every nonzero spinor packs its observables into the complex aggregate
 
     Z = sigma + J + i S + i K e0123 + omega e0123
 
-whose matrix image equals the rank-one operator 4 psi psibar.  That single
+whose matrix image equals the rank-one operator 4 psi psibar; it is the
+weighted sum of the covariant basis Gamma_A of bilinears.  That single
 fact drives everything here: the scalar identities, the idempotency
 Z Z = 4 sigma Z (nilpotency when sigma = 0), the quarter-sandwich identity
 family, and the inversion Z xi proportional to psi.
@@ -28,13 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conventions
-from .bilinears import ORIENTATION, BilinearSet, minkowski_dot, minkowski_square
+from .bilinears import ORIENTATION, BilinearSet, _by_group, _covariant_basis, minkowski_dot, minkowski_square
 from .clifford import (
     Multivector,
     RowError,
     Signature,
     _unbox,
-    basis_vector,
     grade_projection,
     left_mul_matrix,
     pseudoscalar,
@@ -133,20 +133,23 @@ def fpk_residuals(b: BilinearSet) -> FpkResiduals:
     return FpkResiduals(*_identity_residuals(b))
 
 
+@functools.lru_cache(maxsize=None)
+def _aggregate_matrix(signature: Signature) -> np.ndarray:
+    """(16, 16) W with aggregate coefficients stack @ W: Gamma_A weighted by
+    1, -o, eta_mu, -eta_mu, eta_mu eta_nu / 2 (o the orientation)."""
+    eta = np.array(signature.metric)
+    w = _by_group(1.0, -ORIENTATION[signature], eta, -eta, [eta[mu] * eta[nu] / 2 for mu, nu in BIVECTOR_ORDER])
+    matrix = w[:, None] * _covariant_basis(signature)
+    matrix.flags.writeable = False
+    return matrix
+
+
 def aggregate(b: BilinearSet) -> Multivector:
     """The complex multivector sigma + J + iS + iK e0123 + o omega e0123 in
     the covariants' signature, o its orientation (+1 time-minus, -1
     Euclidean, where the stored omega is read through the reversed volume).
     A batch of covariants gives a batch of aggregates."""
-    sig = b.signature
-    e5 = pseudoscalar(sig)
-    return (
-        scalar(b.sigma, sig)
-        + vector_multivector(b.J, sig)
-        + 1j * bivector_multivector(b.S, sig)
-        + 1j * (vector_multivector(b.K, sig) * e5)
-        + (ORIENTATION[sig] * b.omega) * e5
-    )
+    return Multivector(b.signature, b.stack() @ _aggregate_matrix(b.signature))
 
 
 def boomerang_residual(z: Multivector, sigma: float) -> float:
@@ -159,21 +162,6 @@ def boomerang_residual(z: Multivector, sigma: float) -> float:
 def is_boomerang(z: Multivector, sigma: float, tol: float = 1e-9) -> bool:
     """True when Z Z = 4 sigma Z within tol relative to |Z|^2."""
     return _unbox(boomerang_residual(z, sigma) <= tol)
-
-
-@functools.lru_cache(maxsize=None)
-def _sandwich_probes() -> np.ndarray:
-    """(16, 16) coefficient rows of the probe elements 1; g_mu; i [g_mu, g_nu];
-    i g0123 g_mu; -g0123, in the covariant order sigma, J, S, K, omega."""
-    e5 = pseudoscalar()
-    g = [basis_vector(mu) for mu in range(4)]
-    probes = [scalar(1.0), *g]
-    probes += [1j * (g[mu] * g[nu] - g[nu] * g[mu]) for mu, nu in BIVECTOR_ORDER]
-    probes += [1j * (e5 * v) for v in g]
-    probes.append(-1 * e5)
-    stack = np.stack([p.coeffs for p in probes])
-    stack.flags.writeable = False
-    return stack
 
 
 def generalized_fpk_residuals(z: Multivector, b: BilinearSet) -> np.ndarray:
@@ -189,16 +177,14 @@ def generalized_fpk_residuals(z: Multivector, b: BilinearSet) -> np.ndarray:
     normalization; the remaining four lines carry no free constant.  The
     result has shape (5,), or B + (5,) for a batch of shape B.
     """
-    kappa = conventions.GENERALIZED_S_FACTOR
-    # (1/4) Z A Z is linear in the probe A: one sandwich matrix serves all
+    # (1/4) Z A Z is linear in the probe A: one sandwich matrix serves the 16 Gamma_A
     sandwich = 0.25 * (left_mul_matrix(z) @ right_mul_matrix(z))
-    expected = np.concatenate([
-        np.asarray(b.sigma)[..., None], b.J, kappa * b.S, b.K, np.asarray(b.omega)[..., None],
-    ], axis=-1)
-    resid = np.abs(_sandwich_probes() @ np.swapaxes(sandwich, -1, -2)
+    expected = np.concatenate([b.stack()[..., :10], conventions.GENERALIZED_S_FACTOR * b.S], axis=-1)
+    resid = np.abs(_covariant_basis(b.signature) @ np.swapaxes(sandwich, -1, -2)
                    - expected[..., :, None] * z.coeffs[..., None, :])
-    return np.stack([np.max(line, axis=(-2, -1))
-                     for line in np.split(resid, [1, 5, 11, 15], axis=-2)], axis=-1)
+    # each line is the maximum over its rows of Gamma_A, regrouped as sigma, J, S, K, omega
+    rows = resid.max(axis=-1)[..., [0, 2, 3, 4, 5, 10, 11, 12, 13, 14, 15, 6, 7, 8, 9, 1]]
+    return np.maximum.reduceat(rows, [0, 1, 5, 11, 15], axis=-1)
 
 
 @dataclass(frozen=True)

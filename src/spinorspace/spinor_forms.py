@@ -14,15 +14,18 @@ ijk = -1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import (
+    BLADE_INDEX,
     DIRAC,
     GammaRep,
     Multivector,
     Signature,
+    _product_table,
     _unbox,
     from_blade_dict,
     idempotent_f,
@@ -49,6 +52,22 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _hamilton_terms() -> tuple:
+    """For each unit u_r of 1, i, j, k, the (p, q, sign) with u_p u_q = sign u_r,
+    read off the Clifford sign table restricted to 1, i = e23, j = e31 = -e13
+    and k = e12."""
+    index, sign = _product_table(Signature.MINKOWSKI)
+    blades = [BLADE_INDEX[b] for b in ((), (2, 3), (1, 3), (1, 2))]
+    units = (1.0, 1.0, -1.0, 1.0)
+    terms = ([], [], [], [])
+    for p, bp in enumerate(blades):
+        for q, bq in enumerate(blades):
+            r = blades.index(index[bp, bq])
+            terms[r].append((p, q, float(units[p] * units[q] * units[r] * sign[bp, bq])))
+    return tuple(map(tuple, terms))
+
+
 @dataclass(frozen=True)
 class Quaternion:
     """Real quaternion w + x i + y j + z k."""
@@ -73,13 +92,8 @@ class Quaternion:
         if isinstance(other, (int, float)):
             return Quaternion(self.w * other, self.x * other,
                               self.y * other, self.z * other)
-        a, b = self, other
-        return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-        )
+        a, b = (self.w, self.x, self.y, self.z), (other.w, other.x, other.y, other.z)
+        return Quaternion(*(sum(sign * a[p] * b[q] for p, q, sign in terms) for terms in _hamilton_terms()))
 
     def __rmul__(self, other: float) -> "Quaternion":
         return self * other

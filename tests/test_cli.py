@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinorspace import classmap, cli, clifford, lounesto
+from spinorspace import bilinears, classmap, cli, clifford, lounesto
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -565,6 +565,80 @@ def test_winding_origin_path_fails(tmp_path, capsys):
     code, _ = run_cli(["winding", str(f)], capsys=capsys)
     assert code == 1
     assert "origin" in run_cli.err
+
+
+SQUARE = [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 0]]
+
+
+def path_text(bad_vertex):
+    """A closed path around the origin with its third vertex written as given."""
+    vertices = [json.dumps(v) for v in SQUARE]
+    vertices[2] = bad_vertex
+    return "[" + ", ".join(vertices) + "]"
+
+
+@pytest.mark.parametrize("vertex", [
+    "[true, 0]", '["a", 0]', "[-1, 0, 3]", "[-1]", "-1", "null", "[1e400, 0]", "[Infinity, 0]", "[NaN, 0]",
+    "[-" + "1" * 400 + ", 0]",
+], ids=["bool", "string", "triple", "single", "number", "null", "1e400", "Infinity", "NaN", "huge-int"])
+def test_winding_bad_vertex_is_schema_error(tmp_path, capsys, vertex):
+    f = tmp_path / "p.json"
+    f.write_text(path_text(vertex))
+    code, out = run_cli(["winding", str(f)], capsys=capsys)
+    assert code == 2 and out == ""
+    assert run_cli.err.startswith(f"error: {f}[2]: expected a [sigma, omega] pair of finite numbers, got ")
+    assert run_cli.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path, reason", [
+    ([[1, 0], [0, 1], [-1, 0]], "closed"), ([[1, 0], [1, 0]], "at least 3"), ([], "at least 3"),
+    ([[1, 0], [-1, 0], [1, 0]], "too coarse"),
+])
+def test_winding_bad_path_still_fails_verification(tmp_path, capsys, path, reason):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(path))
+    code, out = run_cli(["winding", str(f)], capsys=capsys)
+    assert code == 1 and out == ""
+    assert reason in run_cli.err
+
+
+# -- undecodable files ---------------------------------------------------------------
+
+
+def test_file_not_utf8_names_the_file(tmp_path, capsys):
+    f = tmp_path / "in.json"
+    f.write_bytes(b'\xff{"version": 1, "entries": []}')
+    code, out = run_cli(["classify", str(f)], capsys=capsys)
+    assert code == 2 and out == ""
+    assert run_cli.err.startswith(f"error: cannot read {f}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("command", ["classify", "winding"])
+@pytest.mark.parametrize("text, message", [
+    ('{"version": 1, "entries": ' + "1" * 5000 + "}", "Exceeds the limit"),
+    ("[" * 100000, "maximum recursion depth exceeded"),
+], ids=["5000-digits", "deep-nesting"])
+def test_undecodable_json_names_the_file(tmp_path, capsys, command, text, message):
+    f = tmp_path / "in.json"
+    f.write_text(text)
+    code, out = run_cli([command, str(f)], capsys=capsys)
+    assert code == 2 and out == ""
+    assert run_cli.err.startswith(f"error: {f}: ") and message in run_cli.err
+    assert run_cli.err.count("\n") == 1
+
+
+# -- internal faults -----------------------------------------------------------------
+
+
+def test_internal_consistency_fault_exits_3(tmp_path, capsys, monkeypatch):
+    forms = np.zeros((16, 4, 4), dtype=complex)
+    forms[1] = 1j * np.eye(4)  # anti-Hermitian: its sandwich is imaginary
+    monkeypatch.setattr(bilinears, "_forms", lambda signature, rep: forms)
+    f = spinor_file(tmp_path / "in.json", [entry("a", [1, 0, 1, 0])])
+    code, out = run_cli(["classify", f], capsys=capsys)
+    assert code == 3 and out == ""
+    assert run_cli.err.startswith("error: internal consistency: omega acquired an imaginary part")
+    assert run_cli.err.count("\n") == 1
 
 
 # -- reconstruct -------------------------------------------------------------------

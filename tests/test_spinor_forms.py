@@ -43,6 +43,26 @@ def test_quaternion_units_match_spatial_bivectors():
     assert (qi * qj * qk).isclose(cl.scalar(-1.0))
 
 
+def hamilton_reference(a, b):
+    """The Hamilton product written out in its 16 terms."""
+    return sf.Quaternion(
+        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
+        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+    )
+
+
+def test_product_from_sign_table_equals_hamilton_terms(rng):
+    for _ in range(1000):
+        p, q = sf.Quaternion(*map(float, rng.standard_normal(4))), sf.Quaternion(*map(float, rng.standard_normal(4)))
+        assert np.array_equal((p * q).as_array(), hamilton_reference(p, q).as_array())
+    units = [sf.Quaternion(*row) for row in np.eye(4).tolist()]
+    for p in units:
+        for q in units:
+            assert (p * q) == hamilton_reference(p, q)
+
+
 @given(finite, finite, finite, finite, finite, finite, finite, finite)
 def test_norm_multiplicativity(a, b, c, d, e, f, g, h):
     p = sf.Quaternion(a, b, c, d)
