@@ -78,11 +78,15 @@ class MappingMatrix:
 
 
 def build_M(p: MappingParams) -> MappingMatrix:
-    """Assemble the matrix from its nine free entries."""
+    """Assemble the matrix from its nine free entries; parameters whose
+    matrix does not fit in float64 are a ValueError."""
     ratio = p.m22 / p.m12
     row1 = np.array([p.m11, p.m12, p.m13, p.m14], dtype=np.complex128)
     row4 = np.array([p.m41, p.m42, p.m43, p.m44], dtype=np.complex128)
-    m = np.vstack([row1, ratio * row1, -np.conj(ratio) * row4, row4])
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.vstack([row1, ratio * row1, -np.conj(ratio) * row4, row4])
+    if not np.isfinite(m).all():
+        raise ValueError("mapping matrix does not fit in float64")
     return MappingMatrix(m, p)
 
 

@@ -15,8 +15,12 @@ Complex numbers are [re, im] pairs.  Every number read from a spinor,
 covariant, mapping parameter or winding path file must be an int or float
 (not a bool) that is finite in float64; anything else, such as true, "1",
 NaN or an integer beyond float range, is a schema error naming the field,
-as is a path vertex that is not a [sigma, omega] pair.  A path that is open,
-touches the origin, has fewer than 3 vertices or is too coarse exits 1.
+as is a path vertex that is not a [sigma, omega] pair; the error line
+echoes at most ECHO_CHARS characters of the value.  Mapping parameters whose
+matrix, or its constraint residuals, overflow float64 are a schema error
+naming the parameter file, and generate --count above MAX_COUNT is a usage
+error.  A path that is open, touches the origin, has fewer than 3 vertices
+or is too coarse exits 1.
 
 A spinor file is read as one array of components, and each report is
 computed and written by columns: classify, verify, reconstruct and map4
@@ -33,7 +37,6 @@ count it as a failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from collections import Counter
@@ -57,6 +60,10 @@ _REPS = ("weyl", "dirac")
 _PAIR = "a [re, im] pair of finite numbers"
 # the covariant fields in stored order, with their shapes
 _COVARIANT_FIELDS = (("sigma", ()), ("omega", ()), ("J", (4,)), ("K", (4,)), ("S", (6,)))
+# generate --count beyond this is a usage error: the report is built in memory
+MAX_COUNT = 100_000
+# longest echo of an offending value in an error line, before "..."
+ECHO_CHARS = 80
 
 
 class SchemaError(Exception):
@@ -96,12 +103,19 @@ def _dump(report: dict, out: str | None) -> None:
             fh.write(text)
 
 
+def _echo(value) -> str:
+    """repr of value, cut after ECHO_CHARS characters."""
+    text = repr(value)
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+
+
 def _field(value, shape: tuple, where: str, what: str) -> np.ndarray:
     """The numbers of one field as jsonio.floats reads them; anything else
-    is a SchemaError naming the field where and saying what it expected."""
+    is a SchemaError naming the field where, saying what it expected and
+    echoing the value."""
     values = floats(value, shape)
     if values is None:
-        raise SchemaError(f"{where}: expected {what}, got {value!r}")
+        raise SchemaError(f"{where}: expected {what}, got {_echo(value)}")
     return values
 
 
@@ -110,6 +124,17 @@ def _tolerance(text: str) -> float:
     value = float(text)
     if not np.isfinite(value) or value < 0.0:
         raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """argparse type for generate --count: an int of at most MAX_COUNT."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_COUNT}, got {text!r}")
     return value
 
 
@@ -401,10 +426,19 @@ def _map4_rows(m: classmap.MappingMatrix, psi: ClassicalSpinor, tol: float) -> d
 
 
 def cmd_map4(args) -> int:
+    import hashlib   # only map4 uses it, and no other command should pay for its import
+
     params = load_mapping_params(args.params)
     spinors = load_spinor_file(args.input)
-    m = classmap.build_M(params)
-    r0, r123 = classmap.constraint_residuals(m.matrix)
+    try:
+        m = classmap.build_M(params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r0, r123 = classmap.constraint_residuals(m.matrix)
+            abs_det = classmap.no_inverse_witness(m)
+        if not np.isfinite([r0, r123, abs_det]).all():
+            raise ValueError("constraint residuals of the mapping matrix do not fit in float64")
+    except ValueError as exc:
+        raise SchemaError(f"{args.params}: {exc}") from exc
     params_blob = json.dumps(
         {k: [v.real, v.imag] for k, v in params.as_dict().items()}, sort_keys=True
     ).encode()
@@ -416,7 +450,7 @@ def cmd_map4(args) -> int:
             "command": "map4",
             "tol": args.tol,
             "params_hash": hashlib.sha256(params_blob).hexdigest()[:16],
-            "abs_det": classmap.no_inverse_witness(m),
+            "abs_det": abs_det,
             "constraint_residuals": [r0, r123],
         },
         "results": rows,
@@ -482,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit seeded spinors of one class")
     p.add_argument("--class", dest="lounesto_class", required=True,
                    choices=["1", "2", "3", "4", "5", "6"])
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1, help=f"spinors to emit, at most {MAX_COUNT}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rep", choices=["weyl", "dirac"], default="weyl")
     p.add_argument("--tol", type=_tolerance, default=lounesto.DEFAULT_TOL)

@@ -106,32 +106,27 @@ class Signature(enum.Enum):
         return (1.0, 1.0, 1.0, 1.0)
 
 
-def _blade_product(
-    a: tuple[int, ...], b: tuple[int, ...], metric: tuple[float, ...]
-) -> tuple[tuple[int, ...], float]:
-    """Multiply two basis blades, returning the canonical blade and its sign.
-
-    Sorting a + b takes one transposition per pair x in a, y in b with x > y;
-    each shared generator then contracts to its square metric[g].
-    """
-    sign = (-1.0) ** sum(x > y for x in a for y in b)
-    for g in set(a) & set(b):
-        sign *= metric[g]
-    return tuple(sorted(set(a) ^ set(b))), sign
+# each blade as a bitmask with bit g set for generator g, and the blade of each mask
+_MASKS = np.array([sum(1 << g for g in b) for b in BLADES])
+_BY_MASK = np.empty(DIM, dtype=np.intp)
+_BY_MASK[_MASKS] = np.arange(DIM)
 
 
 @functools.lru_cache(maxsize=None)
 def _product_table(signature: Signature) -> tuple[np.ndarray, np.ndarray]:
     """(16, 16) tables with blade_i blade_j = sign[i, j] * blade_{index[i, j]}.
 
-    Each row and each column of index is a permutation of the 16 blades.
+    The product's generators are the symmetric difference of the masks.
+    Sorting a + b takes one transposition per pair x in a, y in b with x > y;
+    each shared generator then contracts to its square metric[g].  Each row
+    and each column of index is a permutation of the 16 blades.
     """
-    index = np.empty((DIM, DIM), dtype=np.intp)
-    sign = np.empty((DIM, DIM))
-    for i, bi in enumerate(BLADES):
-        for j, bj in enumerate(BLADES):
-            bk, sign[i, j] = _blade_product(bi, bj, signature.metric)
-            index[i, j] = BLADE_INDEX[bk]
+    bits = _MASKS[:, None] >> np.arange(4) & 1
+    above = bits[:, ::-1].cumsum(axis=1)[:, ::-1] - bits   # generators of blade i above g
+    swaps = (above[:, None, :] * bits[None, :, :]).sum(axis=-1)
+    shared = bits[:, None, :] & bits[None, :, :]
+    sign = (-1.0) ** swaps * np.where(shared == 1, signature.metric, 1.0).prod(axis=-1)
+    index = _BY_MASK[_MASKS[:, None] ^ _MASKS[None, :]]
     index.flags.writeable = False
     sign.flags.writeable = False
     return index, sign

@@ -30,18 +30,8 @@ import numpy as np
 
 from . import conventions
 from .bilinears import ORIENTATION, BilinearSet, _by_group, _covariant_basis, minkowski_dot, minkowski_square
-from .clifford import (
-    Multivector,
-    RowError,
-    Signature,
-    _unbox,
-    grade_projection,
-    left_mul_matrix,
-    pseudoscalar,
-    rep_matrix,
-    right_mul_matrix,
-    scalar,
-)
+from .clifford import (Multivector, RowError, Signature, _unbox, left_mul_matrix, pseudoscalar, rep_matrix,
+                       right_mul_matrix, scalar)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
 
 __all__ = [
@@ -105,32 +95,44 @@ class FpkResiduals:
         return {"r1": self.r1, "r2": self.r2, "r3": self.r3, "r4": self.r4}
 
 
-def _identity_residuals(b: BilinearSet) -> tuple[float, float, float, float]:
-    """With the signature's contraction and orientation o:
+@functools.lru_cache(maxsize=None)
+def _identity_forms(signature: Signature) -> np.ndarray:
+    """(9, 16, 16) read-only Q whose forms x Q_k x on a covariant stack x are,
+    with the signature's contraction and orientation o, r1 = J.J - sigma^2
+    - o omega^2, r2 = J.J + o K.K, r3 = J.K and the six bivector coefficients
+    of J wedge K + o (omega + sigma e0123) S.  Every entry is -1, 0 or +1."""
+    o, eta = ORIENTATION[signature], np.array(signature.metric)
+    j, k = np.arange(2, 6), np.arange(6, 10)
+    q = np.zeros((9, 16, 16))
+    q[0, j, j] = q[1, j, j] = q[2, j, k] = eta
+    q[0, 0, 0], q[0, 1, 1], q[1, k, k] = -1.0, -o, o * eta
+    # the bivector blades are 5:11; J wedge K is grade 2 of the products e^mu e^nu
+    e = vector_multivector(np.eye(4), signature).coeffs
+    wedge = Multivector(signature, e[:, None]) * Multivector(signature, e[None])
+    q[3:, 2:6, 6:10] = wedge.coeffs[..., 5:11].real.transpose(2, 0, 1)
+    s = bivector_multivector(np.eye(6), signature)
+    q[3:, 1, 10:] = o * s.coeffs[:, 5:11].real.T
+    q[3:, 0, 10:] = o * (pseudoscalar(signature) * s).coeffs[:, 5:11].real.T
+    q.flags.writeable = False
+    return q
 
-        r1 = J.J - sigma^2 - o omega^2
-        r2 = J.J + o K.K
-        r3 = J.K
-        r4 = max-norm of J wedge K + o (omega + sigma e0123) S
-    """
-    sig = b.signature
-    o = ORIENTATION[sig]
-    eta = np.array(sig.metric)
-    j2 = (eta * b.J * b.J).sum(axis=-1)
-    k2 = (eta * b.K * b.K).sum(axis=-1)
-    jk = (eta * b.J * b.K).sum(axis=-1)
-    wedge = grade_projection(vector_multivector(b.J, sig) * vector_multivector(b.K, sig), 2)
-    volume = scalar(o * b.omega, sig) + (o * b.sigma) * pseudoscalar(sig)
-    resid = wedge + volume * bivector_multivector(b.S, sig)
-    return (_unbox(j2 - b.sigma ** 2 - o * b.omega ** 2), _unbox(j2 + o * k2), _unbox(jk),
-            resid.max_abs())
+
+def _identity_residuals(b: BilinearSet) -> np.ndarray:
+    """(..., 4) residuals r1, r2, r3 and r4, the max-norm of the six
+    bivector coefficients of _identity_forms, for a covariant batch."""
+    x = b.stack()
+    qx = x @ _identity_forms(b.signature).reshape(-1, 16).T
+    v = np.matmul(qx.reshape(x.shape[:-1] + (9, 16)), x[..., None])[..., 0]
+    v[..., 3] = np.abs(v[..., 3:]).max(axis=-1)
+    return v[..., :4]
 
 
 def fpk_residuals(b: BilinearSet) -> FpkResiduals:
     """Residuals of the four time-minus identities, per row of a batch."""
     if b.signature is not Signature.MINKOWSKI:
         raise ValueError("covariant identities here use the time-minus contraction")
-    return FpkResiduals(*_identity_residuals(b))
+    r = _identity_residuals(b)
+    return FpkResiduals(*(_unbox(r[..., k]) for k in range(4)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,17 +276,11 @@ def reconstruct(
 
 
 def euclidean_fierz_residuals(b: BilinearSet) -> np.ndarray:
-    """Residuals of the four Euclidean identities:
-
-        J.J = sigma^2 - omega^2
-        J.J = K.K
-        J.K = 0
-        J wedge K = (omega + sigma e0123) S
-
-    contractions Euclidean throughout; the wedge identity mirrors the
-    time-minus one with the opposite overall sign.  The result has shape
-    (4,), or B + (4,) for a batch of shape B.
+    """Residuals of the four Euclidean identities J.J = sigma^2 - omega^2,
+    J.J = K.K, J.K = 0 and J wedge K = (omega + sigma e0123) S, which mirror
+    the time-minus ones with the opposite overall sign on the wedge.  The
+    result has shape (4,), or B + (4,) for a batch of shape B.
     """
     if b.signature is not Signature.EUCLIDEAN:
         raise ValueError("expected Euclidean covariants")
-    return np.stack(_identity_residuals(b), axis=-1)
+    return _identity_residuals(b)

@@ -1,9 +1,11 @@
 """End-to-end command line behavior over JSON files."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,6 +402,19 @@ def test_generate_invalid_class_usage_error():
     assert excinfo.value.code == 2
 
 
+def test_generate_count_beyond_maximum_is_usage_error(capsys, monkeypatch):
+    """The bound is checked while parsing, before anything is generated."""
+    monkeypatch.setattr(lounesto, "generate", lambda *a, **k: pytest.fail("generate ran"))
+    assert cli.build_parser().parse_args(
+        ["generate", "--class", "1", "--count", str(cli.MAX_COUNT)]).count == cli.MAX_COUNT
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["generate", "--class", "1", "--count", str(cli.MAX_COUNT + 1)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--count: must be at most {cli.MAX_COUNT}" in captured.err
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -536,6 +551,24 @@ def test_map4_bad_parameter_is_named(tmp_path, capsys, rng, value):
     assert "p.json.m13: expected a [re, im] pair of finite numbers" in run_cli.err
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"m22": [1e300, 0], "m12": [1e-300, 0]}, "mapping matrix does not fit in float64"),
+    ({n: [1e200, 1e200] for n in classmap.PARAM_NAMES},
+     "constraint residuals of the mapping matrix do not fit in float64"),
+], ids=["matrix", "residuals"])
+def test_map4_overflowing_parameters_are_schema_error(tmp_path, capsys, rng, changes, message):
+    """Finite parameters whose matrix, or its constraint residuals, overflow
+    float64 are one error line naming the parameter file, with no warning."""
+    f = spinor_file(tmp_path / "in.json", [entry("a", [1, 0, 1, 0])])
+    pf = tmp_path / "p.json"
+    params = json.loads(open(params_file(pf, rng)).read())
+    pf.write_text(json.dumps({**params, **changes}))
+    code, out = run_without_warnings(["map4", f, "--params", str(pf)], capsys)
+    assert code == 2
+    assert out == ""
+    assert run_cli.err == f"error: {pf}: {message}\n"
+
+
 def test_map4_non_regular_entry_reported(tmp_path, capsys, rng):
     f = spinor_file(tmp_path / "in.json", [entry("weyl", [1, 0, 0, 0])])
     pf = params_file(tmp_path / "p.json", rng)
@@ -600,6 +633,25 @@ def test_winding_bad_path_still_fails_verification(tmp_path, capsys, path, reaso
     code, out = run_cli(["winding", str(f)], capsys=capsys)
     assert code == 1 and out == ""
     assert reason in run_cli.err
+
+
+def test_deep_vertex_echo_is_bounded(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text(path_text("[" * 900 + "1" + "]" * 900))
+    code, out = run_cli(["winding", str(f)], capsys=capsys)
+    assert code == 2 and out == ""
+    prefix = f"error: {f}[2]: expected a [sigma, omega] pair of finite numbers, got "
+    assert run_cli.err == prefix + "[" * cli.ECHO_CHARS + "...\n"
+
+
+def test_long_integer_echo_is_bounded(tmp_path, capsys):
+    f = tmp_path / "in.json"
+    f.write_text('{"version": 1, "entries": [{"id": "a", "components": [[' + "7" * 400
+                 + ', 0], [0, 0], [1, 0], [0, 0]]}]}')
+    code, out = run_cli(["classify", str(f)], capsys=capsys)
+    assert code == 2 and out == ""
+    prefix = f"error: {f}: entries[0].components[0]: expected a [re, im] pair of finite numbers, got "
+    assert run_cli.err == prefix + "[" + "7" * (cli.ECHO_CHARS - 1) + "...\n"
 
 
 # -- undecodable files ---------------------------------------------------------------
@@ -712,6 +764,19 @@ def test_report_output_is_canonical(tmp_path, capsys, monkeypatch, rng, kind, ar
     assert code in (0, 1)
     assert run_cli.err == ""
     assert_canonical(out)
+
+
+def test_import_leaves_hashlib_unloaded():
+    """Only map4 hashes; the other commands do not pay for the import.  Run
+    in a fresh interpreter, since pytest and hypothesis import hashlib."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spinorspace.cli; print('hashlib' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point_runs(tmp_path):
