@@ -34,7 +34,7 @@ import numpy as np
 from . import conventions
 from .clifford import (_I2, _O2, PAULI, GammaRep, InternalError, RowError, Signature, _blade_matrices,
                        _unbox, basis_vector, pseudoscalar, scalar)
-from .spinor_forms import _QI, _QJ, _QK, BIVECTOR_ORDER, ClassicalSpinor, Quaternion
+from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor, Quaternion
 
 __all__ = [
     "BilinearSet",
@@ -258,27 +258,31 @@ def euclidean_bilinears(psi, c_S: float | None = None) -> BilinearSet:
 
 
 def euclidean_components_closed_form(psi):
-    """Closed-form (sigma, omega, J) of psi in C^4, no matrices involved."""
-    p1, p2, p3, p4 = np.asarray(psi, dtype=np.complex128).reshape(4)
-    sigma = abs(p1) ** 2 + abs(p2) ** 2 + abs(p3) ** 2 + abs(p4) ** 2
-    omega = 2.0 * (p1 * p3.conjugate() + p2 * p4.conjugate()).real
-    j = np.array([
-        abs(p1) ** 2 + abs(p2) ** 2 - abs(p3) ** 2 - abs(p4) ** 2,
-        2.0 * (p1 * p4.conjugate() + p2 * p3.conjugate()).imag,
-        2.0 * (p2 * p3.conjugate() - p1 * p4.conjugate()).real,
-        2.0 * (p3 * p1.conjugate() + p2 * p4.conjugate()).imag,
-    ])
-    return float(sigma), float(omega), j
+    """Closed-form (sigma, omega, J) of psi in C^4, no matrices involved; a
+    (..., 4) batch gives arrays of the batch shape and J of shape (..., 4)."""
+    comps = np.asarray(psi, dtype=np.complex128)
+    if comps.shape[-1:] != (4,):
+        raise ValueError(f"expected 4 components, got shape {comps.shape}")
+    # one column per component, so a single spinor runs the batch arithmetic
+    p1, p2, p3, p4 = comps.reshape(-1, 4).T
+    n1, n2, n3, n4 = (p.real ** 2 + p.imag ** 2 for p in (p1, p2, p3, p4))
+    omega = 2.0 * (p1 * p3.conj() + p2 * p4.conj()).real
+    j = np.stack([
+        n1 + n2 - n3 - n4,
+        2.0 * (p1 * p4.conj() + p2 * p3.conj()).imag,
+        2.0 * (p2 * p3.conj() - p1 * p4.conj()).real,
+        2.0 * (p3 * p1.conj() + p2 * p4.conj()).imag,
+    ], axis=-1)
+    batch = comps.shape[:-1]
+    return _unbox((n1 + n2 + n3 + n4).reshape(batch)), _unbox(omega.reshape(batch)), j.reshape(batch + (4,))
 
 
 def quaternion_pair_to_c4(q1: Quaternion, q2: Quaternion) -> np.ndarray:
     """Isometric splitting H^2 -> C^4 used by the Euclidean layer:
-    q = w + xi + yj + zk maps to the pair (w + zi, y + xi)."""
-    return np.array(
-        [q1.w + 1j * q1.z, q1.y + 1j * q1.x,
-         q2.w + 1j * q2.z, q2.y + 1j * q2.x],
-        dtype=np.complex128,
-    )
+    q = w + xi + yj + zk maps to the pair (w + zi, y + xi); (..., 4) for
+    quaternion batches."""
+    v = np.concatenate([q1.as_array(), q2.as_array()], axis=-1)[..., [0, 3, 2, 1, 4, 7, 6, 5]]
+    return np.ascontiguousarray(v).view(np.complex128)
 
 
 def quaternionic_euclidean_components(q1: Quaternion, q2: Quaternion):
@@ -286,11 +290,10 @@ def quaternionic_euclidean_components(q1: Quaternion, q2: Quaternion):
 
     The spatial components are the forms induced by quaternion_pair_to_c4,
     so this route agrees with the closed-form C^4 expressions exactly.
+    Quaternion batches give arrays of their batch shape.
     """
     sigma = q1.dot(q1) + q2.dot(q2)
-    omega = 2.0 * (q1.conjugate() * q2).w
     j0 = q1.dot(q1) - q2.dot(q2)
-    j1 = 2.0 * (q1.conjugate() * _QI * q2).w
-    j2 = 2.0 * (q1.conjugate() * _QJ * q2).w
-    j3 = -2.0 * (q1.conjugate() * _QK * q2).w
-    return float(sigma), float(omega), float(j0), (float(j1), float(j2), float(j3))
+    # 2 Re(q1^* u q2) for the units u = 1, i, j, k
+    omega, j1, j2, j3 = (2.0 * (q1.conjugate() * Quaternion._of(u) * q2).w for u in np.eye(4))
+    return sigma, omega, j0, (j1, j2, -j3)

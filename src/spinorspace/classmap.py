@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import RowError, WEYL
+from .bilinears import _forms
+from .clifford import RowError, Signature, WEYL
 from .lounesto import ClassificationReport, classify
 from .spinor_forms import ClassicalSpinor
 
@@ -92,14 +93,11 @@ def build_M(p: MappingParams) -> MappingMatrix:
 
 def constraint_residuals(m: np.ndarray) -> tuple[float, float]:
     """Max-norms of M^dag g0 M and M^dag g1 g2 g3 M in the chiral
-    representation; both vanish for matrices with the dependent-row
-    structure."""
+    representation (the sigma and omega forms of bilinears pulled back by
+    M); both vanish for matrices with the dependent-row structure."""
     mat = np.asarray(m, dtype=np.complex128)
-    g = WEYL.gammas
-    g123 = g[1] @ g[2] @ g[3]
-    r0 = float(np.max(np.abs(mat.conj().T @ g[0] @ mat)))
-    r123 = float(np.max(np.abs(mat.conj().T @ g123 @ mat)))
-    return r0, r123
+    r0, r123 = np.abs(mat.conj().T @ _forms(Signature.MINKOWSKI, WEYL)[:2] @ mat).max(axis=(-2, -1))
+    return float(r0), float(r123)
 
 
 def no_inverse_witness(m: MappingMatrix | np.ndarray) -> float:

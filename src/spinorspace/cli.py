@@ -365,8 +365,7 @@ def _verify_rows(b: BilinearSet, mode: str, tol: float) -> dict:
         scale = np.maximum(b.component_norm(), 1e-300)
         if mode == "fpk":
             res = fierz.fpk_residuals(b)
-            residuals = res.as_dict()
-            values = np.stack(list(residuals.values()), axis=-1)
+            values = res.stack()
             within = np.abs(values) <= tol * scale[:, None] ** 2
             passes = res.passes(tol, scale)
         elif mode == "boomerang":
@@ -383,8 +382,8 @@ def _verify_rows(b: BilinearSet, mode: str, tol: float) -> dict:
         raise RowError("residuals do not fit in float64", unfit)
     if mode == "fpk":
         return {
-            **{name: values[:, k] for k, name in enumerate(residuals)},
-            **{f"pass_per_identity.{name}": within[:, k] for k, name in enumerate(residuals)},
+            **{name: values[:, k] for k, name in enumerate(res.as_dict())},
+            **{f"pass_per_identity.{name}": within[:, k] for k, name in enumerate(res.as_dict())},
             "pass": passes,
         }
     if mode == "boomerang":
@@ -432,7 +431,7 @@ def cmd_map4(args) -> int:
     spinors = load_spinor_file(args.input)
     try:
         m = classmap.build_M(params)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             r0, r123 = classmap.constraint_residuals(m.matrix)
             abs_det = classmap.no_inverse_witness(m)
         if not np.isfinite([r0, r123, abs_det]).all():

@@ -93,6 +93,38 @@ def _unbox(x):
     return x.item() if x.ndim == 0 else x
 
 
+class _Stacked:
+    """Base of the frozen dataclasses held as one read-only (..., n) float
+    array: field k is entry k of its last axis, a float for a single item
+    and a view of the array for a batch.  Equality compares the arrays."""
+
+    def __post_init__(self) -> None:
+        fields = np.broadcast_arrays(*(getattr(self, name) for name in self.__dataclass_fields__))
+        self._adopt(np.stack(fields, axis=-1).astype(float))
+
+    def _adopt(self, v: np.ndarray) -> None:
+        v.flags.writeable = False
+        parts = v.tolist() if v.ndim == 1 else [v[..., k] for k in range(v.shape[-1])]
+        self.__dict__.update(zip(self.__dataclass_fields__, parts), _stack=v)
+
+    @classmethod
+    def _of(cls, v: np.ndarray):
+        """The item that keeps the float array v as its stack()."""
+        item = object.__new__(cls)
+        item._adopt(v)
+        return item
+
+    def stack(self) -> np.ndarray:
+        return self._stack
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and np.array_equal(self._stack, other._stack)
+
+    def isclose(self, other, tol: float = 1e-12) -> bool:
+        """Whether every entry of every row is within tol."""
+        return bool(np.max(np.abs(self._stack - other._stack)) <= tol)
+
+
 class Signature(enum.Enum):
     """Metric signature tag; fixes the squares of the four generators."""
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import conventions
 from .bilinears import ORIENTATION, BilinearSet, _by_group, _covariant_basis, minkowski_dot, minkowski_square
-from .clifford import (Multivector, RowError, Signature, _unbox, left_mul_matrix, pseudoscalar, rep_matrix,
+from .clifford import (Multivector, RowError, Signature, _Stacked, _unbox, left_mul_matrix, pseudoscalar, rep_matrix,
                        right_mul_matrix, scalar)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
 
@@ -69,13 +69,13 @@ def bivector_multivector(components, signature: Signature = Signature.MINKOWSKI)
     return Multivector(signature, c)
 
 
-@dataclass(frozen=True)
-class FpkResiduals:
+@dataclass(frozen=True, eq=False)
+class FpkResiduals(_Stacked):
     """Deviations from the four quadratic covariant identities.
 
     r1 = J.J - sigma^2 - omega^2, r2 = K.K + J.J, r3 = J.K, and r4 is the
     coefficient max-norm of J wedge K + (omega + sigma e0123) S.  Each is a
-    float, or an array of the batch shape for a batch of covariants.
+    float, or for a batch of covariants a view of stack() of the batch shape.
     """
 
     r1: float
@@ -84,7 +84,7 @@ class FpkResiduals:
     r4: float
 
     def max_abs(self) -> float:
-        return _unbox(np.abs([self.r1, self.r2, self.r3, self.r4]).max(axis=0))
+        return _unbox(np.abs(self._stack).max(axis=-1))
 
     def passes(self, tol: float, scale: float) -> bool:
         """Whether every residual is within tol relative to scale^2, scale
@@ -131,8 +131,7 @@ def fpk_residuals(b: BilinearSet) -> FpkResiduals:
     """Residuals of the four time-minus identities, per row of a batch."""
     if b.signature is not Signature.MINKOWSKI:
         raise ValueError("covariant identities here use the time-minus contraction")
-    r = _identity_residuals(b)
-    return FpkResiduals(*(_unbox(r[..., k]) for k in range(4)))
+    return FpkResiduals._of(_identity_residuals(b))
 
 
 @functools.lru_cache(maxsize=None)

@@ -183,14 +183,15 @@ def classify_bilinears(b: BilinearSet, tol: float = DEFAULT_TOL) -> LounestoClas
 
 
 def rescale_class_invariance(psi: ClassicalSpinor, c: complex, tol: float = DEFAULT_TOL) -> bool:
-    """Whether classify(c psi) agrees with classify(psi); true for every c != 0
-    since all covariants scale by |c|^2 and thresholds are norm-relative."""
+    """Whether classify(c psi) agrees with classify(psi), per spinor of a batch;
+    true for every c != 0 since all covariants scale by |c|^2 and thresholds
+    are norm-relative."""
     if c == 0:
         raise ValueError("rescaling factor must be nonzero")
-    if psi.is_zero:
+    if np.any(psi.is_zero):
         raise ValueError("zero spinor cannot be classified")
     scaled = ClassicalSpinor(c * psi.components, psi.rep)
-    return classify(scaled, tol).lounesto_class is classify(psi, tol).lounesto_class
+    return _unbox(classify(scaled, tol).lounesto_class == classify(psi, tol).lounesto_class)
 
 
 # -- seeded generators --------------------------------------------------------

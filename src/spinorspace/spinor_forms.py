@@ -8,8 +8,12 @@ holds the conversions between the three and the 2x2 quaternionic matrix
 representation of the generators.
 
 Quaternion units are realized as the spatial bivectors i = e2e3, j = e3e1,
-k = e1e2.  The geometric product forces the Hamilton convention: ij = k and
-ijk = -1.
+k = e1e2, so the Hamilton product is the engine's sign table restricted to
+them; that forces the Hamilton convention: ij = k and ijk = -1.
+
+Everything takes a batch (quaternions are (..., 4) arrays), each conversion
+is one signed gather or one contraction, and a row of a batch equals the
+single result bit for bit.
 """
 
 from __future__ import annotations
@@ -19,19 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import (
-    BLADE_INDEX,
-    DIRAC,
-    GammaRep,
-    Multivector,
-    Signature,
-    _product_table,
-    _unbox,
-    from_blade_dict,
-    idempotent_f,
-    rep_matrix,
-    weyl_to_dirac_matrix,
-)
+from .clifford import (_I2, BLADES, DIRAC, PAULI, GammaRep, Multivector, Signature, _product_table, _Stacked,
+                       _unbox, idempotent_f, rep_matrix, weyl_to_dirac_matrix)
 
 __all__ = [
     "Quaternion",
@@ -51,26 +44,44 @@ __all__ = [
     "operator_to_quat_matrix",
 ]
 
+# (q1, q2) of an even multivector are these signs times the coefficients of
+# these blades: q1 = s + s23 i + s31 j + s12 k in the units 1, i = e23,
+# j = e31 = -e13, k = e12, and q2 = -p + s01 i + s02 j + s03 k
+_OPERATOR_BLADES = np.array([0, 10, 9, 8, 15, 5, 6, 7])
+_OPERATOR_SIGNS = np.array([1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
+
 
 @functools.lru_cache(maxsize=None)
-def _hamilton_terms() -> tuple:
-    """For each unit u_r of 1, i, j, k, the (p, q, sign) with u_p u_q = sign u_r,
-    read off the Clifford sign table restricted to 1, i = e23, j = e31 = -e13
-    and k = e12."""
+def _hamilton() -> np.ndarray:
+    """(4, 4, 4) read-only structure tensor, u_p u_q = sum_r T[p, q, r] u_r
+    for the units u, read off the Clifford sign table."""
     index, sign = _product_table(Signature.MINKOWSKI)
-    blades = [BLADE_INDEX[b] for b in ((), (2, 3), (1, 3), (1, 2))]
-    units = (1.0, 1.0, -1.0, 1.0)
-    terms = ([], [], [], [])
-    for p, bp in enumerate(blades):
-        for q, bq in enumerate(blades):
-            r = blades.index(index[bp, bq])
-            terms[r].append((p, q, float(units[p] * units[q] * units[r] * sign[bp, bq])))
-    return tuple(map(tuple, terms))
+    blades, units = _OPERATOR_BLADES[:4], _OPERATOR_SIGNS[:4]
+    t = np.zeros((4, 4, 16))
+    p, q = np.indices((4, 4))
+    t[p, q, index[blades][:, blades]] = np.outer(units, units) * sign[blades][:, blades]
+    t = t[..., blades] * units
+    t.flags.writeable = False
+    return t
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """Real quaternion w + x i + y j + z k."""
+def _hamilton_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product of the (..., 4) arrays a and b, broadcast."""
+    return np.einsum("...p,...q,pqr->...r", a, b, _hamilton())
+
+
+@functools.lru_cache(maxsize=None)
+def _complex_units() -> np.ndarray:
+    """(4, 2, 2) read-only images of 1, i, j, k in M(2, C): I, -i sigma_1,2,3."""
+    units = np.stack([_I2] + [-1j * s for s in PAULI])
+    units.flags.writeable = False
+    return units
+
+
+@dataclass(frozen=True, eq=False)
+class Quaternion(_Stacked):
+    """Real quaternion w + x i + y j + z k, or a batch of them: w, x, y, z
+    are views of one read-only (..., 4) array (floats for a single one)."""
 
     w: float = 0.0
     x: float = 0.0
@@ -78,111 +89,97 @@ class Quaternion:
     z: float = 0.0
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
+        return Quaternion._of(self._stack + other._stack)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
+        return Quaternion._of(self._stack - other._stack)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        return Quaternion._of(-self._stack)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
-        a, b = (self.w, self.x, self.y, self.z), (other.w, other.x, other.y, other.z)
-        return Quaternion(*(sum(sign * a[p] * b[q] for p, q, sign in terms) for terms in _hamilton_terms()))
+        """Hamilton product with a quaternion; a number (or batch-shaped array) scales."""
+        if isinstance(other, Quaternion):
+            return Quaternion._of(_hamilton_product(self._stack, other._stack))
+        return Quaternion._of(self._stack * np.asarray(other, dtype=float)[..., None])
 
-    def __rmul__(self, other: float) -> "Quaternion":
-        return self * other
+    __rmul__ = __mul__
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return Quaternion._of(self._stack * (1.0, -1.0, -1.0, -1.0))
 
     def dot(self, other: "Quaternion") -> float:
-        return (self.w * other.w + self.x * other.x
-                + self.y * other.y + self.z * other.z)
+        return _unbox((self._stack * other._stack).sum(axis=-1))
 
     def norm(self) -> float:
-        return float(np.sqrt(self.dot(self)))
+        return _unbox(np.sqrt(self.dot(self)))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
+    as_array = _Stacked.stack
 
     def to_complex_matrix(self) -> np.ndarray:
         """Ring homomorphism into M(2, C): i, j, k map to -i*sigma_1,2,3."""
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [[w - 1j * z, -1j * x - y],
-             [-1j * x + y, w + 1j * z]],
-            dtype=np.complex128,
-        )
-
-    def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.as_array() - other.as_array())) <= tol)
+        return np.einsum("...u,uij->...ij", self._stack, _complex_units())
 
 
-_Q0 = Quaternion()
-_Q1 = Quaternion(1.0)
-_QI = Quaternion(0.0, 1.0, 0.0, 0.0)
-_QJ = Quaternion(0.0, 0.0, 1.0, 0.0)
-_QK = Quaternion(0.0, 0.0, 0.0, 1.0)
+def _quat_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product over H of the (..., 2, 2, 4) arrays a and b."""
+    return _hamilton_product(a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
 
 
-@dataclass(frozen=True)
-class QuatMatrix2:
-    """2x2 matrix with quaternion entries, multiplied entrywise over H."""
+@dataclass(frozen=True, eq=False)
+class QuatMatrix2(_Stacked):
+    """2x2 matrix with quaternion entries, multiplied entrywise over H, or a
+    batch of them: one read-only (..., 2, 2, 4) array, with entries[r][c]
+    the Quaternion views of it."""
 
     entries: tuple[tuple[Quaternion, Quaternion], tuple[Quaternion, Quaternion]]
 
+    def __post_init__(self) -> None:
+        q = np.broadcast_arrays(*(e.as_array() for row in self.entries for e in row))
+        self._adopt(np.stack(q, axis=-2).reshape(q[0].shape[:-1] + (2, 2, 4)))
+
+    def _adopt(self, v: np.ndarray) -> None:
+        v.flags.writeable = False
+        self.__dict__.update(_stack=v, entries=tuple(
+            tuple(Quaternion._of(v[..., r, c, :]) for c in range(2)) for r in range(2)))
+
     def __matmul__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        a, b = self.entries, other.entries
-        rows = []
-        for r in range(2):
-            row = []
-            for c in range(2):
-                row.append(a[r][0] * b[0][c] + a[r][1] * b[1][c])
-            rows.append(tuple(row))
-        return QuatMatrix2((rows[0], rows[1]))
+        return QuatMatrix2._of(_quat_matmul(self._stack, other._stack))
 
     def __add__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        a, b = self.entries, other.entries
-        return QuatMatrix2(tuple(
-            tuple(a[r][c] + b[r][c] for c in range(2)) for r in range(2)
-        ))
+        return QuatMatrix2._of(self._stack + other._stack)
 
     def scale(self, factor: float) -> "QuatMatrix2":
-        return QuatMatrix2(tuple(
-            tuple(self.entries[r][c] * factor for c in range(2)) for r in range(2)
-        ))
+        return QuatMatrix2._of(self._stack * np.asarray(factor, dtype=float)[..., None, None, None])
 
     def to_complex(self) -> np.ndarray:
         """4x4 complex image, each quaternion entry expanded to its 2x2 block."""
-        blocks = [[self.entries[r][c].to_complex_matrix() for c in range(2)]
-                  for r in range(2)]
-        return np.block(blocks)
-
-    def isclose(self, other: "QuatMatrix2", tol: float = 1e-12) -> bool:
-        return all(
-            self.entries[r][c].isclose(other.entries[r][c], tol)
-            for r in range(2) for c in range(2)
-        )
+        blocks = np.einsum("...rcu,uij->...ricj", self._stack, _complex_units())
+        return blocks.reshape(blocks.shape[:-4] + (4, 4))
 
 
 def quat_matrix(m11, m12, m21, m22) -> QuatMatrix2:
     return QuatMatrix2(((m11, m12), (m21, m22)))
 
 
+@functools.lru_cache(maxsize=None)
+def _blade_quat_images() -> np.ndarray:
+    """(16, 2, 2, 4) read-only M(2, H) images of the blades: ordered products
+    of the generator images e0 = diag(1, -1) and e_mu = [[0, u], [u, 0]] with
+    u = i, j, k for mu = 1, 2, 3, each started from e0 e0 = 1."""
+    gens = np.zeros((4, 2, 2, 4))
+    gens[0, [0, 1], [0, 1], 0] = 1.0, -1.0
+    gens[[1, 2, 3], 0, 1, [1, 2, 3]] = gens[[1, 2, 3], 1, 0, [1, 2, 3]] = 1.0
+    images = np.stack([functools.reduce(_quat_matmul, gens[[0, 0, *b]]) for b in BLADES])
+    images.flags.writeable = False
+    return images
+
+
 def quaternion_rep_e(mu: int) -> QuatMatrix2:
     """2x2 quaternionic image of the generator e_mu of the time-minus algebra."""
-    if mu == 0:
-        return quat_matrix(_Q1, _Q0, _Q0, -_Q1)
-    if mu in (1, 2, 3):
-        u = (_QI, _QJ, _QK)[mu - 1]
-        return quat_matrix(_Q0, u, u, _Q0)
-    raise ValueError(f"generator index out of range: {mu}")
+    if mu not in (0, 1, 2, 3):
+        raise ValueError(f"generator index out of range: {mu}")
+    return QuatMatrix2._of(_blade_quat_images()[1 + mu])
 
 
 @dataclass(frozen=True)
@@ -228,7 +225,8 @@ class ClassicalSpinor:
 
 @dataclass(frozen=True)
 class SpinorOperator:
-    """Even multivector packaged as the quaternion pair (q1, q2)."""
+    """Even multivector packaged as the quaternion pair (q1, q2), two
+    quaternion batches of one shape."""
 
     q1: Quaternion
     q2: Quaternion
@@ -237,15 +235,16 @@ class SpinorOperator:
 @dataclass(frozen=True)
 class AlgebraicSpinor:
     """Minimal left ideal element: a 4x4 matrix whose only nonzero column is
-    the first, written in the standard (Dirac) representation."""
+    the first, written in the standard (Dirac) representation; (..., 4, 4)
+    for a batch."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.complex128)
-        if m.shape != (4, 4):
+        if m.shape[-2:] != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if np.max(np.abs(m[:, 1:])) > 1e-12 * max(1.0, np.max(np.abs(m))):
+        if (np.abs(m[..., 1:]).max(axis=(-2, -1)) > 1e-12 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))).any():
             raise ValueError("ideal element must have nonzero entries in the first column only")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -262,97 +261,70 @@ def operator_from_coeffs(s: float, s_bivec, p: float) -> SpinorOperator:
 
     q1 collects the scalar with the spatial bivectors (s23, s31, s12) and q2
     collects the volume coefficient with the boosts: q2 = -p + s01 i + s02 j
-    + s03 k.  Antisymmetry supplies s31 = -s13.
+    + s03 k.  Antisymmetry supplies s31 = -s13.  s and p may be arrays of a
+    batch shape B with s_bivec of shape B + (6,).
     """
     b = np.asarray(s_bivec, dtype=float)
-    if b.shape != (6,):
+    if b.shape[-1:] != (6,):
         raise ValueError("expected 6 bivector components (01, 02, 03, 12, 13, 23)")
-    s01, s02, s03, s12, s13, s23 = b
-    q1 = Quaternion(float(s), s23, -s13, s12)
-    q2 = Quaternion(-float(p), s01, s02, s03)
-    return SpinorOperator(q1, q2)
-
-
-def operator_coeffs(op: SpinorOperator) -> tuple[float, np.ndarray, float]:
-    """Inverse of operator_from_coeffs."""
-    q1, q2 = op.q1, op.q2
-    s_bivec = np.array([q2.x, q2.y, q2.z, q1.z, -q1.y, q1.x])
-    return q1.w, s_bivec, -q2.w
+    c = np.zeros(b.shape[:-1] + (16,))
+    c[..., 0], c[..., 5:11], c[..., 15] = s, b, p
+    return operator_from_even_multivector(Multivector(Signature.MINKOWSKI, c))
 
 
 def operator_to_even_multivector(op: SpinorOperator) -> Multivector:
-    s, b, p = operator_coeffs(op)
-    data: dict[tuple[int, ...], complex] = {(): s, (0, 1, 2, 3): p}
-    for pair, value in zip(BIVECTOR_ORDER, b):
-        data[pair] = value
-    return from_blade_dict(data, Signature.MINKOWSKI)
+    v = np.concatenate([op.q1.as_array(), op.q2.as_array()], axis=-1)
+    c = np.zeros(v.shape[:-1] + (16,))
+    c[..., _OPERATOR_BLADES] = v * _OPERATOR_SIGNS
+    return Multivector(Signature.MINKOWSKI, c)
 
 
 def operator_from_even_multivector(mv: Multivector) -> SpinorOperator:
     """Read the even slots of a Minkowski multivector; odd slots are ignored
     (they must vanish for a genuine spinor operator)."""
-    c = mv.coeffs
-    s = float(c[0].real)
-    b = np.array([c[5].real, c[6].real, c[7].real,
-                  c[8].real, c[9].real, c[10].real])
-    p = float(c[15].real)
-    return operator_from_coeffs(s, b, p)
+    v = mv.coeffs.real[..., _OPERATOR_BLADES] * _OPERATOR_SIGNS
+    return SpinorOperator(Quaternion._of(v[..., :4]), Quaternion._of(v[..., 4:]))
 
 
 def operator_to_quat_matrix(op: SpinorOperator) -> QuatMatrix2:
-    """Homomorphic M(2, H) image, assembled from products of the generator
+    """Homomorphic M(2, H) image: the even coefficients weighting the blade
     images.  Note: relative to the (q1, q2) packaging this image carries the
     opposite sign on the off-diagonal quaternion."""
-    s, b, p = operator_coeffs(op)
-    one = quat_matrix(_Q1, _Q0, _Q0, _Q1)
-    acc = one.scale(s)
-    for (mu, nu), value in zip(BIVECTOR_ORDER, b):
-        if value != 0.0:
-            acc = acc + (quaternion_rep_e(mu) @ quaternion_rep_e(nu)).scale(value)
-    if p != 0.0:
-        vol = quaternion_rep_e(0) @ quaternion_rep_e(1) @ quaternion_rep_e(2) @ quaternion_rep_e(3)
-        acc = acc + vol.scale(p)
-    return acc
+    even = operator_to_even_multivector(op).coeffs.real
+    return QuatMatrix2._of(np.einsum("...k,kabq->...abq", even, _blade_quat_images()))
 
 
 # -- classical <-> operator --------------------------------------------------
+
+# the signed reals of the standard-representation components are (q1, q2)
+_CLASSICAL_SIGNS = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
 
 
 def classical_from_operator(op: SpinorOperator) -> ClassicalSpinor:
     """Component map psi1 = s + s23 i, psi2 = s13 + s12 i, psi3 = p + s10 i,
     psi4 = s02 + s30 i, with antisymmetry fixing s10 = -s01 and s30 = -s03.
     The components live in the standard representation."""
-    q1, q2 = op.q1, op.q2
-    psi = np.array(
-        [
-            q1.w + 1j * q1.x,
-            -q1.y + 1j * q1.z,
-            -q2.w - 1j * q2.x,
-            q2.y - 1j * q2.z,
-        ],
-        dtype=np.complex128,
-    )
-    return ClassicalSpinor(psi, DIRAC)
+    v = np.concatenate([op.q1.as_array(), op.q2.as_array()], axis=-1) * _CLASSICAL_SIGNS
+    return ClassicalSpinor(v.view(np.complex128), DIRAC)
 
 
 def operator_from_classical(psi: ClassicalSpinor) -> SpinorOperator:
-    p1, p2, p3, p4 = psi.to_rep(DIRAC).components
-    q1 = Quaternion(p1.real, p1.imag, -p2.real, p2.imag)
-    q2 = Quaternion(-p3.real, -p3.imag, p4.real, -p4.imag)
-    return SpinorOperator(q1, q2)
+    v = psi.to_rep(DIRAC).components.view(np.float64) * _CLASSICAL_SIGNS
+    return SpinorOperator(Quaternion._of(v[..., :4]), Quaternion._of(v[..., 4:]))
 
 
 # -- classical <-> algebraic -------------------------------------------------
 
 
 def algebraic_from_classical(psi: ClassicalSpinor) -> AlgebraicSpinor:
-    m = np.zeros((4, 4), dtype=np.complex128)
-    m[:, 0] = psi.to_rep(DIRAC).components
+    c = psi.to_rep(DIRAC).components
+    m = np.zeros(c.shape + (4,), dtype=np.complex128)
+    m[..., 0] = c
     return AlgebraicSpinor(m)
 
 
 def classical_from_algebraic(xi: AlgebraicSpinor) -> ClassicalSpinor:
-    return ClassicalSpinor(xi.matrix[:, 0].copy(), DIRAC)
+    return ClassicalSpinor(xi.matrix[..., 0], DIRAC)
 
 
 def ideal_projector_matrix() -> np.ndarray:
@@ -364,8 +336,7 @@ def ideal_projector_matrix() -> np.ndarray:
 
 
 def ideal_element_H2(q1: Quaternion, q2: Quaternion) -> QuatMatrix2:
-    """Column (q1, q2) of the quaternionic ring sum, realized as the matrix
-    [[q1, -q2], [q2, q1]] right-multiplied by the idempotent [[1, 0], [0, 0]]."""
-    template = quat_matrix(q1, -q2, q2, q1)
-    f = quat_matrix(_Q1, _Q0, _Q0, _Q0)
-    return template @ f
+    """Column (q1, q2) of the quaternionic ring sum: the matrix [[q1, -q2],
+    [q2, q1]] right-multiplied by the idempotent [[1, 0], [0, 0]], which is
+    [[q1, 0], [q2, 0]]."""
+    return quat_matrix(q1, Quaternion(), q2, Quaternion())

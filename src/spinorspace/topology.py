@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bilinears import BilinearSet
+from .bilinears import BilinearSet, euclidean_components_closed_form
 from .fierz import fpk_residuals
 
 __all__ = [
@@ -32,8 +32,8 @@ ROUNDING_RESIDUE_LIMIT = 0.01
 
 
 def project_regular(p: BilinearSet) -> BilinearSet:
-    """Zero K and S, keeping (sigma, J, omega); idempotent."""
-    return replace(p, K=np.zeros(4), S=np.zeros(6))
+    """Zero K and S, keeping (sigma, J, omega); idempotent, row by row for a batch."""
+    return replace(p, K=np.zeros_like(p.K), S=np.zeros_like(p.S))
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,6 @@ def regular_sphere_check(psi, tol: float = 1e-8) -> float:
     The input must satisfy sigma = 1 (i.e. unit norm); anything else raises
     with a normalization hint.
     """
-    from .bilinears import euclidean_components_closed_form
-
     sigma, omega, j = euclidean_components_closed_form(psi)
     if abs(sigma - 1.0) > tol:
         raise ValueError(
@@ -111,9 +109,6 @@ def regular_sphere_check(psi, tol: float = 1e-8) -> float:
 
 def fpk_membership(p: BilinearSet, tol: float = 1e-8) -> bool:
     """Whether the point satisfies the quadratic covariant identities (the
-    membership gate of the physical sector).  The all-zero point passes as a
-    degenerate member."""
-    scale = p.component_norm()
-    if scale == 0.0:
-        return True
-    return fpk_residuals(p).passes(tol, scale)
+    membership gate of the physical sector), per point of a batch.  The
+    all-zero point passes as a degenerate member: its residuals are 0."""
+    return fpk_residuals(p).passes(tol, p.component_norm())

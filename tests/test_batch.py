@@ -11,6 +11,7 @@ import pytest
 
 from spinorspace import clifford as cl
 from spinorspace import classmap, fierz, lounesto
+from spinorspace import topology as tp
 from spinorspace.bilinears import BilinearSet, bilinear_covariants, euclidean_bilinears
 from spinorspace.spinor_forms import ClassicalSpinor
 
@@ -178,3 +179,36 @@ def test_bilinear_set_batch_shapes_must_agree():
         BilinearSet(np.zeros(3), np.zeros(3), np.zeros((2, 4)), np.zeros((3, 4)), np.zeros((3, 6)))
     with pytest.raises(ValueError, match="same batch shape"):
         BilinearSet(np.zeros(3), 0.0, np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 6)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_project_regular_batch_matches_rows(rng, kind):
+    batch, rows = batch_and_rows(rng, kind)
+    out = tp.project_regular(batch)
+    assert np.array_equal(out.stack(), [tp.project_regular(r).stack() for r in rows])
+    assert out.signature is batch.signature and not out.K.any() and not out.S.any()
+
+
+def test_fpk_membership_batch_matches_rows(rng):
+    batch, rows = batch_and_rows(rng, "weyl")
+    # a broken identity in one row and the all-zero point in another
+    v = np.array(batch.stack())
+    v[1, 2] *= 1.5
+    v[2] = 0.0
+    batch = BilinearSet.from_stack(v)
+    got = tp.fpk_membership(batch)
+    assert got.shape == (ROWS,) and not got[1] and got[2]
+    assert got.tolist() == [tp.fpk_membership(BilinearSet.from_stack(x)) for x in v]
+
+
+@pytest.mark.parametrize("rep", [cl.WEYL, cl.DIRAC])
+def test_rescale_class_invariance_batch_matches_rows(rng, rep):
+    spinors = [s.components for target in lounesto.LounestoClass if target.is_regular or target.is_singular
+               for s in lounesto.generate(target, seed=5, count=3, rep=rep)]
+    psi = ClassicalSpinor(np.array(spinors), rep)
+    for c in (2.5 - 1j, 1e-9j, *np.exp(rng.uniform(-20, 20, size=3))):
+        got = lounesto.rescale_class_invariance(psi, c)
+        rows = [lounesto.rescale_class_invariance(ClassicalSpinor(x, rep), c) for x in spinors]
+        assert got.tolist() == rows and all(rows) and isinstance(rows[0], bool)
+    with pytest.raises(ValueError, match="zero spinor"):
+        lounesto.rescale_class_invariance(ClassicalSpinor([spinors[0], np.zeros(4)], rep), 2.0)

@@ -569,6 +569,19 @@ def test_map4_overflowing_parameters_are_schema_error(tmp_path, capsys, rng, cha
     assert run_cli.err == f"error: {pf}: {message}\n"
 
 
+def test_map4_singular_determinant_is_schema_error(tmp_path, capsys):
+    """A parameter of 1e308 breaks the LU of |det M| (a division by zero):
+    one error line, with no numpy warning."""
+    f = spinor_file(tmp_path / "in.json", [entry("a", [1, 0, 1, 0])])
+    pf = tmp_path / "p.json"
+    params = {name: [0.3 * k + 0.1, -0.2 * k] for k, name in enumerate(classmap.PARAM_NAMES)}
+    pf.write_text(json.dumps({**params, "m12": [1e308, -0.2]}))
+    code, out = run_without_warnings(["map4", f, "--params", str(pf)], capsys)
+    assert code == 2
+    assert out == ""
+    assert run_cli.err == f"error: {pf}: constraint residuals of the mapping matrix do not fit in float64\n"
+
+
 def test_map4_non_regular_entry_reported(tmp_path, capsys, rng):
     f = spinor_file(tmp_path / "in.json", [entry("weyl", [1, 0, 0, 0])])
     pf = params_file(tmp_path / "p.json", rng)

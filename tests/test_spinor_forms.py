@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_spinor
+from spinorspace import bilinears as bl
 from spinorspace import clifford as cl
 from spinorspace import spinor_forms as sf
 
@@ -268,3 +269,136 @@ def test_zero_spinor_is_representable():
 def test_nonfinite_components_rejected():
     with pytest.raises(ValueError, match="finite"):
         sf.ClassicalSpinor([np.inf, 0, 0, 0], cl.WEYL)
+
+
+# -- batches -------------------------------------------------------------------
+
+BATCH = (3, 5)
+
+
+def batch_quat(rng):
+    """A (3, 5) quaternion batch and its rows, each built as a single quaternion."""
+    v = rng.standard_normal(BATCH + (4,))
+    return sf.Quaternion(*np.moveaxis(v, -1, 0)), {i: sf.Quaternion(*v[i]) for i in np.ndindex(BATCH)}
+
+
+def batch_spinor(rng, rep):
+    c = rng.standard_normal(BATCH + (4,)) + 1j * rng.standard_normal(BATCH + (4,))
+    c[0, 0, 1] = 0.0
+    return sf.ClassicalSpinor(c, rep), {i: sf.ClassicalSpinor(c[i], rep) for i in np.ndindex(BATCH)}
+
+
+def assert_rows(batched, single, read):
+    """Every row of read(batched) equals read of the single call bit for bit."""
+    for i, one in single.items():
+        assert np.array_equal(np.asarray(read(batched))[i], read(one)), i
+
+
+def test_quaternion_operations_take_batches(rng):
+    (a, rows_a), (b, rows_b) = batch_quat(rng), batch_quat(rng)
+    assert a.as_array().shape == BATCH + (4,) and a.w.shape == BATCH
+    assert isinstance(rows_a[0, 0].w, float) and isinstance(rows_a[0, 0].dot(rows_b[0, 0]), float)
+    for op in (lambda p, q: p * q, lambda p, q: p + q, lambda p, q: p - q,
+               lambda p, q: -p, lambda p, q: p.conjugate(), lambda p, q: 2.5 * p):
+        pairs = {i: op(rows_a[i], rows_b[i]) for i in rows_a}
+        assert_rows(op(a, b), pairs, lambda q: q.as_array())
+    pairs = {i: (rows_a[i], rows_b[i]) for i in rows_a}
+    assert_rows((a, b), pairs, lambda ab: ab[0].dot(ab[1]))
+    assert_rows(a, rows_a, lambda q: q.norm())
+    assert_rows(a, rows_a, lambda q: q.to_complex_matrix())
+    for name in "wxyz":
+        assert_rows(a, rows_a, lambda q: getattr(q, name))
+    assert a == sf.Quaternion(a.w, a.x, a.y, a.z) and not a == -a
+
+
+def test_quat_matrix_operations_take_batches(rng):
+    qa, qb = [batch_quat(rng) for _ in range(4)], [batch_quat(rng) for _ in range(4)]
+    a, b = sf.quat_matrix(*(q for q, _ in qa)), sf.quat_matrix(*(q for q, _ in qb))
+    rows_a = {i: sf.quat_matrix(*(r[i] for _, r in qa)) for i in np.ndindex(BATCH)}
+    rows_b = {i: sf.quat_matrix(*(r[i] for _, r in qb)) for i in np.ndindex(BATCH)}
+    assert a.to_complex().shape == BATCH + (4, 4)
+    for op in (lambda p, q: p @ q, lambda p, q: p + q, lambda p, q: p.scale(-1.5)):
+        pairs = {i: op(rows_a[i], rows_b[i]) for i in rows_a}
+        assert_rows(op(a, b), pairs, lambda m: m.stack())
+    assert_rows(a, rows_a, lambda m: m.to_complex())
+    for r in range(2):
+        for c in range(2):
+            assert_rows(a, rows_a, lambda m: m.entries[r][c].as_array())
+    pairs = {i: sf.quaternion_rep_e(1) @ rows_a[i] for i in rows_a}
+    assert_rows(sf.quaternion_rep_e(1) @ a, pairs, lambda m: m.stack())
+
+
+@pytest.mark.parametrize("rep", [cl.WEYL, cl.DIRAC], ids=["weyl", "dirac"])
+def test_conversions_take_batches(rng, rep):
+    psi, rows = batch_spinor(rng, rep)
+    op = sf.operator_from_classical(psi)
+    ops = {i: sf.operator_from_classical(r) for i, r in rows.items()}
+    assert_rows(op, ops, lambda o: o.q1.as_array())
+    assert_rows(op, ops, lambda o: o.q2.as_array())
+    assert_rows(op, ops, lambda o: sf.classical_from_operator(o).components)
+    assert_rows(op, ops, lambda o: sf.operator_to_even_multivector(o).coeffs)
+    assert_rows(op, ops, lambda o: sf.operator_from_even_multivector(sf.operator_to_even_multivector(o)).q1.as_array())
+    assert_rows(op, ops, lambda o: sf.operator_to_quat_matrix(o).stack())
+    assert_rows(op, ops, lambda o: sf.ideal_element_H2(o.q1, o.q2).stack())
+    xi = sf.algebraic_from_classical(psi)
+    assert xi.matrix.shape == BATCH + (4, 4)
+    assert_rows(psi, rows, lambda p: sf.algebraic_from_classical(p).matrix)
+    assert_rows(xi, {i: sf.algebraic_from_classical(r) for i, r in rows.items()},
+                lambda x: sf.classical_from_algebraic(x).components)
+
+
+def test_operator_from_coeffs_takes_batches(rng):
+    s, b, p = rng.standard_normal(BATCH), rng.standard_normal(BATCH + (6,)), rng.standard_normal(BATCH)
+    op = sf.operator_from_coeffs(s, b, p)
+    for i in np.ndindex(BATCH):
+        one = sf.operator_from_coeffs(s[i], b[i], p[i])
+        assert op.q1.as_array()[i].tolist() == one.q1.as_array().tolist()
+        assert op.q2.as_array()[i].tolist() == one.q2.as_array().tolist()
+
+
+def test_euclidean_routes_take_batches(rng):
+    (q1, rows1), (q2, rows2) = batch_quat(rng), batch_quat(rng)
+    pairs = {i: (rows1[i], rows2[i]) for i in rows1}
+    c4 = bl.quaternion_pair_to_c4(q1, q2)
+    assert c4.shape == BATCH + (4,)
+    assert_rows((q1, q2), pairs, lambda qq: bl.quaternion_pair_to_c4(*qq))
+    got = bl.quaternionic_euclidean_components(q1, q2)
+    for k in range(3):
+        assert_rows(got[k], {i: bl.quaternionic_euclidean_components(*qq)[k] for i, qq in pairs.items()},
+                    lambda v: v)
+    assert_rows(np.stack(got[3], axis=-1), {i: bl.quaternionic_euclidean_components(*qq)[3]
+                                            for i, qq in pairs.items()}, lambda v: v)
+    closed = bl.euclidean_components_closed_form(c4)
+    for k in range(3):
+        assert_rows(closed[k], {i: bl.euclidean_components_closed_form(c4[i])[k] for i in pairs},
+                    lambda v: v)
+    assert isinstance(bl.euclidean_components_closed_form(c4[0, 0])[0], float)
+
+
+def test_scalar_gathers_match_component_formulas(rng):
+    """The signed gathers give the values of the component-by-component maps
+    bit for bit."""
+    for _ in range(200):
+        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        c[rng.integers(4)] = 0.0
+        for rep in (cl.WEYL, cl.DIRAC):
+            psi = sf.ClassicalSpinor(c, rep)
+            p1, p2, p3, p4 = psi.to_rep(cl.DIRAC).components
+            op = sf.operator_from_classical(psi)
+            assert op.q1 == sf.Quaternion(p1.real, p1.imag, -p2.real, p2.imag)
+            assert op.q2 == sf.Quaternion(-p3.real, -p3.imag, p4.real, -p4.imag)
+            q1, q2 = op.q1, op.q2
+            want = [q1.w + 1j * q1.x, -q1.y + 1j * q1.z, -q2.w - 1j * q2.x, q2.y - 1j * q2.z]
+            assert np.array_equal(sf.classical_from_operator(op).components, want)
+            assert np.array_equal(sf.algebraic_from_classical(psi).matrix[:, 0], [p1, p2, p3, p4])
+            assert np.array_equal(sf.algebraic_from_classical(psi).matrix[:, 1:], np.zeros((4, 3)))
+        s, b, p = rng.standard_normal(), rng.standard_normal(6), rng.standard_normal()
+        op = sf.operator_from_coeffs(s, b, p)
+        assert op.q1 == sf.Quaternion(s, b[5], -b[4], b[3]) and op.q2 == sf.Quaternion(-p, b[0], b[1], b[2])
+        data = {(): s, (0, 1, 2, 3): p, **dict(zip(sf.BIVECTOR_ORDER, b))}
+        mv = sf.operator_to_even_multivector(op)
+        assert np.array_equal(mv.coeffs, cl.from_blade_dict(data).coeffs)
+        assert sf.operator_from_even_multivector(mv) == op
+        q1, q2 = rand_quat(rng), rand_quat(rng)
+        want = [q1.w + 1j * q1.z, q1.y + 1j * q1.x, q2.w + 1j * q2.z, q2.y + 1j * q2.x]
+        assert np.array_equal(bl.quaternion_pair_to_c4(q1, q2), want)
