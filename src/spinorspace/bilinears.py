@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conventions
-from .clifford import (_I2, _O2, PAULI, GammaRep, InternalError, RowError, Signature, _blade_matrices,
-                       _unbox, basis_vector, pseudoscalar, scalar)
+from .clifford import _I2, _O2, PAULI, GammaRep, InternalError, RowError, Signature, _blade_matrices, _product_table, _unbox
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor, Quaternion
 
 __all__ = [
@@ -51,7 +50,7 @@ __all__ = [
 REALITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilinearSet:
     """The observables of one spinor, or of a batch of them.  Vector
     components are stored with the index down; S components follow the
@@ -59,7 +58,7 @@ class BilinearSet:
 
     For a batch of shape B, sigma and omega have shape B, J and K shape
     B + (4,) and S shape B + (6,); a single set has B = () with float sigma
-    and omega.
+    and omega.  Two sets are equal when their signatures and components are.
     """
 
     sigma: float
@@ -82,20 +81,14 @@ class BilinearSet:
             raise ValueError("S must have 6 components (01, 02, 03, 12, 13, 23)")
         if omega.shape != batch:
             raise ValueError("sigma and omega must have the same batch shape")
-        self._adopt(np.concatenate([sigma[..., None], omega[..., None], j, k, s], axis=-1))
+        self._adopt(_finite(np.concatenate([sigma[..., None], omega[..., None], j, k, s], axis=-1)))
 
     def _adopt(self, v: np.ndarray) -> None:
-        """Keep v, a fresh (..., 16) float array, as the one read-only copy of
-        all components; the fields are views of it."""
-        if not np.isfinite(v).all():
-            raise ValueError("covariants must be finite")
+        """Keep v, a fresh finite (..., 16) float array, as the one read-only
+        copy of all components; the fields are views of it."""
         v.flags.writeable = False
-        object.__setattr__(self, "_stack", v)
-        object.__setattr__(self, "sigma", _unbox(v[..., 0]))
-        object.__setattr__(self, "omega", _unbox(v[..., 1]))
-        object.__setattr__(self, "J", v[..., 2:6])
-        object.__setattr__(self, "K", v[..., 6:10])
-        object.__setattr__(self, "S", v[..., 10:])
+        sigma, omega = v[..., :2].tolist() if v.ndim == 1 else (v[..., 0], v[..., 1])
+        self.__dict__.update(_stack=v, sigma=sigma, omega=omega, J=v[..., 2:6], K=v[..., 6:10], S=v[..., 10:])
 
     @classmethod
     def from_stack(cls, v: np.ndarray, signature: Signature = Signature.MINKOWSKI) -> "BilinearSet":
@@ -103,10 +96,20 @@ class BilinearSet:
         v = np.array(v, dtype=float)
         if v.shape[-1:] != (16,):
             raise ValueError(f"expected 16 covariant components, got shape {v.shape}")
+        return cls._of(_finite(v), signature)
+
+    @classmethod
+    def _of(cls, v: np.ndarray, signature: Signature = Signature.MINKOWSKI) -> "BilinearSet":
+        """The set that keeps v, a kernel's fresh finite (..., 16) result, as
+        its stack(), with no copy and no second check."""
         b = object.__new__(cls)
-        object.__setattr__(b, "signature", signature)
+        b.__dict__["signature"] = signature
         b._adopt(v)
         return b
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and other.signature is self.signature
+                and np.array_equal(self._stack, other._stack))
 
     def stack(self) -> np.ndarray:
         """(..., 16) read-only array of sigma, omega, J, K, S in stored order."""
@@ -179,13 +182,28 @@ def _by_group(sigma, omega, j, k, s) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def _covariant_blades(signature: Signature) -> tuple[np.ndarray, np.ndarray]:
+    """(blade, coefficient) of each element of the covariant basis Gamma_A
+    in stored order, 1, -e0123, e_mu, i e0123 e_mu, i [e_mu, e_nu] = 2i e_mu
+    e_nu, each one blade times a number read off the engine's product table."""
+    index, sign = _product_table(signature)
+    mu, (first, second) = np.arange(1, 5), np.array(BIVECTOR_ORDER).T + 1
+    blades = np.concatenate([[0, 15], mu, index[15, mu], index[first, second]])
+    coeffs = np.concatenate([[1.0, -1.0], np.ones(4), 1j * sign[15, mu], 2j * sign[first, second]])
+    blades.flags.writeable = False
+    coeffs.flags.writeable = False
+    return blades, coeffs
+
+
+@functools.lru_cache(maxsize=None)
 def _covariant_basis(signature: Signature) -> np.ndarray:
-    """(16, 16) read-only coefficients of the covariant basis Gamma_A in stored
-    order, 1, -e0123, e_mu, i e0123 e_mu, i [e_mu, e_nu]: the elements of the
-    forms, the terms of the aggregate and the quarter-sandwich probes."""
-    e, e5 = [basis_vector(mu, signature) for mu in range(4)], pseudoscalar(signature)
-    basis = np.stack([g.coeffs for g in [scalar(1.0, signature), -e5, *e, *(1j * (e5 * v) for v in e)]
-                      + [1j * (e[mu] * e[nu] - e[nu] * e[mu]) for mu, nu in BIVECTOR_ORDER]])
+    """(16, 16) read-only coefficients of the covariant basis Gamma_A, the
+    terms of the aggregate."""
+    blades, coeffs = _covariant_blades(signature)
+    basis = np.zeros((16, 16), dtype=np.complex128)
+    basis[np.arange(16), blades] = coeffs
+    # -e0123 negates the whole pseudoscalar row, as the engine does: its zeros are -0
+    basis[1] = -np.eye(16, dtype=np.complex128)[15]
     basis.flags.writeable = False
     return basis
 
@@ -199,10 +217,26 @@ def _forms(signature: Signature, rep: GammaRep | None) -> np.ndarray:
         rep, adj = _EUCLIDEAN_REP, np.eye(4, dtype=np.complex128)
     else:
         adj = rep.gammas[0]
-    images = np.einsum("ak,kij->aij", _covariant_basis(signature), _blade_matrices(rep))
+    blades, coeffs = _covariant_blades(signature)
+    images = coeffs[:, None, None] * _blade_matrices(rep)[blades]
     forms = _by_group(1.0, 1.0, 1.0, ORIENTATION[signature], -1.0)[:, None, None] * (adj @ images)
     forms.flags.writeable = False
     return forms
+
+
+@functools.lru_cache(maxsize=16)
+def _s_weights(factor: float) -> np.ndarray:
+    """(16,) read-only weights, 1 on sigma, omega, J, K and factor on S."""
+    w = _by_group(1.0, 1.0, 1.0, 1.0, factor)
+    w.flags.writeable = False
+    return w
+
+
+def _finite(v: np.ndarray) -> np.ndarray:
+    """v itself, unless an entry is not finite."""
+    if not np.isfinite(v).all():
+        raise ValueError("covariants must be finite")
+    return v
 
 
 def _fitting(values: np.ndarray) -> np.ndarray:
@@ -215,20 +249,21 @@ def _fitting(values: np.ndarray) -> np.ndarray:
 def _covariants(comps: np.ndarray, c_S: float, signature: Signature,
                 rep: GammaRep | None = None) -> np.ndarray:
     """(..., 16) real covariants sigma, omega, J, K, S of the (..., 4) batch
-    comps, in stored order.  Rows that do not fit in float64 raise RowError."""
-    values = _fitting(np.einsum("...i,kij,...j->...k", comps.conj(), _forms(signature, rep), comps))
+    comps, in stored order, as a fresh array.  Whether they fit in float64
+    is for the caller to check once, after its last scaling (_fitting)."""
+    values = np.einsum("...i,kij,...j->...k", comps.conj(), _forms(signature, rep), comps)
     # every row holds |psi|^2 (J_0 or sigma) and nothing larger than 2 |psi|^2
     scale = np.abs(values.real).max(axis=-1, keepdims=True)
-    bad = np.abs(values.imag) > REALITY_TOL * np.maximum(scale, 1e-300)
-    if bad.any():
-        k = int(np.argmax(bad.reshape(-1, len(_LABELS)).any(axis=0)))
+    real = np.abs(values.imag) <= REALITY_TOL * np.maximum(scale, 1e-300)
+    if not real.all():
+        # a row that does not fit fails the comparison too: it is the input's fault
+        _fitting(values)
+        k = int(np.argmin(real.reshape(-1, len(_LABELS)).all(axis=0)))
         raise InternalError(
             f"internal consistency: {_LABELS[k]} acquired an imaginary part "
             f"{np.max(np.abs(values.imag[..., k])):.3e} beyond tolerance"
         )
-    v = values.real
-    v[..., 10:] *= c_S
-    return v
+    return values.real * _s_weights(c_S)
 
 
 def bilinear_covariants(psi: ClassicalSpinor, c_S: float | None = None) -> BilinearSet:
@@ -243,7 +278,7 @@ def bilinear_covariants(psi: ClassicalSpinor, c_S: float | None = None) -> Bilin
     if c_S is None:
         c_S = conventions.S_SCALE
     v = _covariants(psi.components, c_S, Signature.MINKOWSKI, psi.rep)
-    return BilinearSet.from_stack(v, Signature.MINKOWSKI)
+    return BilinearSet._of(_fitting(v), Signature.MINKOWSKI)
 
 
 def euclidean_bilinears(psi, c_S: float | None = None) -> BilinearSet:
@@ -254,7 +289,7 @@ def euclidean_bilinears(psi, c_S: float | None = None) -> BilinearSet:
     comps = np.asarray(psi, dtype=np.complex128)
     if comps.shape[-1:] != (4,):
         raise ValueError(f"expected 4 components, got shape {comps.shape}")
-    return BilinearSet.from_stack(_covariants(comps, c_S, Signature.EUCLIDEAN), Signature.EUCLIDEAN)
+    return BilinearSet._of(_fitting(_covariants(comps, c_S, Signature.EUCLIDEAN)), Signature.EUCLIDEAN)
 
 
 def euclidean_components_closed_form(psi):

@@ -205,18 +205,27 @@ class Multivector:
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
+    @classmethod
+    def _of(cls, signature: Signature, coeffs: np.ndarray) -> "Multivector":
+        """The multivector that keeps coeffs, an engine result: a fresh
+        complex (..., 16) array, with no copy and no check."""
+        coeffs.flags.writeable = False
+        mv = object.__new__(cls)
+        mv.__dict__.update(signature=signature, coeffs=coeffs)
+        return mv
+
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
         self._check_signature(other)
-        return Multivector(self.signature, self.coeffs + other.coeffs)
+        return Multivector._of(self.signature, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         self._check_signature(other)
-        return Multivector(self.signature, self.coeffs - other.coeffs)
+        return Multivector._of(self.signature, self.coeffs - other.coeffs)
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.signature, -self.coeffs)
+        return Multivector._of(self.signature, -self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -228,9 +237,7 @@ class Multivector:
 
     def _scale(self, factor) -> "Multivector":
         """Scale by a number, or row by row by an array of the batch shape."""
-        return Multivector(
-            self.signature, self.coeffs * np.asarray(factor, dtype=np.complex128)[..., None]
-        )
+        return Multivector._of(self.signature, self.coeffs * np.asarray(factor, dtype=np.complex128)[..., None])
 
     def _check_signature(self, other: "Multivector") -> None:
         if self.signature is not other.signature:
@@ -241,11 +248,11 @@ class Multivector:
     # -- involutions and projections --------------------------------------
 
     def reverse(self) -> "Multivector":
-        return Multivector(self.signature, self.coeffs * _REVERSION_SIGNS)
+        return Multivector._of(self.signature, self.coeffs * _REVERSION_SIGNS)
 
     def conjugate(self) -> "Multivector":
         """Complex conjugation of the blade coefficients."""
-        return Multivector(self.signature, self.coeffs.conj())
+        return Multivector._of(self.signature, self.coeffs.conj())
 
     def grade(self, k: int) -> "Multivector":
         return grade_projection(self, k)
@@ -343,7 +350,7 @@ def _mul_matrix(a: Multivector, right: bool) -> np.ndarray:
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """a b, broadcasting the batch shapes of a and b against each other."""
     a._check_signature(b)
-    return Multivector(a.signature, np.matmul(_mul_matrix(a, False), b.coeffs[..., None])[..., 0])
+    return Multivector._of(a.signature, np.matmul(_mul_matrix(a, False), b.coeffs[..., None])[..., 0])
 
 
 def left_mul_matrix(a: Multivector) -> np.ndarray:
@@ -364,7 +371,7 @@ def reversion(a: Multivector) -> Multivector:
 def grade_projection(a: Multivector, k: int) -> Multivector:
     if not 0 <= k <= 4:
         raise ValueError(f"grade out of range: {k}")
-    return Multivector(a.signature, np.where(_GRADE_MASKS[k], a.coeffs, 0.0))
+    return Multivector._of(a.signature, np.where(_GRADE_MASKS[k], a.coeffs, 0.0))
 
 
 def adjoint_dagger(a: Multivector) -> Multivector:
@@ -433,13 +440,11 @@ def rep_by_tag(tag: str) -> GammaRep:
 
 @functools.lru_cache(maxsize=None)
 def _blade_matrices(rep: GammaRep) -> np.ndarray:
-    """(16, 4, 4) stack of blade images, products taken in canonical order."""
-    mats = np.empty((DIM, 4, 4), dtype=np.complex128)
-    for i, b in enumerate(BLADES):
-        m = np.eye(4, dtype=np.complex128)
-        for mu in b:
-            m = m @ rep.gammas[mu]
-        mats[i] = m
+    """(16, 4, 4) stack of blade images, products taken in canonical order:
+    every blade holding generator g takes its factor gamma_g in turn."""
+    mats = np.broadcast_to(np.eye(4, dtype=np.complex128), (DIM, 4, 4))
+    for g, gamma in enumerate(rep.gammas):
+        mats = np.where((_MASKS >> g & 1).astype(bool)[:, None, None], mats @ gamma, mats)
     mats.flags.writeable = False
     return mats
 

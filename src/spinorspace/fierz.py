@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conventions
-from .bilinears import ORIENTATION, BilinearSet, _by_group, _covariant_basis, minkowski_dot, minkowski_square
-from .clifford import (Multivector, RowError, Signature, _Stacked, _unbox, left_mul_matrix, pseudoscalar, rep_matrix,
-                       right_mul_matrix, scalar)
+from .bilinears import (ORIENTATION, BilinearSet, _by_group, _covariant_basis, _covariant_blades, _s_weights,
+                        minkowski_dot, minkowski_square)
+from .clifford import (Multivector, RowError, Signature, _mul_gather, _Stacked, _unbox, left_mul_matrix, pseudoscalar,
+                       rep_matrix, scalar)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
 
 __all__ = [
@@ -150,7 +151,7 @@ def aggregate(b: BilinearSet) -> Multivector:
     the covariants' signature, o its orientation (+1 time-minus, -1
     Euclidean, where the stored omega is read through the reversed volume).
     A batch of covariants gives a batch of aggregates."""
-    return Multivector(b.signature, b.stack() @ _aggregate_matrix(b.signature))
+    return Multivector._of(b.signature, b.stack() @ _aggregate_matrix(b.signature))
 
 
 def boomerang_residual(z: Multivector, sigma: float) -> float:
@@ -163,6 +164,23 @@ def boomerang_residual(z: Multivector, sigma: float) -> float:
 def is_boomerang(z: Multivector, sigma: float, tol: float = 1e-9) -> bool:
     """True when Z Z = 4 sigma Z within tol relative to |Z|^2."""
     return _unbox(boomerang_residual(z, sigma) <= tol)
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_gather(signature: Signature) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(source, weight, size), read-only, with Gamma_A Z = size[A] * weight[A]
+    * Z[source[A]] for each Gamma_A = c_A b_A, a blade b_A times a number:
+    b_A Z is column b_A of the right multiplication matrix, one signed
+    gather, and the phase c_A / |c_A| only swaps and negates parts, so the
+    weights are exact; size[A] = |c_A| stays apart as a (16, 1) column."""
+    blades, coeffs = _covariant_blades(signature)
+    source, sign = _mul_gather(signature, True)
+    size = np.abs(coeffs)[:, None]
+    weight = coeffs[:, None] / size * sign[:, blades].T
+    source = np.ascontiguousarray(source[:, blades].T)
+    for table in (source, weight, size):
+        table.flags.writeable = False
+    return source, weight, size
 
 
 def generalized_fpk_residuals(z: Multivector, b: BilinearSet) -> np.ndarray:
@@ -178,11 +196,15 @@ def generalized_fpk_residuals(z: Multivector, b: BilinearSet) -> np.ndarray:
     normalization; the remaining four lines carry no free constant.  The
     result has shape (5,), or B + (5,) for a batch of shape B.
     """
-    # (1/4) Z A Z is linear in the probe A: one sandwich matrix serves the 16 Gamma_A
-    sandwich = 0.25 * (left_mul_matrix(z) @ right_mul_matrix(z))
-    expected = np.concatenate([b.stack()[..., :10], conventions.GENERALIZED_S_FACTOR * b.S], axis=-1)
-    resid = np.abs(_covariant_basis(b.signature) @ np.swapaxes(sandwich, -1, -2)
-                   - expected[..., :, None] * z.coeffs[..., None, :])
+    # the sixteen Gamma_A Z are one gather of Z and Z times them one product;
+    # 1/4 and |c_A| follow the product, in the order the sandwich matrix
+    # 1/4 L(Z) R(Z) of the multivector route applies them, so that every
+    # residual is that route's bit for bit
+    source, weight, size = _probe_gather(b.signature)
+    gathered = weight * np.take(z.coeffs, source, axis=-1)
+    sandwiches = size * (0.25 * (gathered @ np.swapaxes(left_mul_matrix(z), -1, -2)))
+    expected = b.stack() * _s_weights(conventions.GENERALIZED_S_FACTOR)
+    resid = np.abs(sandwiches - expected[..., :, None] * z.coeffs[..., None, :])
     # each line is the maximum over its rows of Gamma_A, regrouped as sigma, J, S, K, omega
     rows = resid.max(axis=-1)[..., [0, 2, 3, 4, 5, 10, 11, 12, 13, 14, 15, 6, 7, 8, 9, 1]]
     return np.maximum.reduceat(rows, [0, 1, 5, 11, 15], axis=-1)

@@ -145,6 +145,10 @@ def _pattern(v: np.ndarray, scale, tol: float):
     return cls, zero_flags, _unbox(margin)
 
 
+# ldexp whose overflow to inf passes without a warning: classify checks the result
+_ldexp_quiet = np.errstate(over="ignore")(np.ldexp)
+
+
 def classify(psi: ClassicalSpinor, tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Classify a nonzero spinor, or a batch of them at once.
 
@@ -165,9 +169,8 @@ def classify(psi: ClassicalSpinor, tol: float = DEFAULT_TOL) -> ClassificationRe
     v = _covariants(ray, conventions.S_SCALE, Signature.MINKOWSKI, psi.rep)
     # J_0 = psi^dag psi: the squared norm of the ray is its own J_0
     cls, zero_flags, margin = _pattern(v, v[..., 2], tol)
-    with np.errstate(over="ignore"):
-        v = _fitting(np.ldexp(v, 2 * exponent))
-    return ClassificationReport(cls, BilinearSet.from_stack(v), zero_flags, tol, margin)
+    v = _fitting(_ldexp_quiet(v, 2 * exponent))
+    return ClassificationReport(cls, BilinearSet._of(v), zero_flags, tol, margin)
 
 
 def classify_bilinears(b: BilinearSet, tol: float = DEFAULT_TOL) -> LounestoClass:

@@ -249,6 +249,15 @@ class AlgebraicSpinor:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _of(cls, m: np.ndarray) -> "AlgebraicSpinor":
+        """The element that keeps m, a fresh matrix built with zeros outside
+        its first column, with no copy and no check."""
+        m.flags.writeable = False
+        xi = object.__new__(cls)
+        xi.__dict__["matrix"] = m
+        return xi
+
 
 # -- operator assembly ------------------------------------------------------
 
@@ -320,7 +329,7 @@ def algebraic_from_classical(psi: ClassicalSpinor) -> AlgebraicSpinor:
     c = psi.to_rep(DIRAC).components
     m = np.zeros(c.shape + (4,), dtype=np.complex128)
     m[..., 0] = c
-    return AlgebraicSpinor(m)
+    return AlgebraicSpinor._of(m)
 
 
 def classical_from_algebraic(xi: AlgebraicSpinor) -> ClassicalSpinor:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bilinears import BilinearSet, euclidean_components_closed_form
+from .clifford import RowError, _unbox
 from .fierz import fpk_residuals
 
 __all__ = [
@@ -94,17 +95,22 @@ def winding_number(path) -> int:
 
 
 def regular_sphere_check(psi, tol: float = 1e-8) -> float:
-    """Deviation |J.J + omega^2 - 1| of a Euclidean-normalized spinor.
+    """Deviation |J.J + omega^2 - 1| of a Euclidean-normalized spinor; a
+    (..., 4) batch gives one deviation per row, each the single call's.
 
-    The input must satisfy sigma = 1 (i.e. unit norm); anything else raises
-    with a normalization hint.
+    The input must satisfy sigma = 1 (i.e. unit norm); rows that do not,
+    non-finite ones included, raise RowError naming them, with a
+    normalization hint.
     """
     sigma, omega, j = euclidean_components_closed_form(psi)
-    if abs(sigma - 1.0) > tol:
-        raise ValueError(
-            f"sigma = {sigma:.6g}; normalize the spinor to unit norm first"
+    off = ~(np.abs(np.asarray(sigma) - 1.0) <= tol)
+    if off.any():
+        raise RowError(
+            f"sigma = {np.asarray(sigma)[off].flat[0]:.6g}; normalize the spinor to unit norm first", off
         )
-    return float(abs(float(j @ j) + omega ** 2 - 1.0))
+    # j . j as a (1, 4) x (4, 1) product per row: the dot of a single J, bit for bit
+    jj = np.matmul(j[..., None, :], j[..., :, None])[..., 0, 0]
+    return _unbox(np.abs(jj + np.asarray(omega) ** 2 - 1.0))
 
 
 def fpk_membership(p: BilinearSet, tol: float = 1e-8) -> bool:

@@ -191,3 +191,21 @@ def test_bilinear_set_shape_validation():
 
 def test_s_component_order_is_documented_order():
     assert BIVECTOR_ORDER == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+@pytest.mark.parametrize("signature", [cl.Signature.MINKOWSKI, cl.Signature.EUCLIDEAN])
+def test_bilinear_set_equality(rng, signature):
+    if signature is cl.Signature.MINKOWSKI:
+        def covariants(c):
+            return bl.bilinear_covariants(ClassicalSpinor(c, cl.WEYL))
+    else:
+        covariants = bl.euclidean_bilinears
+    comps = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    assert covariants(comps) == covariants(comps)
+    assert covariants(comps[0]) == covariants(comps[0])
+    assert covariants(comps[0]) != covariants(comps[1])
+    assert covariants(comps[:2]) != covariants(comps[:3])
+    assert covariants(comps[:1]) != covariants(comps[0])
+    other = next(s for s in cl.Signature if s is not signature)
+    assert covariants(comps[0]) != bl.BilinearSet.from_stack(covariants(comps[0]).stack(), other)
+    assert covariants(comps[0]) != covariants(comps[0]).stack()

@@ -45,10 +45,10 @@ def reference_aggregate(b):
 
 def reference_generalized(z, b):
     """The quarter-sandwich residuals with one probe element per line, in
-    the order sigma, J, S, K, omega."""
-    e5 = cl.pseudoscalar()
-    g = [cl.basis_vector(mu) for mu in range(4)]
-    probes = [cl.scalar(1.0), *g]
+    the order sigma, J, S, K, omega, in the signature of z."""
+    e5 = cl.pseudoscalar(z.signature)
+    g = [cl.basis_vector(mu, z.signature) for mu in range(4)]
+    probes = [cl.scalar(1.0, z.signature), *g]
     probes += [1j * (g[mu] * g[nu] - g[nu] * g[mu]) for mu, nu in BIVECTOR_ORDER]
     probes += [1j * (e5 * v) for v in g]
     probes.append(-1 * e5)
@@ -111,3 +111,67 @@ def test_generalized_residuals_equal_per_probe_reference(rng):
         got = fierz.generalized_fpk_residuals(zs, single)
         assert got.shape == (5,)
         assert np.array_equal(got, reference_generalized(zs, single))
+
+
+def reference_basis(signature):
+    """Gamma_A as engine products of multivectors, signs of zero included."""
+    e, e5 = [cl.basis_vector(mu, signature) for mu in range(4)], cl.pseudoscalar(signature)
+    return np.stack([g.coeffs for g in [cl.scalar(1.0, signature), -e5, *e, *(1j * (e5 * v) for v in e)]
+                     + [1j * (e[mu] * e[nu] - e[nu] * e[mu]) for mu, nu in BIVECTOR_ORDER]])
+
+
+def reference_blade_matrices(rep):
+    """Each blade image as the product of its generator images in canonical order."""
+    mats = []
+    for blade in cl.BLADES:
+        m = np.eye(4, dtype=np.complex128)
+        for mu in blade:
+            m = m @ rep.gammas[mu]
+        mats.append(m)
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("signature", SIGNATURES)
+def test_basis_read_off_product_table_equals_engine_products(signature):
+    # byte equality: the signs of the zeros reach the aggregate coefficients
+    assert bl._covariant_basis(signature).tobytes() == reference_basis(signature).tobytes()
+    blades, coeffs = bl._covariant_blades(signature)
+    assert np.array_equal(bl._covariant_basis(signature)[np.arange(16), blades], coeffs)
+
+
+@pytest.mark.parametrize("rep", [cl.WEYL, cl.DIRAC, bl._EUCLIDEAN_REP])
+def test_blade_matrices_equal_ordered_products(rep):
+    assert cl._blade_matrices(rep).tobytes() == reference_blade_matrices(rep).tobytes()
+
+
+@pytest.mark.parametrize("signature", SIGNATURES)
+def test_probe_gather_gives_each_gamma_times_z(rng, signature):
+    source, weight, size = fierz._probe_gather(signature)
+    basis = bl._covariant_basis(signature)
+    for _ in range(5):
+        z = cl.Multivector(signature, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        products = np.stack([(cl.Multivector(signature, g) * z).coeffs for g in basis])
+        assert np.array_equal(size * (weight * z.coeffs[source]), products)
+
+
+@pytest.mark.parametrize("signature", SIGNATURES)
+@pytest.mark.parametrize("scale", [1e-150, 1e-77, 1.0, 1e150])
+def test_generalized_gather_equals_multivector_route_at_every_scale(rng, signature, scale):
+    """1e-77 puts Z Z among the subnormals, where 1/4 and |c_A| must follow
+    the product exactly as the sandwich matrix applies them; at 1e150 Z Z
+    overflows and both routes give the same non-finite rows."""
+    comps = scale * (rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4)))
+    comps[:20, :2] = 0.0
+    if signature is cl.Signature.MINKOWSKI:
+        b = bl.bilinear_covariants(ClassicalSpinor(comps, cl.WEYL))
+    else:
+        b = bl.euclidean_bilinears(comps)
+    z = fierz.aggregate(b)
+    with np.errstate(all="ignore"):
+        got = fierz.generalized_fpk_residuals(z, b)
+        want = reference_generalized(z, b)
+        singles = [fierz.generalized_fpk_residuals(fierz.aggregate(row), row)
+                   for row in (BilinearSet.from_stack(x, signature) for x in b.stack()[::20])]
+    assert got.tobytes() == want.tobytes()
+    assert np.isfinite(got).all() == (scale < 1e100)
+    assert np.array_equal(np.array(singles), got[::20], equal_nan=True)

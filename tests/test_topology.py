@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import random_spinor
 from spinorspace import topology as tp
 from spinorspace.bilinears import BilinearSet, bilinear_covariants, minkowski_square
+from spinorspace.clifford import RowError
 from spinorspace.fierz import fpk_residuals
+from spinorspace.spinor_forms import ClassicalSpinor
 
 
 def circle(radius=1.0, center=(0.0, 0.0), n=64, reverse=False):
@@ -191,3 +193,30 @@ def test_membership_zero_point_degenerate():
 def test_membership_agrees_with_residuals(rng):
     b = bilinear_covariants(random_spinor(rng))
     assert fpk_residuals(b).max_abs() < 1e-8 * b.component_norm() ** 2
+
+
+def test_sphere_check_takes_batches(rng):
+    assert tp.regular_sphere_check(np.eye(4)[:3]).tolist() == [0.0, 0.0, 0.0]
+    psi = rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    got = tp.regular_sphere_check(psi.reshape(10, 20, 4))
+    assert got.shape == (10, 20)
+    # each row is the single call's deviation, bit for bit
+    assert got.ravel().tolist() == [tp.regular_sphere_check(p) for p in psi]
+
+
+def test_sphere_check_names_unnormalized_rows():
+    psi = np.array([[1, 0, 0, 0], [2, 0, 0, 0], [0, 1j, 0, 0], [0, 0, 0, 3], [np.nan, 0, 0, 0]])
+    with pytest.raises(RowError, match="normalize") as excinfo:
+        tp.regular_sphere_check(psi)
+    assert excinfo.value.rows.tolist() == [False, True, False, True, True]
+    with pytest.raises(RowError, match="sigma = nan"):
+        tp.regular_sphere_check([np.nan, 0, 0, 0])
+
+
+def test_projection_equals_the_zeroed_stack(rng):
+    b = bilinear_covariants(ClassicalSpinor(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))))
+    v = np.array(b.stack())
+    v[:, 6:] = 0.0
+    assert tp.project_regular(b) == BilinearSet.from_stack(v)
+    assert tp.project_regular(tp.project_regular(b)) == tp.project_regular(b)
