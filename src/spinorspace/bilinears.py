@@ -27,12 +27,12 @@ batch (..., 4) of spinors; each row is bit for bit the single-spinor result.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import conventions
-from .clifford import _I2, _O2, PAULI, GammaRep, InternalError, RowError, Signature, _blade_matrices, _product_table, _unbox
+from .clifford import (_I2, _O2, PAULI, GammaRep, InternalError, Record, RowError, Signature, _blade_matrices,
+                       _product_table, _unbox)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor, Quaternion
 
 __all__ = [
@@ -50,30 +50,25 @@ __all__ = [
 REALITY_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class BilinearSet:
+class BilinearSet(Record):
     """The observables of one spinor, or of a batch of them.  Vector
     components are stored with the index down; S components follow the
     (01, 02, 03, 12, 13, 23) order.
 
     For a batch of shape B, sigma and omega have shape B, J and K shape
     B + (4,) and S shape B + (6,); a single set has B = () with float sigma
-    and omega.  Two sets are equal when their signatures and components are.
+    and omega.  All are views of one read-only (..., 16) stack().
     """
 
-    sigma: float
-    omega: float
-    J: np.ndarray
-    K: np.ndarray
-    S: np.ndarray
-    signature: Signature = Signature.MINKOWSKI
+    _tags = ("signature",)
+    _views = (("sigma", 0), ("omega", 1), ("J", slice(2, 6)), ("K", slice(6, 10)), ("S", slice(10, 16)))
 
-    def __post_init__(self) -> None:
-        sigma = np.asarray(self.sigma, dtype=float)
-        omega = np.asarray(self.omega, dtype=float)
-        j = np.asarray(self.J, dtype=float)
-        k = np.asarray(self.K, dtype=float)
-        s = np.asarray(self.S, dtype=float)
+    def __init__(self, sigma, omega, J, K, S, signature: Signature = Signature.MINKOWSKI) -> None:
+        sigma = np.asarray(sigma, dtype=float)
+        omega = np.asarray(omega, dtype=float)
+        j = np.asarray(J, dtype=float)
+        k = np.asarray(K, dtype=float)
+        s = np.asarray(S, dtype=float)
         batch = sigma.shape
         if j.shape != batch + (4,) or k.shape != batch + (4,):
             raise ValueError("J and K must have 4 components")
@@ -81,39 +76,20 @@ class BilinearSet:
             raise ValueError("S must have 6 components (01, 02, 03, 12, 13, 23)")
         if omega.shape != batch:
             raise ValueError("sigma and omega must have the same batch shape")
-        self._adopt(_finite(np.concatenate([sigma[..., None], omega[..., None], j, k, s], axis=-1)))
+        super().__init__(np.concatenate([sigma[..., None], omega[..., None], j, k, s], axis=-1), signature=signature)
 
-    def _adopt(self, v: np.ndarray) -> None:
-        """Keep v, a fresh finite (..., 16) float array, as the one read-only
-        copy of all components; the fields are views of it."""
-        v.flags.writeable = False
-        sigma, omega = v[..., :2].tolist() if v.ndim == 1 else (v[..., 0], v[..., 1])
-        self.__dict__.update(_stack=v, sigma=sigma, omega=omega, J=v[..., 2:6], K=v[..., 6:10], S=v[..., 10:])
+    def __post_init__(self, v: np.ndarray) -> None:
+        if v.shape[-1:] != (16,):
+            raise ValueError(f"expected 16 covariant components, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("covariants must be finite")
 
     @classmethod
     def from_stack(cls, v: np.ndarray, signature: Signature = Signature.MINKOWSKI) -> "BilinearSet":
         """The set whose stack() is v, a (..., 16) array (copied)."""
-        v = np.array(v, dtype=float)
-        if v.shape[-1:] != (16,):
-            raise ValueError(f"expected 16 covariant components, got shape {v.shape}")
-        return cls._of(_finite(v), signature)
-
-    @classmethod
-    def _of(cls, v: np.ndarray, signature: Signature = Signature.MINKOWSKI) -> "BilinearSet":
-        """The set that keeps v, a kernel's fresh finite (..., 16) result, as
-        its stack(), with no copy and no second check."""
         b = object.__new__(cls)
-        b.__dict__["signature"] = signature
-        b._adopt(v)
+        Record.__init__(b, np.array(v, dtype=float), signature=signature)
         return b
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is type(self) and other.signature is self.signature
-                and np.array_equal(self._stack, other._stack))
-
-    def stack(self) -> np.ndarray:
-        """(..., 16) read-only array of sigma, omega, J, K, S in stored order."""
-        return self._stack
 
     def component_norm(self) -> float:
         """2-norm over the 16 stored components; scales like |psi|^2."""
@@ -232,13 +208,6 @@ def _s_weights(factor: float) -> np.ndarray:
     return w
 
 
-def _finite(v: np.ndarray) -> np.ndarray:
-    """v itself, unless an entry is not finite."""
-    if not np.isfinite(v).all():
-        raise ValueError("covariants must be finite")
-    return v
-
-
 def _fitting(values: np.ndarray) -> np.ndarray:
     """values itself; rows holding a non-finite entry raise RowError."""
     if not np.isfinite(values).all():
@@ -263,7 +232,8 @@ def _covariants(comps: np.ndarray, c_S: float, signature: Signature,
             f"internal consistency: {_LABELS[k]} acquired an imaginary part "
             f"{np.max(np.abs(values.imag[..., k])):.3e} beyond tolerance"
         )
-    return values.real * _s_weights(c_S)
+    with np.errstate(over="ignore"):
+        return values.real * _s_weights(c_S)
 
 
 def bilinear_covariants(psi: ClassicalSpinor, c_S: float | None = None) -> BilinearSet:
@@ -278,7 +248,7 @@ def bilinear_covariants(psi: ClassicalSpinor, c_S: float | None = None) -> Bilin
     if c_S is None:
         c_S = conventions.S_SCALE
     v = _covariants(psi.components, c_S, Signature.MINKOWSKI, psi.rep)
-    return BilinearSet._of(_fitting(v), Signature.MINKOWSKI)
+    return BilinearSet._of(_fitting(v), signature=Signature.MINKOWSKI)
 
 
 def euclidean_bilinears(psi, c_S: float | None = None) -> BilinearSet:
@@ -289,7 +259,7 @@ def euclidean_bilinears(psi, c_S: float | None = None) -> BilinearSet:
     comps = np.asarray(psi, dtype=np.complex128)
     if comps.shape[-1:] != (4,):
         raise ValueError(f"expected 4 components, got shape {comps.shape}")
-    return BilinearSet._of(_fitting(_covariants(comps, c_S, Signature.EUCLIDEAN)), Signature.EUCLIDEAN)
+    return BilinearSet._of(_fitting(_covariants(comps, c_S, Signature.EUCLIDEAN)), signature=Signature.EUCLIDEAN)
 
 
 def euclidean_components_closed_form(psi):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import _forms
-from .clifford import RowError, Signature, WEYL
+from .clifford import WEYL, Record, RowError, Signature
 from .lounesto import ClassificationReport, classify
 from .spinor_forms import ClassicalSpinor
 
@@ -62,17 +62,16 @@ class MappingParams:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
 
-@dataclass(frozen=True)
-class MappingMatrix:
-    matrix: np.ndarray
-    params: MappingParams
+class MappingMatrix(Record):
+    _tags = ("params",)
+    _views = (("matrix", ...),)
 
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128)
+    def __init__(self, matrix, params: MappingParams) -> None:
+        super().__init__(np.array(matrix, dtype=np.complex128), params=params)
+
+    def __post_init__(self, m: np.ndarray) -> None:
         if m.shape != (4, 4):
             raise ValueError("mapping matrix must be 4x4")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.matrix))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,36 +94,100 @@ def _unbox(x):
     return x.item() if x.ndim == 0 else x
 
 
-class _Stacked:
-    """Base of the frozen dataclasses held as one read-only (..., n) float
-    array: field k is entry k of its last axis, a float for a single item
-    and a view of the array for a batch.  Equality compares the arrays."""
+class _View:
+    """Named view array[..., index] of a record: a float for one entry of a
+    single item, a view of the array otherwise.  Read once, then kept in the
+    record's __dict__."""
 
-    def __post_init__(self) -> None:
-        fields = np.broadcast_arrays(*(getattr(self, name) for name in self.__dataclass_fields__))
-        self._adopt(np.stack(fields, axis=-1).astype(float))
+    def __init__(self, name: str, index) -> None:
+        self.name, self.index = name, index
 
-    def _adopt(self, v: np.ndarray) -> None:
-        v.flags.writeable = False
-        parts = v.tolist() if v.ndim == 1 else [v[..., k] for k in range(v.shape[-1])]
-        self.__dict__.update(zip(self.__dataclass_fields__, parts), _stack=v)
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = record.__dict__[self.name] = _unbox(record._array[..., self.index])
+        return value
+
+
+def _tag_text(tag) -> str:
+    """A record's tag as text: an enum (a signature) by its value."""
+    return tag.value if isinstance(tag, enum.Enum) else str(tag)
+
+
+# a view of the whole array is the array itself, read through a C-level getter
+_WHOLE = property(operator.attrgetter("_array"))
+
+
+class Record:
+    """One read-only array plus its tags: the base of the array types.
+
+    A subclass names its tags (signature, rep, params) in _tags and its
+    views in _views as (name, index) pairs, each read as array[..., index],
+    with the index ... naming the whole array.  Its public constructor
+    builds a fresh array and hands it to Record.__init__, which runs the
+    subclass's check hook __post_init__ on it and adopts it; kernels adopt
+    their fresh results with _of, with no copy and no check.  Two records
+    are equal when their type, tags and array are; records are immutable
+    and unhashable.
+
+    The hook keeps the name of the dataclass hook it replaced because the
+    benchmark's tracer (perfbench/tracer.py) times spinor construction by
+    wrapping ClassicalSpinor.__post_init__.
+    """
+
+    _tags: tuple[str, ...] = ()
+    _views: tuple[tuple[str, object], ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for name, index in cls.__dict__.get("_views", ()):
+            setattr(cls, name, _WHOLE if index is ... else _View(name, index))
+
+    def __init__(self, array: np.ndarray, **tags) -> None:
+        self.__post_init__(array)
+        array.setflags(write=False)
+        self.__dict__.update(tags, _array=array)
+
+    def __post_init__(self, array: np.ndarray) -> None:
+        """Check hook of the public constructor: raise ValueError for an
+        array the type does not hold.  Accepts every array by default."""
 
     @classmethod
-    def _of(cls, v: np.ndarray):
-        """The item that keeps the float array v as its stack()."""
-        item = object.__new__(cls)
-        item._adopt(v)
-        return item
+    def _of(cls, array: np.ndarray, **tags):
+        """The record that keeps array, a fresh kernel result, with no copy and no check."""
+        record = object.__new__(cls)
+        array.setflags(write=False)
+        record.__dict__.update(tags, _array=array)
+        return record
 
     def stack(self) -> np.ndarray:
-        return self._stack
+        """The read-only array that holds the record."""
+        return self._array
+
+    def _check_tags(self, other: "Record") -> None:
+        for name in self._tags:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine != theirs:
+                raise ValueError(f"{name} mismatch: {_tag_text(mine)} vs {_tag_text(theirs)}")
+
+    def isclose(self, other: "Record", tol: float = 1e-12) -> bool:
+        """Whether every entry of every row is within tol; records with
+        other tags raise ValueError."""
+        self._check_tags(other)
+        return bool(np.max(np.abs(self._array - other._array)) <= tol)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and np.array_equal(self._stack, other._stack)
+        return (type(other) is type(self) and all(getattr(self, t) == getattr(other, t) for t in self._tags)
+                and np.array_equal(self._array, other._array))
 
-    def isclose(self, other, tol: float = 1e-12) -> bool:
-        """Whether every entry of every row is within tol."""
-        return bool(np.max(np.abs(self._stack - other._stack)) <= tol)
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        tags = "".join(f", {name}={_tag_text(getattr(self, name))}" for name in self._tags)
+        return f"{type(self).__name__}({self._array!r}{tags})"
 
 
 class Signature(enum.Enum):
@@ -183,49 +248,39 @@ _REVERSION_SIGNS = np.array([(-1.0) ** (k * (k - 1) // 2) for k in BLADE_GRADES]
 _GRADE_MASKS = {k: np.array([g == k for g in BLADE_GRADES]) for k in range(5)}
 
 
-@dataclass(frozen=True)
-class Multivector:
+class Multivector(Record):
     """Immutable multivector: complex blade coefficients plus a signature.
 
     coeffs has shape (..., 16): the leading axes are a batch of multivectors
     sharing the signature, and shape (16,) is a single one.
     """
 
-    signature: Signature
-    coeffs: np.ndarray
+    _tags = ("signature",)
+    _views = (("coeffs", ...),)
 
     # an array times a multivector scales it row by row (see _scale)
     # instead of numpy broadcasting over the multivector as an object
     __array_ufunc__ = None
 
-    def __post_init__(self) -> None:
-        c = np.array(self.coeffs, dtype=np.complex128)
+    def __init__(self, signature: Signature, coeffs) -> None:
+        super().__init__(np.array(coeffs, dtype=np.complex128), signature=signature)
+
+    def __post_init__(self, c: np.ndarray) -> None:
         if c.shape[-1:] != (DIM,):
             raise ValueError(f"expected {DIM} blade coefficients, got shape {c.shape}")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def _of(cls, signature: Signature, coeffs: np.ndarray) -> "Multivector":
-        """The multivector that keeps coeffs, an engine result: a fresh
-        complex (..., 16) array, with no copy and no check."""
-        coeffs.flags.writeable = False
-        mv = object.__new__(cls)
-        mv.__dict__.update(signature=signature, coeffs=coeffs)
-        return mv
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        self._check_signature(other)
-        return Multivector._of(self.signature, self.coeffs + other.coeffs)
+        self._check_tags(other)
+        return Multivector._of(self.coeffs + other.coeffs, signature=self.signature)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        self._check_signature(other)
-        return Multivector._of(self.signature, self.coeffs - other.coeffs)
+        self._check_tags(other)
+        return Multivector._of(self.coeffs - other.coeffs, signature=self.signature)
 
     def __neg__(self) -> "Multivector":
-        return Multivector._of(self.signature, -self.coeffs)
+        return Multivector._of(-self.coeffs, signature=self.signature)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -237,22 +292,17 @@ class Multivector:
 
     def _scale(self, factor) -> "Multivector":
         """Scale by a number, or row by row by an array of the batch shape."""
-        return Multivector._of(self.signature, self.coeffs * np.asarray(factor, dtype=np.complex128)[..., None])
-
-    def _check_signature(self, other: "Multivector") -> None:
-        if self.signature is not other.signature:
-            raise ValueError(
-                f"signature mismatch: {self.signature.value} vs {other.signature.value}"
-            )
+        factor = np.asarray(factor, dtype=np.complex128)[..., None]
+        return Multivector._of(self.coeffs * factor, signature=self.signature)
 
     # -- involutions and projections --------------------------------------
 
     def reverse(self) -> "Multivector":
-        return Multivector._of(self.signature, self.coeffs * _REVERSION_SIGNS)
+        return Multivector._of(self.coeffs * _REVERSION_SIGNS, signature=self.signature)
 
     def conjugate(self) -> "Multivector":
         """Complex conjugation of the blade coefficients."""
-        return Multivector._of(self.signature, self.coeffs.conj())
+        return Multivector._of(self.coeffs.conj(), signature=self.signature)
 
     def grade(self, k: int) -> "Multivector":
         return grade_projection(self, k)
@@ -267,24 +317,6 @@ class Multivector:
 
     def max_abs(self) -> float:
         return _unbox(np.abs(self.coeffs).max(axis=-1))
-
-    def isclose(self, other: "Multivector", tol: float = 1e-12) -> bool:
-        """Whether every coefficient of every row is within tol."""
-        self._check_signature(other)
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
-
-    def __repr__(self) -> str:
-        if self.coeffs.ndim > 1:
-            return f"<batch of {self.coeffs.shape[:-1]} [{self.signature.value}]>"
-        terms = []
-        for name, c in zip(BLADE_NAMES, self.coeffs):
-            if c != 0:
-                if c.imag == 0:
-                    terms.append(f"{c.real:+g}*{name}")
-                else:
-                    terms.append(f"({c:+g})*{name}")
-        body = " ".join(terms) if terms else "0"
-        return f"<{body} [{self.signature.value}]>"
 
 
 # -- constructors ---------------------------------------------------------
@@ -349,8 +381,8 @@ def _mul_matrix(a: Multivector, right: bool) -> np.ndarray:
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """a b, broadcasting the batch shapes of a and b against each other."""
-    a._check_signature(b)
-    return Multivector._of(a.signature, np.matmul(_mul_matrix(a, False), b.coeffs[..., None])[..., 0])
+    a._check_tags(b)
+    return Multivector._of(np.matmul(_mul_matrix(a, False), b.coeffs[..., None])[..., 0], signature=a.signature)
 
 
 def left_mul_matrix(a: Multivector) -> np.ndarray:
@@ -371,7 +403,7 @@ def reversion(a: Multivector) -> Multivector:
 def grade_projection(a: Multivector, k: int) -> Multivector:
     if not 0 <= k <= 4:
         raise ValueError(f"grade out of range: {k}")
-    return Multivector._of(a.signature, np.where(_GRADE_MASKS[k], a.coeffs, 0.0))
+    return Multivector._of(np.where(_GRADE_MASKS[k], a.coeffs, 0.0), signature=a.signature)
 
 
 def adjoint_dagger(a: Multivector) -> Multivector:
@@ -405,6 +437,9 @@ class GammaRep:
 
     tag: str
     gammas: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+    def __str__(self) -> str:
+        return self.tag
 
 
 WEYL = GammaRep(

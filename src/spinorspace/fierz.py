@@ -31,7 +31,7 @@ import numpy as np
 from . import conventions
 from .bilinears import (ORIENTATION, BilinearSet, _by_group, _covariant_basis, _covariant_blades, _s_weights,
                         minkowski_dot, minkowski_square)
-from .clifford import (Multivector, RowError, Signature, _mul_gather, _Stacked, _unbox, left_mul_matrix, pseudoscalar,
+from .clifford import (Multivector, Record, RowError, Signature, _mul_gather, _unbox, left_mul_matrix, pseudoscalar,
                        rep_matrix, scalar)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
 
@@ -70,8 +70,7 @@ def bivector_multivector(components, signature: Signature = Signature.MINKOWSKI)
     return Multivector(signature, c)
 
 
-@dataclass(frozen=True, eq=False)
-class FpkResiduals(_Stacked):
+class FpkResiduals(Record):
     """Deviations from the four quadratic covariant identities.
 
     r1 = J.J - sigma^2 - omega^2, r2 = K.K + J.J, r3 = J.K, and r4 is the
@@ -79,13 +78,13 @@ class FpkResiduals(_Stacked):
     float, or for a batch of covariants a view of stack() of the batch shape.
     """
 
-    r1: float
-    r2: float
-    r3: float
-    r4: float
+    _views = (("r1", 0), ("r2", 1), ("r3", 2), ("r4", 3))
+
+    def __init__(self, r1: float, r2: float, r3: float, r4: float) -> None:
+        super().__init__(np.stack(np.broadcast_arrays(r1, r2, r3, r4), axis=-1).astype(float))
 
     def max_abs(self) -> float:
-        return _unbox(np.abs(self._stack).max(axis=-1))
+        return _unbox(np.abs(self._array).max(axis=-1))
 
     def passes(self, tol: float, scale: float) -> bool:
         """Whether every residual is within tol relative to scale^2, scale
@@ -151,7 +150,7 @@ def aggregate(b: BilinearSet) -> Multivector:
     the covariants' signature, o its orientation (+1 time-minus, -1
     Euclidean, where the stored omega is read through the reversed volume).
     A batch of covariants gives a batch of aggregates."""
-    return Multivector._of(b.signature, b.stack() @ _aggregate_matrix(b.signature))
+    return Multivector._of(b.stack() @ _aggregate_matrix(b.signature), signature=b.signature)
 
 
 def boomerang_residual(z: Multivector, sigma: float) -> float:

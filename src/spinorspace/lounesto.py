@@ -170,7 +170,7 @@ def classify(psi: ClassicalSpinor, tol: float = DEFAULT_TOL) -> ClassificationRe
     # J_0 = psi^dag psi: the squared norm of the ray is its own J_0
     cls, zero_flags, margin = _pattern(v, v[..., 2], tol)
     v = _fitting(_ldexp_quiet(v, 2 * exponent))
-    return ClassificationReport(cls, BilinearSet._of(v), zero_flags, tol, margin)
+    return ClassificationReport(cls, BilinearSet._of(v, signature=Signature.MINKOWSKI), zero_flags, tol, margin)
 
 
 def classify_bilinears(b: BilinearSet, tol: float = DEFAULT_TOL) -> LounestoClass:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import (_I2, BLADES, DIRAC, PAULI, GammaRep, Multivector, Signature, _product_table, _Stacked,
-                       _unbox, idempotent_f, rep_matrix, weyl_to_dirac_matrix)
+from .clifford import (_I2, BLADES, DIRAC, PAULI, GammaRep, Multivector, Record, Signature, _product_table, _unbox,
+                       idempotent_f, rep_matrix, weyl_to_dirac_matrix)
 
 __all__ = [
     "Quaternion",
@@ -78,47 +78,46 @@ def _complex_units() -> np.ndarray:
     return units
 
 
-@dataclass(frozen=True, eq=False)
-class Quaternion(_Stacked):
+class Quaternion(Record):
     """Real quaternion w + x i + y j + z k, or a batch of them: w, x, y, z
     are views of one read-only (..., 4) array (floats for a single one)."""
 
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
+    _views = (("w", 0), ("x", 1), ("y", 2), ("z", 3))
+
+    def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> None:
+        super().__init__(np.stack(np.broadcast_arrays(w, x, y, z), axis=-1).astype(float))
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion._of(self._stack + other._stack)
+        return Quaternion._of(self._array + other._array)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion._of(self._stack - other._stack)
+        return Quaternion._of(self._array - other._array)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion._of(-self._stack)
+        return Quaternion._of(-self._array)
 
     def __mul__(self, other):
         """Hamilton product with a quaternion; a number (or batch-shaped array) scales."""
         if isinstance(other, Quaternion):
-            return Quaternion._of(_hamilton_product(self._stack, other._stack))
-        return Quaternion._of(self._stack * np.asarray(other, dtype=float)[..., None])
+            return Quaternion._of(_hamilton_product(self._array, other._array))
+        return Quaternion._of(self._array * np.asarray(other, dtype=float)[..., None])
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion._of(self._stack * (1.0, -1.0, -1.0, -1.0))
+        return Quaternion._of(self._array * (1.0, -1.0, -1.0, -1.0))
 
     def dot(self, other: "Quaternion") -> float:
-        return _unbox((self._stack * other._stack).sum(axis=-1))
+        return _unbox((self._array * other._array).sum(axis=-1))
 
     def norm(self) -> float:
         return _unbox(np.sqrt(self.dot(self)))
 
-    as_array = _Stacked.stack
+    as_array = Record.stack
 
     def to_complex_matrix(self) -> np.ndarray:
         """Ring homomorphism into M(2, C): i, j, k map to -i*sigma_1,2,3."""
-        return np.einsum("...u,uij->...ij", self._stack, _complex_units())
+        return np.einsum("...u,uij->...ij", self._array, _complex_units())
 
 
 def _quat_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,35 +125,31 @@ def _quat_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _hamilton_product(a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
 
 
-@dataclass(frozen=True, eq=False)
-class QuatMatrix2(_Stacked):
+class QuatMatrix2(Record):
     """2x2 matrix with quaternion entries, multiplied entrywise over H, or a
     batch of them: one read-only (..., 2, 2, 4) array, with entries[r][c]
     the Quaternion views of it."""
 
-    entries: tuple[tuple[Quaternion, Quaternion], tuple[Quaternion, Quaternion]]
+    def __init__(self, entries: tuple[tuple[Quaternion, Quaternion], tuple[Quaternion, Quaternion]]) -> None:
+        q = np.broadcast_arrays(*(e.as_array() for row in entries for e in row))
+        super().__init__(np.stack(q, axis=-2).reshape(q[0].shape[:-1] + (2, 2, 4)))
 
-    def __post_init__(self) -> None:
-        q = np.broadcast_arrays(*(e.as_array() for row in self.entries for e in row))
-        self._adopt(np.stack(q, axis=-2).reshape(q[0].shape[:-1] + (2, 2, 4)))
-
-    def _adopt(self, v: np.ndarray) -> None:
-        v.flags.writeable = False
-        self.__dict__.update(_stack=v, entries=tuple(
-            tuple(Quaternion._of(v[..., r, c, :]) for c in range(2)) for r in range(2)))
+    @property
+    def entries(self) -> tuple[tuple[Quaternion, ...], ...]:
+        return tuple(tuple(Quaternion._of(self._array[..., r, c, :]) for c in range(2)) for r in range(2))
 
     def __matmul__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        return QuatMatrix2._of(_quat_matmul(self._stack, other._stack))
+        return QuatMatrix2._of(_quat_matmul(self._array, other._array))
 
     def __add__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        return QuatMatrix2._of(self._stack + other._stack)
+        return QuatMatrix2._of(self._array + other._array)
 
     def scale(self, factor: float) -> "QuatMatrix2":
-        return QuatMatrix2._of(self._stack * np.asarray(factor, dtype=float)[..., None, None, None])
+        return QuatMatrix2._of(self._array * np.asarray(factor, dtype=float)[..., None, None, None])
 
     def to_complex(self) -> np.ndarray:
         """4x4 complex image, each quaternion entry expanded to its 2x2 block."""
-        blocks = np.einsum("...rcu,uij->...ricj", self._stack, _complex_units())
+        blocks = np.einsum("...rcu,uij->...ricj", self._array, _complex_units())
         return blocks.reshape(blocks.shape[:-4] + (4, 4))
 
 
@@ -182,8 +177,7 @@ def quaternion_rep_e(mu: int) -> QuatMatrix2:
     return QuatMatrix2._of(_blade_quat_images()[1 + mu])
 
 
-@dataclass(frozen=True)
-class ClassicalSpinor:
+class ClassicalSpinor(Record):
     """Complex 4-component column spinor tagged with its gamma representation.
 
     components has shape (..., 4): the leading axes are a batch of spinors
@@ -192,17 +186,17 @@ class ClassicalSpinor:
     batch shape otherwise.
     """
 
-    components: np.ndarray
-    rep: GammaRep = DIRAC
+    _tags = ("rep",)
+    _views = (("components", ...),)
 
-    def __post_init__(self) -> None:
-        c = np.array(self.components, dtype=np.complex128)
+    def __init__(self, components, rep: GammaRep = DIRAC) -> None:
+        super().__init__(np.array(components, dtype=np.complex128), rep=rep)
+
+    def __post_init__(self, c: np.ndarray) -> None:
         if c.shape[-1:] != (4,):
             raise ValueError(f"expected 4 components, got shape {c.shape}")
         if not np.all(np.isfinite(c.view(np.float64))):
             raise ValueError("spinor components must be finite")
-        c.flags.writeable = False
-        object.__setattr__(self, "components", c)
 
     def norm(self) -> float:
         c = self.components
@@ -232,31 +226,21 @@ class SpinorOperator:
     q2: Quaternion
 
 
-@dataclass(frozen=True)
-class AlgebraicSpinor:
+class AlgebraicSpinor(Record):
     """Minimal left ideal element: a 4x4 matrix whose only nonzero column is
     the first, written in the standard (Dirac) representation; (..., 4, 4)
     for a batch."""
 
-    matrix: np.ndarray
+    _views = (("matrix", ...),)
 
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128)
+    def __init__(self, matrix) -> None:
+        super().__init__(np.array(matrix, dtype=np.complex128))
+
+    def __post_init__(self, m: np.ndarray) -> None:
         if m.shape[-2:] != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         if (np.abs(m[..., 1:]).max(axis=(-2, -1)) > 1e-12 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))).any():
             raise ValueError("ideal element must have nonzero entries in the first column only")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def _of(cls, m: np.ndarray) -> "AlgebraicSpinor":
-        """The element that keeps m, a fresh matrix built with zeros outside
-        its first column, with no copy and no check."""
-        m.flags.writeable = False
-        xi = object.__new__(cls)
-        xi.__dict__["matrix"] = m
-        return xi
 
 
 # -- operator assembly ------------------------------------------------------

@@ -11,7 +11,7 @@ number and is kept as a quadrature cross-check in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,9 @@ ROUNDING_RESIDUE_LIMIT = 0.01
 
 def project_regular(p: BilinearSet) -> BilinearSet:
     """Zero K and S, keeping (sigma, J, omega); idempotent, row by row for a batch."""
-    return replace(p, K=np.zeros_like(p.K), S=np.zeros_like(p.S))
+    v = p.stack().copy()
+    v[..., 6:] = 0.0
+    return BilinearSet._of(v, signature=p.signature)
 
 
 @dataclass(frozen=True)

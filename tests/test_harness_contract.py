@@ -9,17 +9,26 @@ changes, so the package keeps two contracts with it:
   would make Tracer.install raise KeyError in every traced run.
 * perfbench/selfcheck.py builds wrong API results with dataclasses.replace
   on a lounesto.ClassificationReport, so the report stays a dataclass.
+
+The tracer also wraps the cli functions named in its CLI_STAGES as the parse
+and serialise stages, and ClassicalSpinor.__post_init__ as the spinor
+construction span.  A renamed stage or hook makes Tracer.install raise
+AttributeError in every traced run, and a hook the constructors stop
+calling leaves the construction span empty.
 """
 
 import ast
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from spinorspace import cli
 from spinorspace import clifford as cl
 from spinorspace import lounesto
+from spinorspace import spinor_forms as sf
 from spinorspace.spinor_forms import ClassicalSpinor
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,3 +61,37 @@ def test_classification_report_stays_a_dataclass():
     wrong = dataclasses.replace(report, lounesto_class=lounesto.LounestoClass.C2)
     assert wrong.lounesto_class is lounesto.LounestoClass.C2
     assert wrong.bilinears == report.bilinears and wrong.margin == report.margin
+
+
+def tracer_constant(name: str):
+    """A module-level constant of perfbench/tracer.py, read without importing the harness."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracer.py defines no {name}")
+
+
+def test_every_traced_cli_stage_is_a_cli_function():
+    stages = tracer_constant("CLI_STAGES")
+    assert stages
+    for name in stages:
+        assert inspect.isfunction(getattr(cli, name, None)), name
+        assert getattr(cli, name).__module__ == cli.__name__
+
+
+def test_spinor_construction_runs_the_traced_hook(monkeypatch):
+    calls = []
+    hook = ClassicalSpinor.__post_init__
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return hook(*args, **kwargs)
+
+    monkeypatch.setattr(ClassicalSpinor, "__post_init__", counted)
+    psi = ClassicalSpinor([1, 2j, 3, 4 + 1j], cl.WEYL)
+    assert len(calls) == 1
+    dirac = psi.to_rep(cl.DIRAC)
+    assert len(calls) == 2
+    sf.classical_from_operator(sf.operator_from_classical(dirac))
+    assert len(calls) == 3
