@@ -92,11 +92,12 @@ class BilinearSet(Record):
         return b
 
     def component_norm(self) -> float:
-        """2-norm over the 16 stored components; scales like |psi|^2."""
-        return _unbox(np.sqrt(
-            self.sigma ** 2 + self.omega ** 2
-            + (self.J ** 2).sum(axis=-1) + (self.K ** 2).sum(axis=-1) + (self.S ** 2).sum(axis=-1)
-        ))
+        """2-norm over the 16 stored components; scales like |psi|^2.  A
+        single set runs the batch arithmetic, so it equals its batch row bit
+        for bit, and a norm beyond float64 is inf."""
+        v = np.square(self.stack())
+        return _unbox(np.sqrt(v[..., 0] + v[..., 1] + v[..., 2:6].sum(axis=-1) + v[..., 6:10].sum(axis=-1)
+                              + v[..., 10:].sum(axis=-1)))
 
     def as_dict(self) -> dict:
         """Plain JSON values of a single set."""

@@ -8,9 +8,10 @@ Commands
     winding      winding number of a closed (sigma, omega) path
     reconstruct  rebuild each spinor from its own aggregate and compare
 
-Exit codes: 0 success, 1 verification failure, 2 usage or schema error, 3
-internal fault (a result that breaks an invariant of the program, such as a
-covariant with an imaginary part).  Input paths accept "-" for stdin.
+Exit codes: 0 success, 1 verification failure (a verify or reconstruct
+report whose all_pass is false), 2 usage or schema error, 3 internal fault
+(a result that breaks an invariant of the program, such as a covariant with
+an imaginary part).  Input paths accept "-" for stdin.
 Complex numbers are [re, im] pairs.  Every number read from a spinor,
 covariant, mapping parameter or winding path file must be an int or float
 (not a bool) that is finite in float64; anything else, such as true, "1",
@@ -22,16 +23,17 @@ naming the parameter file, and generate --count above MAX_COUNT is a usage
 error.  A path that is open, touches the origin, has fewer than 3 vertices
 or is too coarse exits 1.
 
-A spinor file is read as one array of components, and each report is
-computed and written by columns: classify, verify, reconstruct and map4
-compute BLOCK entries at a time, grouped by representation, into one array
-per field, and jsonio.dumps writes the report's rows from those arrays in
-file order, byte for byte as json.dumps(report, indent=2, sort_keys=True,
-allow_nan=False) would.  An entry that cannot be computed (a zero spinor,
-covariants or residuals that overflow float64, a degenerate reconstruction,
-a map4 input that is not a regular Weyl spinor or lies in the kernel) gets
-an {id, error} row: classify and map4 still exit 0, verify and reconstruct
-count it as a failure.
+classify, verify, reconstruct and map4 run one pipeline.  A file is read
+as one array of components or covariants; one block loop computes BLOCK
+entries at a time into one array per field, the entries of a block grouped
+by representation (a covariant file is one group); and one report writer
+adds the envelope and all_pass, and jsonio.dumps writes the report's rows
+from those arrays in file order, byte for byte as json.dumps(report,
+indent=2, sort_keys=True, allow_nan=False) would.  An entry that cannot be
+computed (a zero spinor, covariants or residuals that overflow float64, a
+degenerate reconstruction, a map4 input that is not a regular Weyl spinor
+or lies in the kernel) gets an {id, error} row, which fails verify and
+reconstruct.
 """
 
 from __future__ import annotations
@@ -268,26 +270,29 @@ def load_mapping_params(path: str) -> classmap.MappingParams:
 # -- commands ------------------------------------------------------------------
 
 
-def _retrying(pos: np.ndarray, compute, done: list, errors: list) -> None:
-    """Compute the entries at positions pos: compute(live) takes a boolean
-    mask over pos and returns the columns of the True entries, which go to
-    done as (positions, columns).  Entries it rejects with RowError go to
-    errors as (positions, message), and the rest are computed again
-    without them."""
-    live = np.ones(len(pos), dtype=bool)
-    while live.any():
-        try:
-            done.append((pos[live], compute(live)))
-            return
-        except RowError as exc:
-            rejected = np.flatnonzero(live)[exc.rows]
-            errors.append((pos[rejected], str(exc)))
-            live[rejected] = False
+def _rows(ids: np.ndarray, tags: np.ndarray, compute, errors=()) -> Rows:
+    """The report rows of a file's entries, computed BLOCK entries at a time.
 
-
-def _rows(ids: np.ndarray, done: list, errors: list) -> Rows:
-    """The report rows: the computed columns of done and the {id, error}
-    rows of errors, each with the entries' ids."""
+    The entries of a block with the same tag are computed together:
+    compute(pos) returns the columns of the entries at positions pos.
+    Entries it rejects with RowError get {id, error} rows, and the rest are
+    computed again without them.  errors holds (positions, message) pairs
+    of entries whose error row is known already; their tag is None.
+    """
+    done, errors = [], list(errors)
+    for start in range(0, len(ids), BLOCK):
+        block = tags[start:start + BLOCK]
+        for tag in dict.fromkeys(block.tolist()):
+            pos = start + np.flatnonzero(block == tag)
+            live = np.full(len(pos), tag is not None)
+            while live.any():
+                try:
+                    done.append((pos[live], compute(pos[live])))
+                    break
+                except RowError as exc:
+                    rejected = np.flatnonzero(live)[exc.rows]
+                    errors.append((pos[rejected], str(exc)))
+                    live[rejected] = False
     groups = []
     if done:
         pos = np.concatenate([p for p, _ in done])
@@ -303,21 +308,25 @@ def _rows(ids: np.ndarray, done: list, errors: list) -> Rows:
 
 
 def _spinor_rows(ids: np.ndarray, reps: np.ndarray, comps: np.ndarray, compute) -> Rows:
-    """The rows of a spinor file's entries, computed a block at a time.
+    """The rows of a spinor file's entries, grouped by representation:
+    compute(psi) takes a batch of nonzero spinors in one representation and
+    returns their columns.  A zero spinor gets an error row."""
+    zero = ~(comps != 0).any(axis=-1)
+    return _rows(ids, np.where(zero, None, reps),
+                 lambda pos: compute(ClassicalSpinor(comps[pos], rep_by_tag(reps[pos[0]]))),
+                 [(np.flatnonzero(zero), "zero spinor")])
 
-    compute(psi) takes a batch of spinors in one representation and returns
-    their columns.  A zero spinor, or a spinor that compute rejects with
-    RowError, gets an error row instead.
-    """
-    done, errors = [], []
-    for start in range(0, len(ids), BLOCK):
-        for tag in _REPS:
-            pos = start + np.flatnonzero(reps[start:start + BLOCK] == tag)
-            nonzero = (comps[pos] != 0).any(axis=-1)
-            errors.append((pos[~nonzero], "zero spinor"))
-            pos = pos[nonzero]
-            _retrying(pos, lambda live: compute(ClassicalSpinor(comps[pos[live]], rep_by_tag(tag))), done, errors)
-    return _rows(ids, done, errors)
+
+def _report(args, rows: Rows, meta: dict | None = None, **fields) -> int:
+    """Write the report of a file command and return its exit code.  verify
+    and reconstruct add all_pass, whether every row passed, and exit 1 when
+    it is false; every other report exits 0."""
+    report = {"version": SCHEMA_VERSION, "meta": {"command": args.command, "tol": args.tol, **(meta or {})},
+              "results": rows, **fields}
+    if args.command in ("verify", "reconstruct"):
+        report["all_pass"] = rows.all_true("pass")
+    _dump(report, args.out)
+    return 0 if report.get("all_pass", True) else 1
 
 
 def _class_values(classes: np.ndarray) -> np.ndarray:
@@ -336,13 +345,7 @@ def _classify_rows(psi: ClassicalSpinor, tol: float) -> dict:
 
 
 def cmd_classify(args) -> int:
-    rows = _spinor_rows(*load_spinor_file(args.input), lambda psi: _classify_rows(psi, args.tol))
-    _dump({
-        "version": SCHEMA_VERSION,
-        "meta": {"command": "classify", "tol": args.tol},
-        "results": rows,
-    }, args.out)
-    return 0
+    return _report(args, _spinor_rows(*load_spinor_file(args.input), lambda psi: _classify_rows(psi, args.tol)))
 
 
 def cmd_generate(args) -> int:
@@ -397,20 +400,10 @@ def cmd_verify(args) -> int:
         rows = _spinor_rows(*entries, lambda psi: _verify_rows(bilinear_covariants(psi), args.mode, args.tol))
     else:
         ids, stack = entries
-        done, errors = [], []
-        for start in range(0, len(ids), BLOCK):
-            block = stack[start:start + BLOCK]
-            _retrying(start + np.arange(len(block)), lambda live: _verify_rows(
-                BilinearSet.from_stack(block[live]), args.mode, args.tol), done, errors)
-        rows = _rows(ids, done, errors)
-    all_pass = rows.all_true("pass")
-    _dump({
-        "version": SCHEMA_VERSION,
-        "meta": {"command": "verify", "mode": args.mode, "tol": args.tol, "input_kind": kind},
-        "results": rows,
-        "all_pass": all_pass,
-    }, args.out)
-    return 0 if all_pass else 1
+        # a covariant file is one group
+        rows = _rows(ids, np.zeros(len(ids)), lambda pos: _verify_rows(
+            BilinearSet.from_stack(stack[pos]), args.mode, args.tol))
+    return _report(args, rows, {"mode": args.mode, "input_kind": kind})
 
 
 def _map4_rows(m: classmap.MappingMatrix, psi: ClassicalSpinor, tol: float) -> dict:
@@ -443,19 +436,9 @@ def cmd_map4(args) -> int:
     ).encode()
     rows = _spinor_rows(*spinors, lambda psi: _map4_rows(m, psi, args.tol))
     histogram = Counter(cls for _, columns in rows.groups for cls in columns.get("class", ()))
-    _dump({
-        "version": SCHEMA_VERSION,
-        "meta": {
-            "command": "map4",
-            "tol": args.tol,
-            "params_hash": hashlib.sha256(params_blob).hexdigest()[:16],
-            "abs_det": abs_det,
-            "constraint_residuals": [r0, r123],
-        },
-        "results": rows,
-        "class_histogram": histogram,
-    }, args.out)
-    return 0
+    meta = {"params_hash": hashlib.sha256(params_blob).hexdigest()[:16], "abs_det": abs_det,
+            "constraint_residuals": [r0, r123]}
+    return _report(args, rows, meta, class_histogram=histogram)
 
 
 def cmd_winding(args) -> int:
@@ -485,15 +468,7 @@ def _reconstruct_rows(psi: ClassicalSpinor, tol: float) -> dict:
 
 
 def cmd_reconstruct(args) -> int:
-    rows = _spinor_rows(*load_spinor_file(args.input), lambda psi: _reconstruct_rows(psi, args.tol))
-    all_pass = rows.all_true("pass")
-    _dump({
-        "version": SCHEMA_VERSION,
-        "meta": {"command": "reconstruct", "tol": args.tol},
-        "results": rows,
-        "all_pass": all_pass,
-    }, args.out)
-    return 0 if all_pass else 1
+    return _report(args, _spinor_rows(*load_spinor_file(args.input), lambda psi: _reconstruct_rows(psi, args.tol)))
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -505,47 +480,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify, verify, map, and reconstruct spinors over JSON files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    spinor_file = "spinor file path or - for stdin"
 
-    p = sub.add_parser("classify", help="classify each spinor in a file")
-    p.add_argument("input", help="spinor file path or - for stdin")
-    p.add_argument("--tol", type=_tolerance, default=lounesto.DEFAULT_TOL)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_classify)
+    def command(name: str, func, summary: str, input_help: str | None = None) -> argparse.ArgumentParser:
+        """Subcommand name running func, with its input file when input_help is given."""
+        p = sub.add_parser(name, help=summary)
+        if input_help:
+            p.add_argument("input", help=input_help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("generate", help="emit seeded spinors of one class")
+    def report_options(p: argparse.ArgumentParser, tol: float = lounesto.DEFAULT_TOL) -> None:
+        p.add_argument("--tol", type=_tolerance, default=tol)
+        p.add_argument("--out", default=None)
+
+    report_options(command("classify", cmd_classify, "classify each spinor in a file", spinor_file))
+
+    p = command("generate", cmd_generate, "emit seeded spinors of one class")
     p.add_argument("--class", dest="lounesto_class", required=True,
                    choices=["1", "2", "3", "4", "5", "6"])
     p.add_argument("--count", type=_count, default=1, help=f"spinors to emit, at most {MAX_COUNT}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rep", choices=["weyl", "dirac"], default="weyl")
-    p.add_argument("--tol", type=_tolerance, default=lounesto.DEFAULT_TOL)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_generate)
+    report_options(p)
 
-    p = sub.add_parser("verify", help="identity residual tables")
-    p.add_argument("input", help="spinor or covariant file path, - for stdin")
+    p = command("verify", cmd_verify, "identity residual tables", "spinor or covariant file path, - for stdin")
     p.add_argument("--mode", choices=["fpk", "aggregate", "boomerang"], default="fpk")
-    p.add_argument("--tol", type=_tolerance, default=lounesto.DEFAULT_TOL)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
+    report_options(p)
 
-    p = sub.add_parser("map4", help="apply a class-4 mapping to regular spinors")
-    p.add_argument("input", help="spinor file path or - for stdin")
+    p = command("map4", cmd_map4, "apply a class-4 mapping to regular spinors", spinor_file)
     p.add_argument("--params", required=True, help="mapping parameter JSON path")
-    p.add_argument("--tol", type=_tolerance, default=lounesto.DEFAULT_TOL)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_map4)
+    report_options(p)
 
-    p = sub.add_parser("winding", help="winding number of a closed plane path")
-    p.add_argument("input", help="path JSON (list of [sigma, omega]) or - for stdin")
-    p.set_defaults(func=cmd_winding)
-
-    p = sub.add_parser("reconstruct", help="rebuild spinors from their aggregates")
-    p.add_argument("input", help="spinor file path or - for stdin")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_reconstruct)
-
+    command("winding", cmd_winding, "winding number of a closed plane path",
+            "path JSON (list of [sigma, omega]) or - for stdin")
+    report_options(command("reconstruct", cmd_reconstruct, "rebuild spinors from their aggregates", spinor_file),
+                   tol=1e-9)
     return parser
 
 

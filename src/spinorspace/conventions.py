@@ -16,28 +16,10 @@ together with the Euclidean rank-one expansion.  The test suite re-derives
 every value.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class BilinearConventions:
-    # S_{mu nu} = s_scale * Im(psibar [g_mu, g_nu] psi), time-minus signature
-    s_scale: float
-    # quarter-sandwich identity (1/4) Z i[g_mu, g_nu] Z = s_factor * S_{mu nu} Z
-    generalized_s_factor: float
-    # S_{mu nu} = s_scale_euclidean * Im(psi^dag [e_mu, e_nu] psi), Euclidean
-    s_scale_euclidean: float
-
-
-# values reproduced by scripts/calibrate_conventions.py and pinned in tests
-CONVENTIONS = BilinearConventions(
-    s_scale=-0.5,
-    generalized_s_factor=2.0,
-    s_scale_euclidean=-0.5,
-)
-
-S_SCALE = CONVENTIONS.s_scale
-GENERALIZED_S_FACTOR = CONVENTIONS.generalized_s_factor
-S_SCALE_EUCLIDEAN = CONVENTIONS.s_scale_euclidean
+# values reproduced by scripts/calibrate_conventions.py and pinned in tests;
+# S_{mu nu} = S_SCALE * Im(psibar [g_mu, g_nu] psi), time-minus signature
+S_SCALE = -0.5
+# quarter-sandwich identity (1/4) Z i[g_mu, g_nu] Z = GENERALIZED_S_FACTOR * S_{mu nu} Z
+GENERALIZED_S_FACTOR = 2.0
+# S_{mu nu} = S_SCALE_EUCLIDEAN * Im(psi^dag [e_mu, e_nu] psi), Euclidean
+S_SCALE_EUCLIDEAN = -0.5

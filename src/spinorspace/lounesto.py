@@ -199,11 +199,6 @@ def rescale_class_invariance(psi: ClassicalSpinor, c: complex, tol: float = DEFA
 
 # -- seeded generators --------------------------------------------------------
 
-_GENERATABLE = {
-    LounestoClass.C1, LounestoClass.C2, LounestoClass.C3,
-    LounestoClass.C4, LounestoClass.C5, LounestoClass.C6,
-}
-
 _MAX_ATTEMPTS = 200
 
 
@@ -215,26 +210,16 @@ def _draw_c1(rng: np.random.Generator) -> np.ndarray:
     return _complex_vector(rng, 4)
 
 
-def _draw_c2(rng: np.random.Generator) -> np.ndarray:
-    # upper and lower parts with a real, nonzero overlap kill omega but not sigma
+def _draw_regular(phase: complex, rng: np.random.Generator) -> np.ndarray:
+    # upper and lower parts whose nonzero overlap has the given phase: a real
+    # one (1) kills omega but not sigma, an imaginary one (1j) sigma but not omega
     chi = _complex_vector(rng, 2)
     w = _complex_vector(rng, 2)
     w = w - (np.vdot(chi, w) / np.vdot(chi, chi)) * chi
     c = rng.standard_normal()
     while abs(c) < 0.2:
         c = rng.standard_normal()
-    return np.concatenate([chi, c * chi + w])
-
-
-def _draw_c3(rng: np.random.Generator) -> np.ndarray:
-    # purely imaginary overlap kills sigma but not omega
-    chi = _complex_vector(rng, 2)
-    w = _complex_vector(rng, 2)
-    w = w - (np.vdot(chi, w) / np.vdot(chi, chi)) * chi
-    c = rng.standard_normal()
-    while abs(c) < 0.2:
-        c = rng.standard_normal()
-    return np.concatenate([chi, 1j * c * chi + w])
+    return np.concatenate([chi, phase * c * chi + w])
 
 
 def _draw_c5(rng: np.random.Generator) -> np.ndarray:
@@ -268,8 +253,8 @@ def _draw_c4(rng: np.random.Generator) -> np.ndarray:
 
 _DRAWERS = {
     LounestoClass.C1: _draw_c1,
-    LounestoClass.C2: _draw_c2,
-    LounestoClass.C3: _draw_c3,
+    LounestoClass.C2: functools.partial(_draw_regular, 1),
+    LounestoClass.C3: functools.partial(_draw_regular, 1j),
     LounestoClass.C4: _draw_c4,
     LounestoClass.C5: _draw_c5,
     LounestoClass.C6: _draw_c6,
@@ -295,7 +280,7 @@ def generate(
     than `count` accepted within _MAX_ATTEMPTS * count draws is a
     ValueError.
     """
-    if target not in _GENERATABLE:
+    if target not in _DRAWERS:
         raise ValueError(f"cannot generate spinors for class {target.value!r}")
     if count < 1:
         raise ValueError("count must be at least 1")

@@ -239,7 +239,13 @@ class AlgebraicSpinor(Record):
     def __post_init__(self, m: np.ndarray) -> None:
         if m.shape[-2:] != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if (np.abs(m[..., 1:]).max(axis=(-2, -1)) > 1e-12 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))).any():
+        # compared on m scaled by the power of two 2^-e that brings a largest
+        # part of 1 or more into [0.5, 1), so that no modulus overflows
+        parts = m.view(np.float64)
+        e = np.maximum(np.frexp(np.abs(parts).max(axis=(-2, -1)))[1], 0)
+        moduli = np.abs(np.ldexp(parts, -e[..., None, None]).view(np.complex128))
+        threshold = 1e-12 * np.maximum(np.ldexp(1.0, -e), moduli.max(axis=(-2, -1)))
+        if (moduli[..., 1:].max(axis=(-2, -1)) > threshold).any():
             raise ValueError("ideal element must have nonzero entries in the first column only")
 
 

@@ -45,13 +45,6 @@ class WindingReport:
     angle_sum: float
     residue: float
 
-    def as_dict(self) -> dict:
-        return {
-            "winding": self.winding,
-            "angle_sum": self.angle_sum,
-            "residue": self.residue,
-        }
-
 
 def _validate_path(path) -> np.ndarray:
     pts = np.asarray(path, dtype=float)

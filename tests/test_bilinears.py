@@ -209,3 +209,29 @@ def test_bilinear_set_equality(rng, signature):
     other = next(s for s in cl.Signature if s is not signature)
     assert covariants(comps[0]) != bl.BilinearSet.from_stack(covariants(comps[0]).stack(), other)
     assert covariants(comps[0]) != covariants(comps[0]).stack()
+
+
+# a set whose norm Python's float pow and numpy's square once rounded apart
+NORM_ROUNDING_CASE = [
+    -2.2444979729660723e+145, -6.751002323529932e+144, -2.488116714598042e+145, -4.551432696780475e+144,
+    2.3989991740916717e+144, -7.43405472474419e+144, 1.382949371155958e+144, -8.125097890687863e+143,
+    -7.29455938799421e+144, 1.3785346914747573e+145, 2.1594112472473635e+145, 5.455866624647991e+144,
+    9.477944029044944e+144, 1.2555300306998572e+144, -1.595772529164318e+145, 2.5982305578416653e+144,
+]
+
+
+def test_single_component_norm_is_its_batch_row():
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal((2000, 16)) * 10.0 ** rng.uniform(-150, 150, (2000, 1))
+    v = np.vstack([v, NORM_ROUNDING_CASE])
+    batch = bl.BilinearSet.from_stack(v).component_norm()
+    single = np.array([bl.BilinearSet.from_stack(row).component_norm() for row in v])
+    assert isinstance(bl.BilinearSet.from_stack(v[0]).component_norm(), float)
+    assert np.array_equal(single.view(np.uint64), batch.view(np.uint64))
+
+
+def test_component_norm_beyond_float64_is_inf():
+    b = bl.BilinearSet.from_stack(np.full(16, 1e200))
+    with np.errstate(all="ignore"):
+        assert b.component_norm() == np.inf
+        assert bl.BilinearSet.from_stack(np.full((1, 16), 1e200)).component_norm().tolist() == [np.inf]

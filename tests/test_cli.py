@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinorspace import bilinears, classmap, cli, clifford, lounesto
+from spinorspace.spinor_forms import ClassicalSpinor
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -354,6 +355,35 @@ def test_block_report_equals_one_entry_runs(tmp_path, capsys, monkeypatch, argv)
     results = json.loads(whole.read_text())["results"]
     assert results[cli.BLOCK + 3]["error"] == "zero spinor"
     assert json.dumps(results, indent=2, sort_keys=True) == json.dumps(singles, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("mode", ["fpk", "boomerang", "aggregate"])
+def test_covariant_block_report_equals_one_entry_runs(tmp_path, capsys, mode):
+    """A covariant file spanning three blocks, with an entry inside the
+    second whose residuals do not fit in float64, gives the same rows as
+    running each entry on its own."""
+    rng = np.random.default_rng(7)
+    n = 2 * cli.BLOCK + 1
+    psi = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    stacks = bilinears.bilinear_covariants(ClassicalSpinor(psi, clifford.WEYL)).stack().copy()
+    # every fifth entry breaks the identities, and one has components near 2e200
+    stacks[::5] = rng.standard_normal((len(stacks[::5]), 16))
+    stacks[cli.BLOCK + 3] *= 2e200
+    entries = [{"id": f"v{i}", "sigma": v[0], "omega": v[1], "J": v[2:6], "K": v[6:10], "S": v[10:]}
+               for i, v in enumerate(stacks.tolist())]
+    whole = tmp_path / "whole.json"
+    cli.main(["verify", spinor_file(tmp_path / "in.json", entries), "--mode", mode, "--out", str(whole)])
+    singles = []
+    for e in entries:
+        one = tmp_path / "one.json"
+        cli.main(["verify", spinor_file(tmp_path / "in1.json", [e]), "--mode", mode, "--out", str(one)])
+        singles += json.loads(one.read_text())["results"]
+    doc = json.loads(whole.read_text())
+    assert doc["meta"]["input_kind"] == "bilinears"
+    assert doc["results"][cli.BLOCK + 3] == {"id": f"v{cli.BLOCK + 3}", "error": "residuals do not fit in float64"}
+    assert sum("error" in row for row in doc["results"]) == 1
+    assert json.dumps(doc["results"], indent=2, sort_keys=True) == json.dumps(singles, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("argv", [["classify", "in.json"], ["generate", "--class", "1"]],

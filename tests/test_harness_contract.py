@@ -20,12 +20,15 @@ calling leaves the construction span empty.
 import ast
 import dataclasses
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from spinorspace import cli
+import numpy as np
+
+from spinorspace import classmap, cli
 from spinorspace import clifford as cl
 from spinorspace import lounesto
 from spinorspace import spinor_forms as sf
@@ -95,3 +98,38 @@ def test_spinor_construction_runs_the_traced_hook(monkeypatch):
     assert len(calls) == 2
     sf.classical_from_operator(sf.operator_from_classical(dirac))
     assert len(calls) == 3
+
+
+def test_every_file_command_calls_the_traced_stages(tmp_path, monkeypatch, capsys):
+    """The tracer wraps the CLI_STAGES as module attributes, so every file
+    command must reach them through the module at call time: a reference
+    taken at import would skip the wrapper and read a stage as empty."""
+    calls = {name: 0 for name in tracer_constant("CLI_STAGES")}
+    for name in calls:
+        def counted(*args, _name=name, _stage=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _stage(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    rng = np.random.default_rng(3)
+    spinors = tmp_path / "spinors.json"
+    spinors.write_text(json.dumps({"version": 1, "entries": [
+        {"id": f"s{i}", "components": [[z.real, z.imag] for z in c]}
+        for i, c in enumerate(rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))]}))
+    covariants = tmp_path / "covariants.json"
+    covariants.write_text(json.dumps({"version": 1, "entries": [
+        {"id": "v", "sigma": 1.0, "omega": 0.0, "J": [1, 0, 0, 0], "K": [0, 0, 0, -1], "S": [0] * 6}]}))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({name: [1.0, 0.5] for name in classmap.PARAM_NAMES}))
+    runs = [
+        (["classify", str(spinors)], "_parse_spinor_entries"),
+        (["reconstruct", str(spinors)], "_parse_spinor_entries"),
+        (["map4", str(spinors), "--params", str(params)], "_parse_spinor_entries"),
+        (["verify", str(spinors)], "_parse_spinor_entries"),
+        (["verify", str(covariants)], "_parse_bilinear_entries"),
+    ]
+    for argv, parse in runs:
+        before = dict(calls)
+        assert cli.main(argv) in (0, 1), argv
+        assert json.loads(capsys.readouterr().out)["meta"]["command"] == argv[0]
+        for name in ("_load_json", parse, "_dump"):
+            assert calls[name] > before[name], (argv, name)

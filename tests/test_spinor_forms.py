@@ -402,3 +402,40 @@ def test_scalar_gathers_match_component_formulas(rng):
         q1, q2 = rand_quat(rng), rand_quat(rng)
         want = [q1.w + 1j * q1.z, q1.y + 1j * q1.x, q2.w + 1j * q2.z, q2.y + 1j * q2.x]
         assert np.array_equal(bl.quaternion_pair_to_c4(q1, q2), want)
+
+
+@pytest.mark.parametrize("first, off", [(1.7e308 + 1.7e308j, 1.7e308), (1e308 + 1e308j, 1e308j),
+                                        (-1.7e308 - 1.7e308j, -1.7e308 - 1.7e308j)])
+def test_ideal_element_check_survives_overflowing_moduli(first, off):
+    """An entry off the first column as large as the first column's is
+    rejected also where the largest modulus overflows float64."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0], m[2, 1] = first, off
+    for matrix in (m, np.stack([np.diag([1, 0, 0, 0]).astype(complex), m])):
+        with pytest.raises(ValueError, match="first column only"):
+            sf.AlgebraicSpinor(matrix)
+    m[2, 1] = 0
+    assert sf.AlgebraicSpinor(m).matrix[0, 0] == first
+
+
+EXPONENTS = st.integers(-330, 300)
+
+
+@given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1), EXPONENTS), min_size=4, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3), st.floats(-1, 1), st.floats(-16, 0)), max_size=3))
+def test_ideal_element_check_agrees_with_unscaled_rule(column, offs):
+    """Where no modulus overflows, the check decides as the comparison
+    max |m[:, 1:]| > 1e-12 max(1, max |m|) on the matrix itself does; off
+    entries are drawn near that threshold."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[:, 0] = [complex(x * 10.0 ** e, y * 10.0 ** e) for x, y, e in column]
+    peak = max(1.0, float(np.abs(m).max()))
+    for row, col, sign, digits in offs:
+        m[row, col] = 1e-12 * peak * (1 + np.copysign(10.0 ** digits, sign))
+    reject = np.abs(m[:, 1:]).max() > 1e-12 * max(1.0, np.abs(m).max())
+    try:
+        sf.AlgebraicSpinor(m)
+        rejected = False
+    except ValueError:
+        rejected = True
+    assert rejected == reject
