@@ -94,6 +94,18 @@ def _unbox(x):
     return x.item() if x.ndim == 0 else x
 
 
+def _ray(parts: np.ndarray, axis=-1) -> tuple[np.ndarray, np.ndarray]:
+    """(ray, e): the real parts scaled exactly by the power of two 2^-e that
+    brings the largest magnitude of each row (over axis, kept in e) into
+    [0.5, 1), with e = 0 for a zero row."""
+    _, e = np.frexp(np.abs(parts).max(axis=axis, keepdims=True))
+    return np.ldexp(parts, -e), e
+
+
+# ldexp whose overflow to inf passes without a warning: callers check the result
+_ldexp_quiet = np.errstate(over="ignore")(np.ldexp)
+
+
 class _View:
     """Named view array[..., index] of a record: a float for one entry of a
     single item, a view of the array otherwise.  Read once, then kept in the

@@ -24,15 +24,14 @@ batch of shape () and gives floats.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import conventions
 from .bilinears import (ORIENTATION, BilinearSet, _by_group, _covariant_basis, _covariant_blades, _s_weights,
                         minkowski_dot, minkowski_square)
-from .clifford import (Multivector, Record, RowError, Signature, _mul_gather, _unbox, left_mul_matrix, pseudoscalar,
-                       rep_matrix, scalar)
+from .clifford import (Multivector, Record, RowError, Signature, _ldexp_quiet, _mul_gather, _ray, _unbox,
+                       left_mul_matrix, pseudoscalar, rep_matrix, scalar)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
 
 __all__ = [
@@ -91,9 +90,6 @@ class FpkResiduals(Record):
         being the covariants' component norm."""
         return _unbox(self.max_abs() <= tol * scale ** 2)
 
-    def as_dict(self) -> dict:
-        return {"r1": self.r1, "r2": self.r2, "r3": self.r3, "r4": self.r4}
-
 
 @functools.lru_cache(maxsize=None)
 def _identity_forms(signature: Signature) -> np.ndarray:
@@ -132,6 +128,16 @@ def fpk_residuals(b: BilinearSet) -> FpkResiduals:
     if b.signature is not Signature.MINKOWSKI:
         raise ValueError("covariant identities here use the time-minus contraction")
     return FpkResiduals._of(_identity_residuals(b))
+
+
+def _fpk_check(b: BilinearSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (..., 4) FPK residuals of b and the flags |r_k| <= tol * |b|^2, |b|
+    the component norm, from one pass on b's ray: the flags hold at every
+    scale, and the residuals come back at b's scale (inf past float64)."""
+    ray, e = _ray(b.stack())
+    ray = BilinearSet._of(ray, signature=b.signature)
+    res = fpk_residuals(ray).stack()
+    return _ldexp_quiet(res, 2 * e), np.abs(res) <= tol * np.asarray(ray.component_norm())[..., None] ** 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,26 +215,18 @@ def generalized_fpk_residuals(z: Multivector, b: BilinearSet) -> np.ndarray:
     return np.maximum.reduceat(rows, [0, 1, 5, 11, 15], axis=-1)
 
 
-@dataclass(frozen=True)
-class SingularAggregateParams:
+class SingularAggregateParams(Record):
     """Data of a singular aggregate J (1 + i s + i h e0123): a lightlike
-    current J, a space-like s orthogonal to J, and a real helicity scalar h.
-    Components are stored index-down."""
+    current J, a space-like s orthogonal to J, and a real helicity scalar h,
+    views of one read-only (9,) array.  Components are stored index-down."""
 
-    J: np.ndarray
-    s: np.ndarray
-    h: float
+    _views = (("J", slice(0, 4)), ("s", slice(4, 8)), ("h", 8))
 
-    def __post_init__(self) -> None:
-        j = np.array(self.J, dtype=float)
-        s = np.array(self.s, dtype=float)
+    def __init__(self, J, s, h: float) -> None:
+        j, s = np.array(J, dtype=float), np.array(s, dtype=float)
         if j.shape != (4,) or s.shape != (4,):
             raise ValueError("J and s must have 4 components")
-        j.flags.writeable = False
-        s.flags.writeable = False
-        object.__setattr__(self, "J", j)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "h", float(self.h))
+        super().__init__(np.concatenate([j, s, [float(h)]]))
 
 
 def build_singular_aggregate(p: SingularAggregateParams, tol: float = 1e-9) -> Multivector:

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import conventions
 from .bilinears import BilinearSet, _covariants, _fitting
-from .clifford import GammaRep, RowError, Signature, WEYL, _unbox
-from .fierz import fpk_residuals
+from .clifford import GammaRep, RowError, Signature, WEYL, _ldexp_quiet, _ray, _unbox
+from .fierz import _fpk_check
 from .spinor_forms import ClassicalSpinor
 
 __all__ = [
@@ -145,10 +145,6 @@ def _pattern(v: np.ndarray, scale, tol: float):
     return cls, zero_flags, _unbox(margin)
 
 
-# ldexp whose overflow to inf passes without a warning: classify checks the result
-_ldexp_quiet = np.errstate(over="ignore")(np.ldexp)
-
-
 def classify(psi: ClassicalSpinor, tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Classify a nonzero spinor, or a batch of them at once.
 
@@ -160,13 +156,11 @@ def classify(psi: ClassicalSpinor, tol: float = DEFAULT_TOL) -> ClassificationRe
     itself wherever those are normal floats.  Zero spinors, and spinors
     whose covariants overflow float64, raise RowError naming their rows.
     """
-    parts = psi.components.view(np.float64)
-    peak = np.abs(parts).max(axis=-1, keepdims=True)
-    if not peak.all():
-        raise RowError("zero spinor cannot be classified", peak[..., 0] == 0.0)
-    _, exponent = np.frexp(peak)
-    ray = np.ldexp(parts, -exponent).view(np.complex128)
-    v = _covariants(ray, conventions.S_SCALE, Signature.MINKOWSKI, psi.rep)
+    parts, exponent = _ray(psi.components.view(np.float64))
+    zero = ~parts.any(axis=-1)
+    if zero.any():
+        raise RowError("zero spinor cannot be classified", zero)
+    v = _covariants(parts.view(np.complex128), conventions.S_SCALE, Signature.MINKOWSKI, psi.rep)
     # J_0 = psi^dag psi: the squared norm of the ray is its own J_0
     cls, zero_flags, margin = _pattern(v, v[..., 2], tol)
     v = _fitting(_ldexp_quiet(v, 2 * exponent))
@@ -175,24 +169,21 @@ def classify(psi: ClassicalSpinor, tol: float = DEFAULT_TOL) -> ClassificationRe
 
 def classify_bilinears(b: BilinearSet, tol: float = DEFAULT_TOL) -> LounestoClass:
     """Classify a raw covariant set, or a batch of them (an object array of
-    classes).  Sets breaking the quadratic identities are anomalous
-    regardless of their zero pattern."""
+    classes), on its ray, so alike at every scale.  The zero set (by its
+    pattern) and sets breaking the quadratic identities are anomalous."""
     if b.signature is not Signature.MINKOWSKI:
         raise ValueError("classification applies to time-minus covariants")
-    scale = b.component_norm()
-    cls, _, _ = _pattern(b.stack(), scale, tol)
-    anomalous = (np.asarray(scale) == 0.0) | ~np.asarray(fpk_residuals(b).passes(tol, scale))
-    return _unbox(np.where(anomalous, LounestoClass.ANOMALOUS, cls))
+    ray = BilinearSet._of(_ray(b.stack())[0], signature=b.signature)
+    cls, _, _ = _pattern(ray.stack(), ray.component_norm(), tol)
+    return _unbox(np.where(_fpk_check(b, tol)[1].all(axis=-1), cls, LounestoClass.ANOMALOUS))
 
 
 def rescale_class_invariance(psi: ClassicalSpinor, c: complex, tol: float = DEFAULT_TOL) -> bool:
     """Whether classify(c psi) agrees with classify(psi), per spinor of a batch;
     true for every c != 0 since all covariants scale by |c|^2 and thresholds
-    are norm-relative."""
+    are norm-relative.  Zero spinors raise classify's RowError."""
     if c == 0:
         raise ValueError("rescaling factor must be nonzero")
-    if np.any(psi.is_zero):
-        raise ValueError("zero spinor cannot be classified")
     scaled = ClassicalSpinor(c * psi.components, psi.rep)
     return _unbox(classify(scaled, tol).lounesto_class == classify(psi, tol).lounesto_class)
 

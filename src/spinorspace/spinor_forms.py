@@ -19,12 +19,11 @@ single result bit for bit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import (_I2, BLADES, DIRAC, PAULI, GammaRep, Multivector, Record, Signature, _product_table, _unbox,
-                       idempotent_f, rep_matrix, weyl_to_dirac_matrix)
+from .clifford import (_I2, BLADES, DIRAC, PAULI, GammaRep, Multivector, Record, Signature, _ldexp_quiet,
+                       _product_table, _ray, _unbox, idempotent_f, rep_matrix, weyl_to_dirac_matrix)
 
 __all__ = [
     "Quaternion",
@@ -217,13 +216,15 @@ class ClassicalSpinor(Record):
         return ClassicalSpinor(np.matmul(u, self.components[..., None])[..., 0], rep)
 
 
-@dataclass(frozen=True)
-class SpinorOperator:
-    """Even multivector packaged as the quaternion pair (q1, q2), two
-    quaternion batches of one shape."""
+class SpinorOperator(Record):
+    """Even multivector packaged as the quaternion pair (q1, q2): one
+    read-only (..., 8) array whose halves q1 and q2 are Quaternion views."""
 
-    q1: Quaternion
-    q2: Quaternion
+    q1 = property(lambda self: Quaternion._of(self._array[..., :4]))
+    q2 = property(lambda self: Quaternion._of(self._array[..., 4:]))
+
+    def __init__(self, q1: Quaternion, q2: Quaternion) -> None:
+        super().__init__(np.concatenate(np.broadcast_arrays(q1.as_array(), q2.as_array()), axis=-1))
 
 
 class AlgebraicSpinor(Record):
@@ -239,13 +240,12 @@ class AlgebraicSpinor(Record):
     def __post_init__(self, m: np.ndarray) -> None:
         if m.shape[-2:] != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        # compared on m scaled by the power of two 2^-e that brings a largest
-        # part of 1 or more into [0.5, 1), so that no modulus overflows
-        parts = m.view(np.float64)
-        e = np.maximum(np.frexp(np.abs(parts).max(axis=(-2, -1)))[1], 0)
-        moduli = np.abs(np.ldexp(parts, -e[..., None, None]).view(np.complex128))
-        threshold = 1e-12 * np.maximum(np.ldexp(1.0, -e), moduli.max(axis=(-2, -1)))
-        if (moduli[..., 1:].max(axis=(-2, -1)) > threshold).any():
+        # on the ray of m no modulus overflows; 1 there is 2^-e, inf only for
+        # an m too tiny to hold an entry above 1e-12
+        ray, e = _ray(m.view(np.float64), axis=(-2, -1))
+        moduli = np.abs(ray.view(np.complex128))
+        threshold = 1e-12 * np.maximum(_ldexp_quiet(1.0, -e), moduli.max(axis=(-2, -1), keepdims=True))
+        if (moduli[..., 1:] > threshold).any():
             raise ValueError("ideal element must have nonzero entries in the first column only")
 
 
@@ -272,7 +272,7 @@ def operator_from_coeffs(s: float, s_bivec, p: float) -> SpinorOperator:
 
 
 def operator_to_even_multivector(op: SpinorOperator) -> Multivector:
-    v = np.concatenate([op.q1.as_array(), op.q2.as_array()], axis=-1)
+    v = op.stack()
     c = np.zeros(v.shape[:-1] + (16,))
     c[..., _OPERATOR_BLADES] = v * _OPERATOR_SIGNS
     return Multivector(Signature.MINKOWSKI, c)
@@ -282,7 +282,7 @@ def operator_from_even_multivector(mv: Multivector) -> SpinorOperator:
     """Read the even slots of a Minkowski multivector; odd slots are ignored
     (they must vanish for a genuine spinor operator)."""
     v = mv.coeffs.real[..., _OPERATOR_BLADES] * _OPERATOR_SIGNS
-    return SpinorOperator(Quaternion._of(v[..., :4]), Quaternion._of(v[..., 4:]))
+    return SpinorOperator._of(v)
 
 
 def operator_to_quat_matrix(op: SpinorOperator) -> QuatMatrix2:
@@ -303,13 +303,13 @@ def classical_from_operator(op: SpinorOperator) -> ClassicalSpinor:
     """Component map psi1 = s + s23 i, psi2 = s13 + s12 i, psi3 = p + s10 i,
     psi4 = s02 + s30 i, with antisymmetry fixing s10 = -s01 and s30 = -s03.
     The components live in the standard representation."""
-    v = np.concatenate([op.q1.as_array(), op.q2.as_array()], axis=-1) * _CLASSICAL_SIGNS
+    v = op.stack() * _CLASSICAL_SIGNS
     return ClassicalSpinor(v.view(np.complex128), DIRAC)
 
 
 def operator_from_classical(psi: ClassicalSpinor) -> SpinorOperator:
     v = psi.to_rep(DIRAC).components.view(np.float64) * _CLASSICAL_SIGNS
-    return SpinorOperator(Quaternion._of(v[..., :4]), Quaternion._of(v[..., 4:]))
+    return SpinorOperator._of(v)
 
 
 # -- classical <-> algebraic -------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bilinears import BilinearSet, euclidean_components_closed_form
 from .clifford import RowError, _unbox
-from .fierz import fpk_residuals
+from .fierz import _fpk_check
 
 __all__ = [
     "WindingReport",
@@ -110,6 +110,6 @@ def regular_sphere_check(psi, tol: float = 1e-8) -> float:
 
 def fpk_membership(p: BilinearSet, tol: float = 1e-8) -> bool:
     """Whether the point satisfies the quadratic covariant identities (the
-    membership gate of the physical sector), per point of a batch.  The
-    all-zero point passes as a degenerate member: its residuals are 0."""
-    return fpk_residuals(p).passes(tol, p.component_norm())
+    membership gate of the physical sector), per point of a batch and alike
+    at every scale.  The all-zero point passes as a degenerate member."""
+    return _unbox(_fpk_check(p, tol)[1].all(axis=-1))

@@ -573,7 +573,7 @@ def test_map4_error_rows(tmp_path, capsys, rng):
 def test_map4_bad_parameter_is_named(tmp_path, capsys, rng, value):
     f = spinor_file(tmp_path / "in.json", [entry("a", [1, 0, 1, 0])])
     pf = tmp_path / "p.json"
-    params = json.loads(open(params_file(pf, rng)).read())
+    params = json.loads(Path(params_file(pf, rng)).read_text())
     pf.write_text(json.dumps({**params, "m13": value}))
     code, out = run_cli(["map4", f, "--params", str(pf)], capsys=capsys)
     assert code == 2
@@ -591,7 +591,7 @@ def test_map4_overflowing_parameters_are_schema_error(tmp_path, capsys, rng, cha
     float64 are one error line naming the parameter file, with no warning."""
     f = spinor_file(tmp_path / "in.json", [entry("a", [1, 0, 1, 0])])
     pf = tmp_path / "p.json"
-    params = json.loads(open(params_file(pf, rng)).read())
+    params = json.loads(Path(params_file(pf, rng)).read_text())
     pf.write_text(json.dumps({**params, **changes}))
     code, out = run_without_warnings(["map4", f, "--params", str(pf)], capsys)
     assert code == 2

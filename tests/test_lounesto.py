@@ -199,6 +199,14 @@ def test_rescale_zero_factor_rejected(rng):
         lounesto.rescale_class_invariance(random_spinor(rng), 0.0)
 
 
+def test_rescale_zero_spinor_is_classify_row_error(rng):
+    """A zero spinor in a batch is classify's RowError naming its row."""
+    psi = ClassicalSpinor([random_spinor(rng).components, np.zeros(4)], cl.WEYL)
+    with pytest.raises(cl.RowError, match="^zero spinor cannot be classified$") as caught:
+        lounesto.rescale_class_invariance(psi, 2.0)
+    assert caught.value.rows.tolist() == [False, True]
+
+
 @given(
     st.floats(min_value=-1e3, max_value=1e3),
     st.floats(min_value=-1e3, max_value=1e3),

@@ -1,4 +1,4 @@
-"""The contract of the eight array types' public constructors.
+"""The contract of the array types' public constructors.
 
 Each constructor keeps one read-only copy of what it is given, bit for bit
 the array numpy makes of the input, with its named views equal to the
@@ -20,8 +20,8 @@ from spinorspace import clifford as cl
 from spinorspace.bilinears import BilinearSet
 from spinorspace.classmap import MappingMatrix, MappingParams
 from spinorspace.clifford import DIRAC, WEYL, Multivector, Signature
-from spinorspace.fierz import FpkResiduals
-from spinorspace.spinor_forms import AlgebraicSpinor, ClassicalSpinor, QuatMatrix2, Quaternion
+from spinorspace.fierz import FpkResiduals, SingularAggregateParams
+from spinorspace.spinor_forms import AlgebraicSpinor, ClassicalSpinor, QuatMatrix2, Quaternion, SpinorOperator
 
 # every finite float64: signed zeros, subnormals and magnitudes up to the largest
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -219,6 +219,42 @@ def test_fpk_residuals(data, batch):
     assert_rows(r.stack(), lambda i: FpkResiduals(*(p[i] for p in parts)).stack(), batch)
     with pytest.raises(ValueError, match="cannot be broadcast"):
         FpkResiduals(np.zeros(2), np.zeros(3), 0.0, 0.0)
+
+
+@given(st.data(), BATCHES)
+def test_spinor_operator(data, batch):
+    halves = [data.draw(reals(batch + (4,))) for _ in range(2)]
+    op = SpinorOperator(*(Quaternion(*np.moveaxis(h, -1, 0)) for h in halves))
+    assert_kept(op.stack(), np.concatenate(halves, axis=-1), float)
+    for q, half in zip((op.q1, op.q2), halves):
+        assert type(q) is Quaternion and q.as_array().tobytes() == half.tobytes()
+        assert np.shares_memory(q.as_array(), op.stack())
+    assert SpinorOperator._of(op.stack().copy()) == op
+    assert_rows(op.stack(), lambda i: SpinorOperator(Quaternion(*halves[0][i]), Quaternion(*halves[1][i])).stack(),
+                batch)
+
+
+@given(st.data())
+def test_singular_aggregate_params(data):
+    j, s = data.draw(reals((4,))), data.draw(reals((4,)))
+    h = data.draw(FLOATS)
+    p = SingularAggregateParams(data.draw(given_as(j)), data.draw(given_as(s)), h)
+    assert_kept(p.stack(), np.concatenate([j, s, [h]]), float)
+    assert_views(p, p.stack(), (("J", slice(0, 4)), ("s", slice(4, 8)), ("h", 8)))
+    shape = data.draw(st.sampled_from([(3,), (5,), (2, 4), ()]))
+    for bad in ((np.zeros(shape), s), (j, np.zeros(shape))):
+        with pytest.raises(ValueError, match=message("J and s must have 4 components")):
+            SingularAggregateParams(*bad, h)
+
+
+def test_operator_and_aggregate_params_are_unhashable_and_immutable(rng):
+    q = Quaternion(*rng.standard_normal(4))
+    for item in (SpinorOperator(q, q), SingularAggregateParams([1, 0, 0, 1], [0, 1, 0, 0], 0.5)):
+        with pytest.raises(TypeError):
+            hash(item)
+        for name in ("q1", "J", "h", "_x"):
+            with pytest.raises(AttributeError):
+                setattr(item, name, 0.0)
 
 
 @given(st.data())

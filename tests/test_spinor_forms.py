@@ -1,5 +1,7 @@
 """Quaternions and the conversions between the three spinor encodings."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -439,3 +441,14 @@ def test_ideal_element_check_agrees_with_unscaled_rule(column, offs):
     except ValueError:
         rejected = True
     assert rejected == reject
+
+
+def test_ideal_element_check_of_subnormal_matrix_raises_no_warning():
+    """On the ray of a matrix of subnormal entries, 1 is beyond float64: the
+    threshold is inf, quietly, and the matrix is accepted as the unscaled
+    rule accepts it."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0], m[1, 1] = 5e-324, 4e-324j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sf.AlgebraicSpinor(m).matrix.tobytes() == m.tobytes()
