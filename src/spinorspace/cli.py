@@ -29,11 +29,13 @@ entries at a time into one array per field, the entries of a block grouped
 by representation (a covariant file is one group); and one report writer
 adds the envelope and all_pass, and jsonio.dumps writes the report's rows
 from those arrays in file order, byte for byte as json.dumps(report,
-indent=2, sort_keys=True, allow_nan=False) would.  An entry that cannot be
-computed (a zero spinor, covariants or residuals that overflow float64, a
-degenerate reconstruction, a map4 input that is not a regular Weyl spinor
-or lies in the kernel) gets an {id, error} row, which fails verify and
-reconstruct.
+indent=2, sort_keys=True, allow_nan=False) would.  classify, verify and
+reconstruct compute each entry on its power-of-two ray and print absolute
+values at its own scale by an exact ldexp.  An entry that cannot be
+computed (a zero spinor, covariants that overflow float64 at its own scale,
+for verify also their squared norm or residuals, a map4 input that is not
+a regular Weyl spinor or lies in the kernel) gets an {id, error} row, which
+fails verify and reconstruct.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from collections import Counter
 import numpy as np
 
 from . import classmap, fierz, lounesto
-from .bilinears import BilinearSet, bilinear_covariants
-from .clifford import InternalError, RowError, rep_by_tag
+from .bilinears import BilinearSet, _fitting, bilinear_covariants
+from .clifford import InternalError, RowError, _ldexp_quiet, _ray, rep_by_tag
 from .jsonio import Rows, dumps, floats
 from .spinor_forms import ClassicalSpinor
 from .topology import winding_report
@@ -361,24 +363,40 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _verify_rows(b: BilinearSet, mode: str, tol: float) -> dict:
-    """The verify columns of the 1-d covariant batch b.  Sets whose norm or
-    residuals do not fit in float64 raise RowError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = b.component_norm()
-        if mode == "fpk":
-            values, within = fierz._fpk_check(b, tol)
-            passes = within.all(axis=-1)
-        elif mode == "boomerang":
-            values = fierz.boomerang_residual(fierz.aggregate(b), b.sigma)[:, None]
-            passes = values[:, 0] <= tol
-        else:
-            z = fierz.aggregate(b)
-            zscale = np.maximum(z.norm() ** 2, 1e-300)
-            res5 = fierz.generalized_fpk_residuals(z, b)
-            values = res5 / zscale[:, None]
-            passes = res5.max(axis=-1) <= tol * zscale
-    unfit = ~np.isfinite(scale) | ~np.isfinite(values).all(axis=-1)
+def _ray_covariants(psi: ClassicalSpinor) -> tuple[ClassicalSpinor, np.ndarray, BilinearSet]:
+    """(ray, e, b): psi on its ray, psi = ray 2^e, and the ray's covariants b,
+    psi's being b 4^e.  Spinors whose covariants do not fit in float64 raise
+    RowError."""
+    comps, e = _ray(psi.components)
+    ray = ClassicalSpinor._of(comps, rep=psi.rep)
+    b = bilinear_covariants(ray)
+    _fitting(_ldexp_quiet(b.stack(), 2 * e))
+    return ray, e, b
+
+
+def _verify_rows(b: BilinearSet, mode: str, tol: float, e=0) -> dict:
+    """The verify columns of the covariants b 4^e = ray 2^shift, b a 1-d
+    batch and e 0 or of shape (n, 1), computed on their ray.  Sets whose
+    squared norm or residuals do not fit in float64 at that scale raise
+    RowError."""
+    parts, shift = _ray(b.stack())
+    ray = BilinearSet._of(parts, signature=b.signature)
+    shift = shift + 2 * e
+    if mode == "fpk":
+        res, within = fierz._fpk_check(ray, tol)
+        values, passes = _ldexp_quiet(res, 2 * shift), within.all(axis=-1)
+    elif mode == "boomerang":
+        values = fierz.boomerang_residual(fierz.aggregate(ray), ray.sigma)[:, None]
+        passes = values[:, 0] <= tol
+    else:
+        z = fierz.aggregate(ray)
+        # |Z|^2 is of order 1 on the ray: the floor holds only for the zero set
+        zscale = np.maximum(z.norm() ** 2, 1e-300)
+        res5 = fierz.generalized_fpk_residuals(z, ray)
+        values = res5 / zscale[:, None]
+        passes = res5.max(axis=-1) <= tol * zscale
+    norm2 = _ldexp_quiet(ray.component_norm() ** 2, 2 * shift[:, 0])
+    unfit = ~np.isfinite(norm2) | ~np.isfinite(values).all(axis=-1)
     if unfit.any():
         raise RowError("residuals do not fit in float64", unfit)
     if mode == "fpk":
@@ -395,7 +413,10 @@ def _verify_rows(b: BilinearSet, mode: str, tol: float) -> dict:
 def cmd_verify(args) -> int:
     kind, entries = _detect_input_kind(args.input)
     if kind == "spinors":
-        rows = _spinor_rows(*entries, lambda psi: _verify_rows(bilinear_covariants(psi), args.mode, args.tol))
+        def compute(psi):
+            _, e, b = _ray_covariants(psi)
+            return _verify_rows(b, args.mode, args.tol, e)
+        rows = _spinor_rows(*entries, compute)
     else:
         ids, stack = entries
         # a covariant file is one group
@@ -458,11 +479,12 @@ def cmd_winding(args) -> int:
 
 
 def _reconstruct_rows(psi: ClassicalSpinor, tol: float) -> dict:
-    """Rebuild each spinor of the batch from its own aggregate."""
-    z = fierz.aggregate(bilinear_covariants(psi))
-    recovered = fierz.reconstruct(z, fierz.default_probe_spinor(z, psi.rep), psi_ref=psi)
-    err = np.abs(recovered.components - psi.components).max(axis=-1)
-    return {"max_abs_error": err, "pass": err <= tol * np.maximum(psi.norm(), 1e-300)}
+    """Rebuild each spinor of the batch from its own aggregate, on its ray."""
+    ray, e, b = _ray_covariants(psi)
+    z = fierz.aggregate(b)
+    recovered = fierz.reconstruct(z, fierz.default_probe_spinor(z, ray.rep), psi_ref=ray)
+    err = np.abs(recovered.components - ray.components).max(axis=-1)
+    return {"max_abs_error": np.ldexp(err, e[:, 0]), "pass": err <= tol * ray.norm()}
 
 
 def cmd_reconstruct(args) -> int:

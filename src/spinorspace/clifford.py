@@ -94,12 +94,13 @@ def _unbox(x):
     return x.item() if x.ndim == 0 else x
 
 
-def _ray(parts: np.ndarray, axis=-1) -> tuple[np.ndarray, np.ndarray]:
-    """(ray, e): the real parts scaled exactly by the power of two 2^-e that
-    brings the largest magnitude of each row (over axis, kept in e) into
-    [0.5, 1), with e = 0 for a zero row."""
+def _ray(values: np.ndarray, axis=-1) -> tuple[np.ndarray, np.ndarray]:
+    """(ray, e): real or complex values scaled exactly by the power of two
+    2^-e that brings the largest real or imaginary part of each row (over
+    axis, kept in e) into [0.5, 1), with e = 0 for a zero row."""
+    parts = values.view(np.float64)
     _, e = np.frexp(np.abs(parts).max(axis=axis, keepdims=True))
-    return np.ldexp(parts, -e), e
+    return np.ldexp(parts, -e).view(values.dtype), e
 
 
 # ldexp whose overflow to inf passes without a warning: callers check the result

@@ -30,8 +30,8 @@ import numpy as np
 from . import conventions
 from .bilinears import (ORIENTATION, BilinearSet, _by_group, _covariant_basis, _covariant_blades, _s_weights,
                         minkowski_dot, minkowski_square)
-from .clifford import (Multivector, Record, RowError, Signature, _ldexp_quiet, _mul_gather, _ray, _unbox,
-                       left_mul_matrix, pseudoscalar, rep_matrix, scalar)
+from .clifford import (Multivector, Record, RowError, Signature, _mul_gather, _unbox, left_mul_matrix, pseudoscalar,
+                       rep_matrix, scalar)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
 
 __all__ = [
@@ -130,14 +130,12 @@ def fpk_residuals(b: BilinearSet) -> FpkResiduals:
     return FpkResiduals._of(_identity_residuals(b))
 
 
-def _fpk_check(b: BilinearSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (..., 4) FPK residuals of b and the flags |r_k| <= tol * |b|^2, |b|
-    the component norm, from one pass on b's ray: the flags hold at every
-    scale, and the residuals come back at b's scale (inf past float64)."""
-    ray, e = _ray(b.stack())
-    ray = BilinearSet._of(ray, signature=b.signature)
+def _fpk_check(ray: BilinearSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (..., 4) FPK residuals of a covariant set b on its ray, b 2^-e by
+    clifford._ray, and the flags |r_k| <= tol * |ray|^2, |ray| the component
+    norm: b's flags at every scale.  b's residuals are these times 4^e."""
     res = fpk_residuals(ray).stack()
-    return _ldexp_quiet(res, 2 * e), np.abs(res) <= tol * np.asarray(ray.component_norm())[..., None] ** 2
+    return res, np.abs(res) <= tol * np.asarray(ray.component_norm())[..., None] ** 2
 
 
 @functools.lru_cache(maxsize=None)

@@ -156,11 +156,11 @@ def classify(psi: ClassicalSpinor, tol: float = DEFAULT_TOL) -> ClassificationRe
     itself wherever those are normal floats.  Zero spinors, and spinors
     whose covariants overflow float64, raise RowError naming their rows.
     """
-    parts, exponent = _ray(psi.components.view(np.float64))
-    zero = ~parts.any(axis=-1)
+    ray, exponent = _ray(psi.components)
+    zero = ~ray.any(axis=-1)
     if zero.any():
         raise RowError("zero spinor cannot be classified", zero)
-    v = _covariants(parts.view(np.complex128), conventions.S_SCALE, Signature.MINKOWSKI, psi.rep)
+    v = _covariants(ray, conventions.S_SCALE, Signature.MINKOWSKI, psi.rep)
     # J_0 = psi^dag psi: the squared norm of the ray is its own J_0
     cls, zero_flags, margin = _pattern(v, v[..., 2], tol)
     v = _fitting(_ldexp_quiet(v, 2 * exponent))
@@ -175,7 +175,7 @@ def classify_bilinears(b: BilinearSet, tol: float = DEFAULT_TOL) -> LounestoClas
         raise ValueError("classification applies to time-minus covariants")
     ray = BilinearSet._of(_ray(b.stack())[0], signature=b.signature)
     cls, _, _ = _pattern(ray.stack(), ray.component_norm(), tol)
-    return _unbox(np.where(_fpk_check(b, tol)[1].all(axis=-1), cls, LounestoClass.ANOMALOUS))
+    return _unbox(np.where(_fpk_check(ray, tol)[1].all(axis=-1), cls, LounestoClass.ANOMALOUS))
 
 
 def rescale_class_invariance(psi: ClassicalSpinor, c: complex, tol: float = DEFAULT_TOL) -> bool:

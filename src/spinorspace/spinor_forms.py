@@ -242,8 +242,8 @@ class AlgebraicSpinor(Record):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         # on the ray of m no modulus overflows; 1 there is 2^-e, inf only for
         # an m too tiny to hold an entry above 1e-12
-        ray, e = _ray(m.view(np.float64), axis=(-2, -1))
-        moduli = np.abs(ray.view(np.complex128))
+        ray, e = _ray(m, axis=(-2, -1))
+        moduli = np.abs(ray)
         threshold = 1e-12 * np.maximum(_ldexp_quiet(1.0, -e), moduli.max(axis=(-2, -1), keepdims=True))
         if (moduli[..., 1:] > threshold).any():
             raise ValueError("ideal element must have nonzero entries in the first column only")
