@@ -144,6 +144,9 @@ _EUCLIDEAN_REP = GammaRep("euclidean", EUCLIDEAN_GENERATORS)
 # aggregate's volume term and the mirrored quadratic identities.
 ORIENTATION = {Signature.MINKOWSKI: 1.0, Signature.EUCLIDEAN: -1.0}
 
+# where each of sigma, omega, J, K, S starts in a covariant stack
+_GROUP_STARTS = np.array([0, 1, 2, 6, 10])
+
 _LABELS = (
     ("sigma", "omega")
     + tuple(f"J_{mu}" for mu in range(4))
@@ -223,8 +226,9 @@ def _covariants(comps: np.ndarray, c_S: float, signature: Signature,
     is for the caller to check once, after its last scaling (_fitting)."""
     values = np.einsum("...i,kij,...j->...k", comps.conj(), _forms(signature, rep), comps)
     # every row holds |psi|^2 (J_0 or sigma) and nothing larger than 2 |psi|^2
-    scale = np.abs(values.real).max(axis=-1, keepdims=True)
-    real = np.abs(values.imag) <= REALITY_TOL * np.maximum(scale, 1e-300)
+    moduli = np.abs(values.view(np.float64))   # |real part|, |imaginary part| in turn
+    scale = np.maximum.reduce(moduli[..., ::2], axis=-1, keepdims=True)
+    real = moduli[..., 1::2] <= REALITY_TOL * np.maximum(scale, 1e-300)
     if not real.all():
         # a row that does not fit fails the comparison too: it is the input's fault
         _fitting(values)
@@ -233,6 +237,9 @@ def _covariants(comps: np.ndarray, c_S: float, signature: Signature,
             f"internal consistency: {_LABELS[k]} acquired an imaginary part "
             f"{np.max(np.abs(values.imag[..., k])):.3e} beyond tolerance"
         )
+    if abs(c_S) <= 1.0:
+        # no weight above 1: no finite product overflows
+        return values.real * _s_weights(c_S)
     with np.errstate(over="ignore"):
         return values.real * _s_weights(c_S)
 

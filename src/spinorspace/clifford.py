@@ -99,7 +99,7 @@ def _ray(values: np.ndarray, axis=-1) -> tuple[np.ndarray, np.ndarray]:
     2^-e that brings the largest real or imaginary part of each row (over
     axis, kept in e) into [0.5, 1), with e = 0 for a zero row."""
     parts = values.view(np.float64)
-    _, e = np.frexp(np.abs(parts).max(axis=axis, keepdims=True))
+    _, e = np.frexp(np.maximum.reduce(np.abs(parts), axis=axis, keepdims=True))
     return np.ldexp(parts, -e).view(values.dtype), e
 
 
@@ -208,6 +208,10 @@ class Signature(enum.Enum):
 
     MINKOWSKI = "minkowski"
     EUCLIDEAN = "euclidean"
+
+    # members are singletons, so identity hashes them; that runs in C, where
+    # Enum's hash by name is a Python call on every cached-table lookup
+    __hash__ = object.__hash__
 
     @property
     def metric(self) -> tuple[float, float, float, float]:
@@ -389,7 +393,7 @@ def _mul_matrix(a: Multivector, right: bool) -> np.ndarray:
     transposed table.  Each column of index is a permutation, so every entry
     is one signed coefficient, gathered in a single pass."""
     source, sign = _mul_gather(a.signature, right)
-    return sign * np.take(a.coeffs, source, axis=-1)
+    return sign * a.coeffs.take(source, axis=-1)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:

@@ -28,10 +28,10 @@ import functools
 import numpy as np
 
 from . import conventions
-from .bilinears import (ORIENTATION, BilinearSet, _by_group, _covariant_basis, _covariant_blades, _s_weights,
-                        minkowski_dot, minkowski_square)
-from .clifford import (Multivector, Record, RowError, Signature, _mul_gather, _unbox, left_mul_matrix, pseudoscalar,
-                       rep_matrix, scalar)
+from .bilinears import (_GROUP_STARTS, ORIENTATION, BilinearSet, _by_group, _covariant_basis, _covariant_blades,
+                        _s_weights, minkowski_dot, minkowski_square)
+from .clifford import (Multivector, Record, RowError, Signature, _mul_gather, _ray, _unbox, left_mul_matrix,
+                       pseudoscalar, rep_matrix, scalar)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
 
 __all__ = [
@@ -113,13 +113,20 @@ def _identity_forms(signature: Signature) -> np.ndarray:
     return q
 
 
+@functools.lru_cache(maxsize=None)
+def _identity_columns(signature: Signature) -> np.ndarray:
+    """(16, 144) read-only view of _identity_forms with x @ it holding
+    every Q_k x, nine rows of 16 in turn."""
+    return _identity_forms(signature).reshape(-1, 16).T
+
+
 def _identity_residuals(b: BilinearSet) -> np.ndarray:
     """(..., 4) residuals r1, r2, r3 and r4, the max-norm of the six
     bivector coefficients of _identity_forms, for a covariant batch."""
     x = b.stack()
-    qx = x @ _identity_forms(b.signature).reshape(-1, 16).T
+    qx = x @ _identity_columns(b.signature)
     v = np.matmul(qx.reshape(x.shape[:-1] + (9, 16)), x[..., None])[..., 0]
-    v[..., 3] = np.abs(v[..., 3:]).max(axis=-1)
+    v[..., 3] = np.maximum.reduce(np.abs(v[..., 3:]), axis=-1)
     return v[..., :4]
 
 
@@ -157,11 +164,24 @@ def aggregate(b: BilinearSet) -> Multivector:
     return Multivector._of(b.stack() @ _aggregate_matrix(b.signature), signature=b.signature)
 
 
+def _even_ray(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ray, k): the complex (..., n) values times 4^-k, k the exponent of
+    clifford._ray halved and rounded down, so that the largest part of each
+    row lies in [0.5, 2); a spinor whose square the values are scales by the
+    exact 2^-k."""
+    ray, e = _ray(values)
+    return np.ldexp(ray.view(np.float64), e & 1).view(values.dtype), e >> 1
+
+
 def boomerang_residual(z: Multivector, sigma: float) -> float:
     """Max-norm of Z Z - 4 sigma Z relative to |Z|^2 (0 for Z = 0), per row
-    of a batch of aggregates and their sigmas."""
-    resid = z * z - (4.0 * sigma) * z
-    return _unbox(resid.max_abs() / np.maximum(z.norm() ** 2, 1e-300))
+    of a batch of aggregates and their sigmas, computed with Z and sigma
+    scaled to Z's ray, so alike at every scale."""
+    coeffs, e = _ray(z.coeffs)
+    ray = Multivector._of(coeffs, signature=z.signature)
+    resid = ray * ray - (4.0 * np.ldexp(sigma, -e[..., 0])) * ray
+    # |Z|^2 is at least 1/4 on the ray: the floor only makes 0/0 read 0 for Z = 0
+    return _unbox(resid.max_abs() / np.maximum(ray.norm() ** 2, 0.25))
 
 
 def is_boomerang(z: Multivector, sigma: float, tol: float = 1e-9) -> bool:
@@ -186,6 +206,12 @@ def _probe_gather(signature: Signature) -> tuple[np.ndarray, np.ndarray, np.ndar
     return source, weight, size
 
 
+# where each covariant's rows of Gamma_A Z start in a flat (256,) residual,
+# and the group of each identity line
+_ROW_GROUPS = 16 * _GROUP_STARTS
+_LINE_GROUPS = np.array([0, 2, 4, 3, 1])
+
+
 def generalized_fpk_residuals(z: Multivector, b: BilinearSet) -> np.ndarray:
     """Five residual max-norms for the quarter-sandwich identity family:
 
@@ -204,13 +230,14 @@ def generalized_fpk_residuals(z: Multivector, b: BilinearSet) -> np.ndarray:
     # 1/4 L(Z) R(Z) of the multivector route applies them, so that every
     # residual is that route's bit for bit
     source, weight, size = _probe_gather(b.signature)
-    gathered = weight * np.take(z.coeffs, source, axis=-1)
-    sandwiches = size * (0.25 * (gathered @ np.swapaxes(left_mul_matrix(z), -1, -2)))
+    gathered = weight * z.coeffs.take(source, axis=-1)
+    sandwiches = size * (0.25 * (gathered @ left_mul_matrix(z).swapaxes(-1, -2)))
     expected = b.stack() * _s_weights(conventions.GENERALIZED_S_FACTOR)
     resid = np.abs(sandwiches - expected[..., :, None] * z.coeffs[..., None, :])
-    # each line is the maximum over its rows of Gamma_A, regrouped as sigma, J, S, K, omega
-    rows = resid.max(axis=-1)[..., [0, 2, 3, 4, 5, 10, 11, 12, 13, 14, 15, 6, 7, 8, 9, 1]]
-    return np.maximum.reduceat(rows, [0, 1, 5, 11, 15], axis=-1)
+    # each line is the maximum over its rows of Gamma_A, one group of 16-wide
+    # rows per covariant, read in the line order sigma, J, S, K, omega
+    groups = np.maximum.reduceat(resid.reshape(resid.shape[:-2] + (256,)), _ROW_GROUPS, axis=-1)
+    return groups[..., _LINE_GROUPS]
 
 
 class SingularAggregateParams(Record):
@@ -267,13 +294,18 @@ def reconstruct(
     solved so the recovery is exact.  Batches of aggregates, probes and
     references are taken row by row; rows with a degenerate probe or an
     orthogonal reference raise RowError naming them.
+
+    Z, xi and psi_ref are each scaled by an even power of two (_even_ray),
+    and the spinor rebuilt from Z 4^-k is scaled back by the exact 2^k, so
+    the result and both tests are alike at every scale.
     """
-    zm = rep_matrix(z, xi.rep)
-    xc = xi.components
+    coeffs, k = _even_ray(z.coeffs)
+    zm = rep_matrix(Multivector._of(coeffs, signature=z.signature), xi.rep)
+    xc, _ = _even_ray(xi.components)
     zxi = np.matmul(zm, xc[..., None])[..., 0]
     kernel = np.sum(xc.conj() * (zxi @ xi.rep.gammas[0].T), axis=-1)
     scale = np.max(np.abs(zm), axis=(-2, -1)) * np.sum(np.abs(xc) ** 2, axis=-1)
-    degenerate = np.abs(kernel) <= np.maximum(tol * scale, 1e-300)
+    degenerate = np.abs(kernel) <= tol * scale
     if degenerate.any():
         raise RowError(
             "degenerate probe: xi^dag g0 Z xi vanishes; choose a different test spinor",
@@ -281,14 +313,14 @@ def reconstruct(
         )
     psi = zxi / (2.0 * np.sqrt(kernel))[..., None]
     if psi_ref is not None:
-        ref = psi_ref.to_rep(xi.rep).components
+        ref, _ = _even_ray(psi_ref.to_rep(xi.rep).components)
         overlap = np.sum(psi.conj() * ref, axis=-1)
         bound = np.linalg.norm(psi, axis=-1) * np.linalg.norm(ref, axis=-1)
-        orthogonal = np.abs(overlap) <= tol * np.maximum(bound, 1e-300)
+        orthogonal = np.abs(overlap) <= tol * bound
         if orthogonal.any():
             raise RowError("reference spinor is orthogonal to the reconstruction ray", orthogonal)
         psi = psi * (overlap / np.abs(overlap))[..., None]
-    return ClassicalSpinor(psi, xi.rep)
+    return ClassicalSpinor(np.ldexp(psi.view(np.float64), k).view(np.complex128), xi.rep)
 
 
 def euclidean_fierz_residuals(b: BilinearSet) -> np.ndarray:

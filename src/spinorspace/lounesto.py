@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conventions
-from .bilinears import BilinearSet, _covariants, _fitting
+from .bilinears import _GROUP_STARTS, BilinearSet, _covariants, _fitting
 from .clifford import GammaRep, RowError, Signature, WEYL, _ldexp_quiet, _ray, _unbox
 from .fierz import _fpk_check
 from .spinor_forms import ClassicalSpinor
@@ -80,8 +80,8 @@ class ClassificationReport:
 
 
 _PATTERN_KEYS = ("sigma", "omega", "J", "K", "S")
-# where each of sigma, omega, J, K, S starts in a covariant stack
-_PATTERN_STARTS = np.array([0, 1, 2, 6, 10])
+# the bit of each of sigma, omega, J, K, S in a pattern's code
+_PATTERN_BITS = 1 << np.arange(len(_PATTERN_KEYS))
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,17 +130,19 @@ def _pattern(v: np.ndarray, scale, tol: float):
     when nothing is kept, which also covers scale 0)."""
     if not tol > 0.0:
         raise ValueError(f"classification tolerance must be positive, got {tol!r}")
+    if not tol < np.inf:
+        raise ValueError(f"classification tolerance must be finite, got {tol!r}")
     threshold = tol * np.asarray(scale)
-    norms = np.sqrt(np.add.reduceat(v * v, _PATTERN_STARTS, axis=-1))
+    norms = np.sqrt(np.add.reduceat(v * v, _GROUP_STARTS, axis=-1))
     nonzero = norms > threshold[..., None]
-    code = np.packbits(nonzero, axis=-1, bitorder="little")[..., 0]
-    smallest = norms.min(axis=-1, where=nonzero, initial=np.inf)
+    code = nonzero @ _PATTERN_BITS
+    smallest = np.minimum.reduce(norms, axis=-1, where=nonzero, initial=np.inf)
     margin = np.where(code, smallest / threshold, 0.0)
     cls = _pattern_table()[code]
-    zero = ~nonzero
-    if zero.ndim == 1:
-        zero_flags = dict(zip(_PATTERN_KEYS, zero.tolist()))
+    if nonzero.ndim == 1:
+        zero_flags = {key: not kept for key, kept in zip(_PATTERN_KEYS, nonzero.tolist())}
     else:
+        zero = ~nonzero
         zero_flags = {key: zero[..., i] for i, key in enumerate(_PATTERN_KEYS)}
     return cls, zero_flags, _unbox(margin)
 
@@ -157,12 +159,12 @@ def classify(psi: ClassicalSpinor, tol: float = DEFAULT_TOL) -> ClassificationRe
     whose covariants overflow float64, raise RowError naming their rows.
     """
     ray, exponent = _ray(psi.components)
-    zero = ~ray.any(axis=-1)
-    if zero.any():
-        raise RowError("zero spinor cannot be classified", zero)
     v = _covariants(ray, conventions.S_SCALE, Signature.MINKOWSKI, psi.rep)
-    # J_0 = psi^dag psi: the squared norm of the ray is its own J_0
-    cls, zero_flags, margin = _pattern(v, v[..., 2], tol)
+    # J_0 = psi^dag psi, the squared norm of the ray: at least 1/4 unless psi is zero
+    norm2 = v[..., 2]
+    if not norm2.all():
+        raise RowError("zero spinor cannot be classified", norm2 == 0.0)
+    cls, zero_flags, margin = _pattern(v, norm2, tol)
     v = _fitting(_ldexp_quiet(v, 2 * exponent))
     return ClassificationReport(cls, BilinearSet._of(v, signature=Signature.MINKOWSKI), zero_flags, tol, margin)
 

@@ -194,7 +194,7 @@ class ClassicalSpinor(Record):
     def __post_init__(self, c: np.ndarray) -> None:
         if c.shape[-1:] != (4,):
             raise ValueError(f"expected 4 components, got shape {c.shape}")
-        if not np.all(np.isfinite(c.view(np.float64))):
+        if not np.isfinite(c).all():
             raise ValueError("spinor components must be finite")
 
     def norm(self) -> float:

@@ -50,6 +50,9 @@ def _validate_path(path) -> np.ndarray:
     pts = np.asarray(path, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValueError("path must be a list of at least 3 (sigma, omega) pairs")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"path vertex {int(np.argmin(finite))} is not a finite (sigma, omega) pair")
     if not np.allclose(pts[0], pts[-1], atol=0.0):
         raise ValueError("path must be closed: first and last vertex must coincide")
     radii = np.hypot(pts[:, 0], pts[:, 1])

@@ -810,16 +810,18 @@ def test_report_output_is_canonical(tmp_path, capsys, monkeypatch, rng, kind, ar
 
 
 def test_import_leaves_hashlib_unloaded():
-    """Only map4 hashes; the other commands do not pay for the import.  Run
-    in a fresh interpreter, since pytest and hypothesis import hashlib."""
+    """Only map4 hashes and only generate draws, so the other commands do
+    not pay for importing hashlib or numpy.random.  Run in a fresh
+    interpreter, since pytest and hypothesis import both."""
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys, spinorspace.cli; print([m for m in ('hashlib', 'numpy.random') if m in sys.modules])"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, spinorspace.cli; print('hashlib' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -1,5 +1,7 @@
 """Class assignment, generators, scaling invariance."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -218,6 +220,18 @@ def test_rescale_invariance_property(re, im, cls_index):
         return
     psi = lounesto.generate(ALL_SIX[cls_index], seed=17, count=1)[0]
     assert lounesto.rescale_class_invariance(psi, c)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-8])
+def test_tolerance_must_be_finite_and_positive(tol):
+    """A tolerance outside (0, inf) is a ValueError naming it in both
+    classifiers; an infinite one used to divide inf by inf into a
+    RuntimeWarning."""
+    psi = ClassicalSpinor([1, 2j, 0.5, 1 + 1j], cl.WEYL)
+    b = bilinear_covariants(psi)
+    for classify in (lambda: lounesto.classify(psi, tol), lambda: lounesto.classify_bilinears(b, tol)):
+        with pytest.raises(ValueError, match=f"^classification tolerance must be .*, got {re.escape(repr(tol))}$"):
+            classify()
 
 
 def test_classify_tiny_spinor_on_its_ray():

@@ -103,3 +103,38 @@ def test_verify_fpk_passes_tiny_class_one_input(tmp_path, capsys, doc):
     assert report["all_pass"] is True
     row = report["results"][0]
     assert row["pass"] is True and all(row["pass_per_identity"].values())
+
+
+def ldexp_spinor(psi: ClassicalSpinor, k: int) -> ClassicalSpinor:
+    return ClassicalSpinor(np.ldexp(psi.components.view(np.float64), k).view(np.complex128), psi.rep)
+
+
+@pytest.mark.parametrize("s, k", [(1.0, -505), (1.0, -266), (1.0, 266), (1.0, 505), (1e-80, 266), (1e-80, 505)])
+def test_boomerang_and_reconstruct_follow_the_rule(s, k):
+    """The covariants of s psi times 4^k give the boomerang residual of s psi
+    and its reconstruction times 2^k, bit for bit: Z is taken to its ray
+    instead of being measured against a 1e-300 floor.  At 4^505 Z Z
+    overflows, at 4^-505 the probe kernel falls under the floor, and at
+    s = 1e-80 Z Z is subnormal, so the floor made the residual 1e-23."""
+    psi = ClassicalSpinor(s * np.array(CLASS1), WEYL)
+    b = bilinear_covariants(psi)
+    scaled = BilinearSet.from_stack(np.ldexp(b.stack(), 2 * k))
+    z, zk = fierz.aggregate(b), fierz.aggregate(scaled)
+    residual = fierz.boomerang_residual(z, b.sigma)
+    assert fierz.boomerang_residual(zk, scaled.sigma) == residual <= 1e-15
+    assert fierz.is_boomerang(zk, scaled.sigma)
+    probe = fierz.default_probe_spinor(zk, WEYL)
+    assert probe == fierz.default_probe_spinor(z, WEYL)
+    assert fierz.reconstruct(zk, probe) == ldexp_spinor(fierz.reconstruct(z, probe), k)
+    exact = fierz.reconstruct(zk, probe, psi_ref=ldexp_spinor(psi, k))
+    assert exact == ldexp_spinor(fierz.reconstruct(z, probe, psi_ref=psi), k)
+
+
+def test_reconstruct_of_subnormal_covariants_is_not_degenerate():
+    """At |psi| about 1e-160 the covariants are subnormal, good to about
+    1e-5; on Z's ray the probe kernel is of order 1, so the spinor comes
+    back to that accuracy instead of as a degenerate probe."""
+    psi = ClassicalSpinor(np.array(CLASS1) * 1e-160, WEYL)
+    z = fierz.aggregate(bilinear_covariants(psi))
+    recovered = fierz.reconstruct(z, fierz.default_probe_spinor(z, WEYL), psi_ref=psi)
+    assert np.abs(recovered.components - psi.components).max() <= 1e-4 * psi.norm()

@@ -92,6 +92,17 @@ def test_winding_rejects_short_path():
         tp.winding_number([[1.0, 0.0], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("vertex", [0, 3, 64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_winding_rejects_non_finite_vertex(vertex, bad):
+    """A NaN or infinite vertex is named by its index, not reported as an
+    open or too coarse path."""
+    pts = circle()
+    pts[vertex, 1] = bad
+    with pytest.raises(ValueError, match=f"path vertex {vertex} is not a finite"):
+        tp.winding_number(pts)
+
+
 def test_winding_additive_under_concatenation(rng):
     for _ in range(50):
         r1, r2 = rng.uniform(0.5, 2.0, size=2)
