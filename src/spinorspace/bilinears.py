@@ -32,7 +32,7 @@ import numpy as np
 
 from . import conventions
 from .clifford import (_I2, _O2, PAULI, GammaRep, InternalError, Record, RowError, Signature, _blade_matrices,
-                       _product_table, _unbox)
+                       _ldexp_quiet, _product_table, _ray, _unbox)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor, Quaternion
 
 __all__ = [
@@ -242,6 +242,16 @@ def _covariants(comps: np.ndarray, c_S: float, signature: Signature,
         return values.real * _s_weights(c_S)
     with np.errstate(over="ignore"):
         return values.real * _s_weights(c_S)
+
+
+def _covariants_on_ray(psi: ClassicalSpinor) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ray, e, v, b): psi's components on their power-of-two ray (clifford._ray),
+    psi = ray 2^e; the ray's covariants v, of order 1 in every row; and psi's
+    own, b = v 4^e, exact wherever they are normal floats.  Spinors whose b
+    does not fit in float64 raise RowError naming their rows."""
+    ray, e = _ray(psi.components)
+    v = _covariants(ray, conventions.S_SCALE, Signature.MINKOWSKI, psi.rep)
+    return ray, e, v, _fitting(_ldexp_quiet(v, 2 * e))
 
 
 def bilinear_covariants(psi: ClassicalSpinor, c_S: float | None = None) -> BilinearSet:

@@ -30,8 +30,10 @@ by representation (a covariant file is one group); and one report writer
 adds the envelope and all_pass, and jsonio.dumps writes the report's rows
 from those arrays in file order, byte for byte as json.dumps(report,
 indent=2, sort_keys=True, allow_nan=False) would.  classify, verify and
-reconstruct compute each entry on its power-of-two ray and print absolute
-values at its own scale by an exact ldexp.  An entry that cannot be
+reconstruct compute each entry on a power-of-two ray that they take once:
+a spinor's by bilinears._covariants_on_ray, which computes its covariants
+there too, and a covariant set's by Record._on_ray.  They print absolute
+values at the entry's own scale by an exact ldexp.  An entry that cannot be
 computed (a zero spinor, covariants that overflow float64 at its own scale,
 for verify also their squared norm or residuals, a map4 input that is not
 a regular Weyl spinor or lies in the kernel) gets an {id, error} row, which
@@ -48,8 +50,8 @@ from collections import Counter
 import numpy as np
 
 from . import classmap, fierz, lounesto
-from .bilinears import BilinearSet, _fitting, bilinear_covariants
-from .clifford import InternalError, RowError, _ldexp_quiet, _ray, rep_by_tag
+from .bilinears import BilinearSet, _covariants_on_ray
+from .clifford import InternalError, RowError, Signature, _ldexp_quiet, rep_by_tag
 from .jsonio import Rows, dumps, floats
 from .spinor_forms import ClassicalSpinor
 from .topology import winding_report
@@ -363,65 +365,44 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _ray_covariants(psi: ClassicalSpinor) -> tuple[ClassicalSpinor, np.ndarray, BilinearSet]:
-    """(ray, e, b): psi on its ray, psi = ray 2^e, and the ray's covariants b,
-    psi's being b 4^e.  Spinors whose covariants do not fit in float64 raise
-    RowError."""
-    comps, e = _ray(psi.components)
-    ray = ClassicalSpinor._of(comps, rep=psi.rep)
-    b = bilinear_covariants(ray)
-    _fitting(_ldexp_quiet(b.stack(), 2 * e))
-    return ray, e, b
-
-
-def _verify_rows(b: BilinearSet, mode: str, tol: float, e=0) -> dict:
-    """The verify columns of the covariants b 4^e = ray 2^shift, b a 1-d
-    batch and e 0 or of shape (n, 1), computed on their ray.  Sets whose
-    squared norm or residuals do not fit in float64 at that scale raise
-    RowError."""
-    parts, shift = _ray(b.stack())
-    ray = BilinearSet._of(parts, signature=b.signature)
-    shift = shift + 2 * e
+def _verify_rows(ray: BilinearSet, e: np.ndarray, mode: str, tol: float) -> dict:
+    """The verify columns of the covariants ray 2^e, computed on ray, a 1-d batch
+    of order 1 (on its own ray or its spinor's), with e of shape (n, 1).  Sets
+    whose squared norm or residuals overflow float64 at that scale raise RowError."""
     if mode == "fpk":
         res, within = fierz._fpk_check(ray, tol)
-        values, passes = _ldexp_quiet(res, 2 * shift), within.all(axis=-1)
+        values = _ldexp_quiet(res, 2 * e)
+        columns = {**{f"r{k + 1}": values[:, k] for k in range(4)},
+                   **{f"pass_per_identity.r{k + 1}": within[:, k] for k in range(4)}, "pass": within.all(axis=-1)}
     elif mode == "boomerang":
         values = fierz.boomerang_residual(fierz.aggregate(ray), ray.sigma)[:, None]
-        passes = values[:, 0] <= tol
+        columns = {"residual": values[:, 0], "pass": values[:, 0] <= tol}
     else:
         z = fierz.aggregate(ray)
         # |Z|^2 is of order 1 on the ray: the floor holds only for the zero set
         zscale = np.maximum(z.norm() ** 2, 1e-300)
         res5 = fierz.generalized_fpk_residuals(z, ray)
         values = res5 / zscale[:, None]
-        passes = res5.max(axis=-1) <= tol * zscale
-    norm2 = _ldexp_quiet(ray.component_norm() ** 2, 2 * shift[:, 0])
+        columns = {"residuals": values, "pass": res5.max(axis=-1) <= tol * zscale}
+    norm2 = _ldexp_quiet(ray.component_norm() ** 2, 2 * e[:, 0])
     unfit = ~np.isfinite(norm2) | ~np.isfinite(values).all(axis=-1)
     if unfit.any():
         raise RowError("residuals do not fit in float64", unfit)
-    if mode == "fpk":
-        return {
-            **{f"r{k + 1}": values[:, k] for k in range(4)},
-            **{f"pass_per_identity.r{k + 1}": within[:, k] for k in range(4)},
-            "pass": passes,
-        }
-    if mode == "boomerang":
-        return {"residual": values[:, 0], "pass": passes}
-    return {"residuals": values, "pass": passes}
+    return columns
 
 
 def cmd_verify(args) -> int:
     kind, entries = _detect_input_kind(args.input)
     if kind == "spinors":
         def compute(psi):
-            _, e, b = _ray_covariants(psi)
-            return _verify_rows(b, args.mode, args.tol, e)
+            _, e, v, _ = _covariants_on_ray(psi)
+            return _verify_rows(BilinearSet._of(v, signature=Signature.MINKOWSKI), 2 * e, args.mode, args.tol)
         rows = _spinor_rows(*entries, compute)
     else:
         ids, stack = entries
         # a covariant file is one group
         rows = _rows(ids, np.zeros(len(ids)), lambda pos: _verify_rows(
-            BilinearSet.from_stack(stack[pos]), args.mode, args.tol))
+            *BilinearSet.from_stack(stack[pos])._on_ray(), args.mode, args.tol))
     return _report(args, rows, {"mode": args.mode, "input_kind": kind})
 
 
@@ -480,8 +461,9 @@ def cmd_winding(args) -> int:
 
 def _reconstruct_rows(psi: ClassicalSpinor, tol: float) -> dict:
     """Rebuild each spinor of the batch from its own aggregate, on its ray."""
-    ray, e, b = _ray_covariants(psi)
-    z = fierz.aggregate(b)
+    comps, e, v, _ = _covariants_on_ray(psi)
+    ray = ClassicalSpinor._of(comps, rep=psi.rep)
+    z = fierz.aggregate(BilinearSet._of(v, signature=Signature.MINKOWSKI))
     recovered = fierz.reconstruct(z, fierz.default_probe_spinor(z, ray.rep), psi_ref=ray)
     err = np.abs(recovered.components - ray.components).max(axis=-1)
     return {"max_abs_error": np.ldexp(err, e[:, 0]), "pass": err <= tol * ray.norm()}

@@ -177,6 +177,11 @@ class Record:
         """The read-only array that holds the record."""
         return self._array
 
+    def _on_ray(self):
+        """(ray, e): the record on its power-of-two ray (_ray) with its tags, record = ray 2^e."""
+        array, e = _ray(self._array)
+        return self._of(array, **{name: getattr(self, name) for name in self._tags}), e
+
     def _check_tags(self, other: "Record") -> None:
         for name in self._tags:
             mine, theirs = getattr(self, name), getattr(other, name)

@@ -138,9 +138,10 @@ def fpk_residuals(b: BilinearSet) -> FpkResiduals:
 
 
 def _fpk_check(ray: BilinearSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (..., 4) FPK residuals of a covariant set b on its ray, b 2^-e by
-    clifford._ray, and the flags |r_k| <= tol * |ray|^2, |ray| the component
-    norm: b's flags at every scale.  b's residuals are these times 4^e."""
+    """The (..., 4) FPK residuals of covariants ray of order 1 and the flags
+    |r_k| <= tol * |ray|^2, |ray| the component norm.  For (ray, e) =
+    b._on_ray() the flags are b's at every scale, and b's residuals are
+    these residuals times 4^e."""
     res = fpk_residuals(ray).stack()
     return res, np.abs(res) <= tol * np.asarray(ray.component_norm())[..., None] ** 2
 
@@ -176,10 +177,10 @@ def _even_ray(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def boomerang_residual(z: Multivector, sigma: float) -> float:
     """Max-norm of Z Z - 4 sigma Z relative to |Z|^2 (0 for Z = 0), per row
     of a batch of aggregates and their sigmas, computed with Z and sigma
-    scaled to Z's ray, so alike at every scale."""
-    coeffs, e = _ray(z.coeffs)
+    scaled by Z's 4^-k (_even_ray), so alike at every scale."""
+    coeffs, k = _even_ray(z.coeffs)
     ray = Multivector._of(coeffs, signature=z.signature)
-    resid = ray * ray - (4.0 * np.ldexp(sigma, -e[..., 0])) * ray
+    resid = ray * ray - (4.0 * np.ldexp(sigma, -2 * k[..., 0])) * ray
     # |Z|^2 is at least 1/4 on the ray: the floor only makes 0/0 read 0 for Z = 0
     return _unbox(resid.max_abs() / np.maximum(ray.norm() ** 2, 0.25))
 

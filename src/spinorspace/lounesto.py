@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import conventions
-from .bilinears import _GROUP_STARTS, BilinearSet, _covariants, _fitting
-from .clifford import GammaRep, RowError, Signature, WEYL, _ldexp_quiet, _ray, _unbox
+from .bilinears import _GROUP_STARTS, BilinearSet, _covariants_on_ray
+from .clifford import GammaRep, RowError, Signature, WEYL, _unbox
 from .fierz import _fpk_check
 from .spinor_forms import ClassicalSpinor
 
@@ -150,23 +149,25 @@ def _pattern(v: np.ndarray, scale, tol: float):
 def classify(psi: ClassicalSpinor, tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Classify a nonzero spinor, or a batch of them at once.
 
-    Thresholds are tol * |psi|^2.  Everything is computed on psi scaled by
-    the power of two 2^-e that brings its largest real or imaginary part
-    into [0.5, 1), so no covariant underflows or overflows and the class is
-    the same at every scale of psi.  The report carries those covariants
-    times 4^e: the scaling is exact, so they equal the covariants of psi
-    itself wherever those are normal floats.  Zero spinors, and spinors
-    whose covariants overflow float64, raise RowError naming their rows.
+    Thresholds are tol * |psi|^2.  Everything is computed on psi's
+    power-of-two ray (bilinears._covariants_on_ray), so no covariant
+    underflows or overflows and the class is the same at every scale of
+    psi.  The report carries psi's own covariants, exact wherever they are
+    normal floats.  Zero spinors, and spinors whose covariants overflow
+    float64, raise RowError naming their rows.
     """
-    ray, exponent = _ray(psi.components)
-    v = _covariants(ray, conventions.S_SCALE, Signature.MINKOWSKI, psi.rep)
+    try:
+        _, _, v, b = _covariants_on_ray(psi)
+    except RowError:
+        # a zero spinor or a bad tolerance comes first: classifying the ray, which fits, raises it
+        classify(psi._on_ray()[0], tol)
+        raise
     # J_0 = psi^dag psi, the squared norm of the ray: at least 1/4 unless psi is zero
     norm2 = v[..., 2]
     if not norm2.all():
         raise RowError("zero spinor cannot be classified", norm2 == 0.0)
     cls, zero_flags, margin = _pattern(v, norm2, tol)
-    v = _fitting(_ldexp_quiet(v, 2 * exponent))
-    return ClassificationReport(cls, BilinearSet._of(v, signature=Signature.MINKOWSKI), zero_flags, tol, margin)
+    return ClassificationReport(cls, BilinearSet._of(b, signature=Signature.MINKOWSKI), zero_flags, tol, margin)
 
 
 def classify_bilinears(b: BilinearSet, tol: float = DEFAULT_TOL) -> LounestoClass:
@@ -175,7 +176,7 @@ def classify_bilinears(b: BilinearSet, tol: float = DEFAULT_TOL) -> LounestoClas
     pattern) and sets breaking the quadratic identities are anomalous."""
     if b.signature is not Signature.MINKOWSKI:
         raise ValueError("classification applies to time-minus covariants")
-    ray = BilinearSet._of(_ray(b.stack())[0], signature=b.signature)
+    ray, _ = b._on_ray()
     cls, _, _ = _pattern(ray.stack(), ray.component_norm(), tol)
     return _unbox(np.where(_fpk_check(ray, tol)[1].all(axis=-1), cls, LounestoClass.ANOMALOUS))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import BilinearSet, euclidean_components_closed_form
-from .clifford import RowError, _ray, _unbox
+from .clifford import RowError, _unbox
 from .fierz import _fpk_check
 
 __all__ = [
@@ -115,4 +115,4 @@ def fpk_membership(p: BilinearSet, tol: float = 1e-8) -> bool:
     """Whether the point satisfies the quadratic covariant identities (the
     membership gate of the physical sector), per point of a batch and alike
     at every scale.  The all-zero point passes as a degenerate member."""
-    return _unbox(_fpk_check(BilinearSet._of(_ray(p.stack())[0], signature=p.signature), tol)[1].all(axis=-1))
+    return _unbox(_fpk_check(p._on_ray()[0], tol)[1].all(axis=-1))

@@ -56,7 +56,7 @@ def test_fpk_decisions_follow_the_rule_on_the_set(b):
         expected = np.where(within.all(axis=-1), pattern, lounesto.LounestoClass.ANOMALOUS)
         assert topology.fpk_membership(b, tol).tolist() == within.all(axis=-1).tolist()
         assert lounesto.classify_bilinears(b, tol).tolist() == expected.tolist()
-        columns = cli._verify_rows(b, "fpk", tol)
+        columns = cli._verify_rows(*b._on_ray(), "fpk", tol)
         for k in range(4):
             assert columns[f"r{k + 1}"].tobytes() == res[:, k].tobytes()
             assert columns[f"pass_per_identity.r{k + 1}"].tolist() == within[:, k].tolist()
