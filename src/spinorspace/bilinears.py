@@ -49,6 +49,13 @@ __all__ = [
 
 REALITY_TOL = 1e-10
 
+# the covariants in stored order with their shapes: the layout of a
+# covariant stack, and the fields of an entry of a covariant file
+_COVARIANT_FIELDS = (("sigma", ()), ("omega", ()), ("J", (4,)), ("K", (4,)), ("S", (6,)))
+# how many components each has, and where each starts in a stack
+_GROUP_SIZES = tuple(int(np.prod(shape)) for _, shape in _COVARIANT_FIELDS)
+_GROUP_STARTS = np.cumsum((0,) + _GROUP_SIZES[:-1])
+
 
 class BilinearSet(Record):
     """The observables of one spinor, or of a batch of them.  Vector
@@ -61,7 +68,8 @@ class BilinearSet(Record):
     """
 
     _tags = ("signature",)
-    _views = (("sigma", 0), ("omega", 1), ("J", slice(2, 6)), ("K", slice(6, 10)), ("S", slice(10, 16)))
+    _views = tuple((name, slice(start, start + size) if shape else start) for (name, shape), start, size
+                   in zip(_COVARIANT_FIELDS, _GROUP_STARTS.tolist(), _GROUP_SIZES))
 
     def __init__(self, sigma, omega, J, K, S, signature: Signature = Signature.MINKOWSKI) -> None:
         sigma = np.asarray(sigma, dtype=float)
@@ -144,9 +152,6 @@ _EUCLIDEAN_REP = GammaRep("euclidean", EUCLIDEAN_GENERATORS)
 # aggregate's volume term and the mirrored quadratic identities.
 ORIENTATION = {Signature.MINKOWSKI: 1.0, Signature.EUCLIDEAN: -1.0}
 
-# where each of sigma, omega, J, K, S starts in a covariant stack
-_GROUP_STARTS = np.array([0, 1, 2, 6, 10])
-
 _LABELS = (
     ("sigma", "omega")
     + tuple(f"J_{mu}" for mu in range(4))
@@ -158,7 +163,7 @@ _LABELS = (
 def _by_group(sigma, omega, j, k, s) -> np.ndarray:
     """(16,) array holding each group's value (or 4 or 6 values) in stored order."""
     return np.concatenate([np.broadcast_to(v, (n,)) for v, n in
-                           zip((sigma, omega, j, k, s), (1, 1, 4, 4, 6))]).astype(float)
+                           zip((sigma, omega, j, k, s), _GROUP_SIZES)]).astype(float)
 
 
 @functools.lru_cache(maxsize=None)

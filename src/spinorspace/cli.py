@@ -17,11 +17,14 @@ covariant, mapping parameter or winding path file must be an int or float
 (not a bool) that is finite in float64; anything else, such as true, "1",
 NaN or an integer beyond float range, is a schema error naming the field,
 as is a path vertex that is not a [sigma, omega] pair; the error line
-echoes at most ECHO_CHARS characters of the value.  Mapping parameters whose
-matrix, or its constraint residuals, overflow float64 are a schema error
-naming the parameter file, and generate --count above MAX_COUNT is a usage
-error.  A path that is open, touches the origin, has fewer than 3 vertices
-or is too coarse exits 1.
+echoes at most ECHO_CHARS characters of the value.  One reader,
+_read_items, reads a spinor, covariant or path file after its envelope:
+each field of the whole file as one array, and only when that fails a walk
+of the entries in file order, so that the error names the first bad one.
+Mapping parameters whose matrix, or its constraint residuals, overflow
+float64 are a schema error naming the parameter file, and generate --count
+above MAX_COUNT is a usage error.  A path that is open, touches the
+origin, has fewer than 3 vertices or is too coarse exits 1.
 
 classify, verify, reconstruct and map4 run one pipeline.  A file is read
 as one array of components or covariants; one block loop computes BLOCK
@@ -50,7 +53,7 @@ from collections import Counter
 import numpy as np
 
 from . import classmap, fierz, lounesto
-from .bilinears import BilinearSet, _covariants_on_ray
+from .bilinears import _COVARIANT_FIELDS, BilinearSet, _covariants_on_ray
 from .clifford import InternalError, RowError, Signature, _ldexp_quiet, rep_by_tag
 from .jsonio import Rows, dumps, floats
 from .spinor_forms import ClassicalSpinor
@@ -64,8 +67,6 @@ BLOCK = 64
 
 _REPS = ("weyl", "dirac")
 _PAIR = "a [re, im] pair of finite numbers"
-# the covariant fields in stored order, with their shapes
-_COVARIANT_FIELDS = (("sigma", ()), ("omega", ()), ("J", (4,)), ("K", (4,)), ("S", (6,)))
 # generate --count beyond this is a usage error: the report is built in memory
 MAX_COUNT = 100_000
 # longest echo of an offending value in an error line, before "..."
@@ -79,18 +80,15 @@ class SchemaError(Exception):
 # -- JSON plumbing ------------------------------------------------------------
 
 
-def _read_text(path: str) -> str:
+def _load_json(path: str):
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_json(path: str):
-    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -144,19 +142,36 @@ def _count(text: str) -> int:
     return value
 
 
-def _require_version(doc, where: str) -> None:
+def _entries_of(doc, where: str) -> list:
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected a JSON object at top level")
     if doc.get("version") != SCHEMA_VERSION:
         raise SchemaError(f"{where}: missing or unsupported version (expected {SCHEMA_VERSION})")
-
-
-def _entries_of(doc, where: str) -> list:
-    _require_version(doc, where)
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise SchemaError(f"{where}: 'entries' must be a list")
     return entries
+
+
+def _read_items(items: list, fields, check, at: str, unreadable: str, admit=None) -> list[np.ndarray]:
+    """The one reader of an input file's numbers: each (key, shape) field
+    of all items, key None for the item itself, read for the whole file as
+    one float array by one jsonio.floats call.  Only when admit rejects an
+    item or a read fails are the items walked in file order with
+    check(item, f"{at}[{pos}]"), so that the error names the first bad one."""
+    columns = []
+    if admit is None or all(map(admit, items)):
+        for key, shape in fields:
+            column = floats((items if key is None else [item.get(key) for item in items]) or np.empty((0,) + shape),
+                            (len(items),) + shape)
+            if column is None:
+                break
+            columns.append(column)
+    if len(columns) < len(fields):
+        for pos, item in enumerate(items):
+            check(item, f"{at}[{pos}]")
+        raise SchemaError(unreadable)
+    return columns
 
 
 def _ids(entries: list) -> np.ndarray:
@@ -176,21 +191,11 @@ def _check_spinor_entry(entry, here: str) -> None:
 
 
 def _parse_spinor_entries(doc, where: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ids, rep tags and (n, 4) complex components of a spinor file's entries.
-
-    The components of all entries are read as one array; only when that
-    fails are the entries checked one at a time, so that the error names
-    the first bad one.
-    """
+    """Ids, rep tags and (n, 4) complex components of a spinor file's entries."""
     entries = _entries_of(doc, where)
-    values = None
-    if all(isinstance(entry, dict) and entry.get("rep", "weyl") in _REPS for entry in entries):
-        values = floats([entry.get("components") for entry in entries] or np.empty((0, 4, 2)),
-                         (len(entries), 4, 2))
-    if values is None:
-        for pos, entry in enumerate(entries):
-            _check_spinor_entry(entry, f"{where}: entries[{pos}]")
-        raise SchemaError(f"{where}: unreadable spinor entries")
+    values, = _read_items(entries, (("components", (4, 2)),), _check_spinor_entry, f"{where}: entries",
+                          f"{where}: unreadable spinor entries",
+                          lambda entry: isinstance(entry, dict) and entry.get("rep", "weyl") in _REPS)
     reps = np.array([entry.get("rep", "weyl") for entry in entries], dtype=object)
     return _ids(entries), reps, values.view(np.complex128)[..., 0]
 
@@ -206,21 +211,10 @@ def _check_covariant_entry(entry, here: str) -> None:
 
 
 def _parse_bilinear_entries(doc, where: str) -> tuple[np.ndarray, np.ndarray]:
-    """Ids and the (n, 16) covariant stacks of a covariant file's entries,
-    read field by field for the whole file like _parse_spinor_entries."""
+    """Ids and the (n, 16) covariant stacks of a covariant file's entries."""
     entries = _entries_of(doc, where)
-    n = len(entries)
-    columns = []
-    if all(isinstance(entry, dict) for entry in entries):
-        for name, shape in _COVARIANT_FIELDS:
-            column = floats([entry.get(name) for entry in entries] or np.empty((0,) + shape), (n,) + shape)
-            if column is None:
-                break
-            columns.append(column)
-    if len(columns) < len(_COVARIANT_FIELDS):
-        for pos, entry in enumerate(entries):
-            _check_covariant_entry(entry, f"{where}: entries[{pos}]")
-        raise SchemaError(f"{where}: unreadable covariant entries")
+    columns = _read_items(entries, _COVARIANT_FIELDS, _check_covariant_entry, f"{where}: entries",
+                          f"{where}: unreadable covariant entries", lambda entry: isinstance(entry, dict))
     return _ids(entries), np.column_stack(columns)
 
 
@@ -239,12 +233,15 @@ def _entry_kind(entry) -> str:
 
 def _detect_input_kind(path: str) -> tuple[str, tuple]:
     """The file's kind, set by its first entry, and its parsed entries; a
-    later entry of the other kind is a schema error."""
+    later entry of the other kind is a schema error, as is a non-object entry
+    first or in a covariant file (the spinor reader names the others)."""
     doc = _load_json(path)
     entries = _entries_of(doc, path)
     kind = _entry_kind(entries[0]) if entries else "spinors"
     names = {"spinors": "a spinor", "bilinears": "a covariant"}
     for pos, entry in enumerate(entries):
+        if not isinstance(entry, dict) and (pos == 0 or kind == "bilinears"):
+            raise SchemaError(f"{path}: entries[{pos}]: expected an object")
         if _entry_kind(entry) != kind:
             raise SchemaError(
                 f"{path}: entries[{pos}] is {names[_entry_kind(entry)]} entry, "
@@ -445,11 +442,8 @@ def cmd_winding(args) -> int:
     doc = _load_json(args.input)
     if not isinstance(doc, list):
         raise SchemaError(f"{args.input}: expected a top-level list of [sigma, omega] pairs")
-    path = floats(doc or np.empty((0, 2)), (len(doc), 2))
-    if path is None:
-        for k, vertex in enumerate(doc):
-            _field(vertex, (2,), f"{args.input}[{k}]", "a [sigma, omega] pair of finite numbers")
-        raise SchemaError(f"{args.input}: unreadable path")
+    path, = _read_items(doc, ((None, (2,)),), lambda vertex, here: _field(
+        vertex, (2,), here, "a [sigma, omega] pair of finite numbers"), args.input, f"{args.input}: unreadable path")
     try:
         report = winding_report(path)
     except ValueError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilinears import _GROUP_STARTS, BilinearSet, _covariants_on_ray
+from .bilinears import _COVARIANT_FIELDS, _GROUP_STARTS, BilinearSet, _covariants_on_ray
 from .clifford import GammaRep, RowError, Signature, WEYL, _unbox
 from .fierz import _fpk_check
 from .spinor_forms import ClassicalSpinor
@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
+# the smallest tolerance, a normal float: a margin is below about 2 / tol
+_TINY = float(np.finfo(float).tiny)
 
 
 class LounestoClass(enum.Enum):
@@ -78,7 +80,7 @@ class ClassificationReport:
                 "zero_flags": dict(self.zero_flags), "tol": self.tol, "margin": self.margin}
 
 
-_PATTERN_KEYS = ("sigma", "omega", "J", "K", "S")
+_PATTERN_KEYS = tuple(name for name, _ in _COVARIANT_FIELDS)
 # the bit of each of sigma, omega, J, K, S in a pattern's code
 _PATTERN_BITS = 1 << np.arange(len(_PATTERN_KEYS))
 
@@ -127,10 +129,8 @@ def _pattern(v: np.ndarray, scale, tol: float):
     against thresholds tol * scale, computed once for the whole batch.  The
     margin is the smallest ratio of a kept magnitude to its threshold (0
     when nothing is kept, which also covers scale 0)."""
-    if not tol > 0.0:
-        raise ValueError(f"classification tolerance must be positive, got {tol!r}")
-    if not tol < np.inf:
-        raise ValueError(f"classification tolerance must be finite, got {tol!r}")
+    if not _TINY <= tol < np.inf:
+        raise ValueError(f"classification tolerance must be positive and finite, at least {_TINY!r}, got {tol!r}")
     threshold = tol * np.asarray(scale)
     norms = np.sqrt(np.add.reduceat(v * v, _GROUP_STARTS, axis=-1))
     nonzero = norms > threshold[..., None]

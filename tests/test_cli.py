@@ -1,11 +1,14 @@
 """End-to-end command line behavior over JSON files."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -318,6 +321,21 @@ def test_verify_mixed_file_is_schema_error(tmp_path, capsys, covariant_first):
     assert out == ""
     assert "entries[1]" in run_cli.err
     assert "spinor" in run_cli.err and "covariant" in run_cli.err
+
+
+@pytest.mark.parametrize("entries, pos", [
+    (["covariant", 5], 1), ([5, "covariant"], 0), (["covariant", None, "spinor"], 1), ([[1, 2], "spinor"], 0),
+], ids=["last", "first", "before-spinor", "first-of-spinors"])
+def test_verify_names_a_non_object_entry(tmp_path, capsys, entries, pos):
+    """A non-object entry is not an entry of the other kind: verify names
+    it as every command does."""
+    named = {"spinor": entry("s", [1, 0, 1, 0]),
+             "covariant": {"id": "c", "sigma": 1.0, "omega": 0.0,
+                           "J": [1, 0, 0, 0], "K": [0, 1, 0, 0], "S": [0, 0, 0, 0, 0, 0]}}
+    f = spinor_file(tmp_path / "in.json", [named.get(e, e) if isinstance(e, str) else e for e in entries])
+    code, out = run_cli(["verify", f], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert run_cli.err == f"error: {f}: entries[{pos}]: expected an object\n"
 
 
 def test_verify_missing_covariant_field_named(tmp_path, capsys):
@@ -664,6 +682,31 @@ def test_winding_bad_vertex_is_schema_error(tmp_path, capsys, vertex):
     assert code == 2 and out == ""
     assert run_cli.err.startswith(f"error: {f}[2]: expected a [sigma, omega] pair of finite numbers, got ")
     assert run_cli.err.count("\n") == 1
+
+
+@given(st.lists(st.one_of(numbers((2,)), numbers((2,)), NUMBERS), max_size=5))
+def test_path_read_agrees_with_vertex_checks(vertices):
+    """winding's whole-path read accepts exactly what _field accepts for
+    each vertex, with the same values, and otherwise raises the first
+    vertex's error."""
+    error = None
+    for k, vertex in enumerate(vertices):
+        try:
+            cli._field(vertex, (2,), f"-[{k}]", "a [sigma, omega] pair of finite numbers")
+        except cli.SchemaError as exc:
+            error = f"error: {exc}\n"
+            break
+    read = []
+    err = io.StringIO()
+    with mock.patch.object(cli, "winding_report", lambda path: read.append(path) or mock.Mock(winding=0)), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code, _ = run_cli(["winding", "-"], stdin_text=json.dumps(vertices))
+    if error is not None:
+        assert (code, err.getvalue(), read) == (2, error, [])
+        return
+    assert code == 0
+    expected = np.array(vertices, dtype=float).reshape(-1, 2)
+    assert read[0].shape == expected.shape and np.array_equal(read[0].view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("path, reason", [

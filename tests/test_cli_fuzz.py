@@ -102,7 +102,7 @@ def generate_argv(data):
             "--count", str(data.draw(st.integers(-1, 3))),
             "--seed", str(data.draw(st.one_of(st.integers(-3, 10 ** 30), st.just(10 ** 400)))),
             "--rep", data.draw(st.sampled_from(["weyl", "dirac"])),
-            "--tol", data.draw(st.sampled_from(["0", "1e-300", "1e-08", "0.5", "10", "1e300"]))]
+            "--tol", data.draw(st.sampled_from(["0", "1e-310", "1e-300", "1e-08", "0.5", "10", "1e300"]))]
 
 
 def strict(token):

@@ -222,7 +222,7 @@ def test_rescale_invariance_property(re, im, cls_index):
     assert lounesto.rescale_class_invariance(psi, c)
 
 
-@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-8])
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-8, 1e-309, 5e-324])
 def test_tolerance_must_be_finite_and_positive(tol):
     """A tolerance outside (0, inf) is a ValueError naming it in both
     classifiers; an infinite one used to divide inf by inf into a
