@@ -11,7 +11,12 @@ Commands
 Exit codes: 0 success, 1 verification failure (a verify or reconstruct
 report whose all_pass is false), 2 usage or schema error, 3 internal fault
 (a result that breaks an invariant of the program, such as a covariant with
-an imaginary part).  Input paths accept "-" for stdin.
+an imaginary part).  Input paths accept "-" for stdin.  An --out file that
+cannot be written is a schema error, after any error of the input.
+The process entry, run(), serves both `python -m spinorspace.cli` and the
+`spinorspace` script: it calls main() and freezes the heap (gc.freeze)
+before the exit, so shutdown skips collecting numpy's object graph.
+main(argv) itself leaves the collector as it found it.
 Complex numbers are [re, im] pairs.  Every number read from a spinor,
 covariant, mapping parameter or winding path file must be an int or float
 (not a bool) that is finite in float64; anything else, such as true, "1",
@@ -46,6 +51,7 @@ fails verify and reconstruct.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections import Counter
@@ -102,9 +108,12 @@ def _dump(report: dict, out: str | None) -> None:
     text = dumps(report) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {out}: {exc}") from exc
 
 
 def _echo(value) -> str:
@@ -153,12 +162,35 @@ def _entries_of(doc, where: str) -> list:
     return entries
 
 
-def _read_items(items: list, fields, check, at: str, unreadable: str, admit=None) -> list[np.ndarray]:
+_KIND_NAMES = {"spinors": "a spinor", "bilinears": "a covariant"}
+
+
+def _entry_kind(entry) -> str:
+    """'bilinears' for an object with any covariant field, else 'spinors'."""
+    if isinstance(entry, dict) and any(name in entry for name, _ in _COVARIANT_FIELDS):
+        return "bilinears"
+    return "spinors"
+
+
+def _read_items(items: list, fields, check, at: str, unreadable: str, admit=None, kind=None) -> list[np.ndarray]:
     """The one reader of an input file's numbers: each (key, shape) field
     of all items, key None for the item itself, read for the whole file as
     one float array by one jsonio.floats call.  Only when admit rejects an
     item or a read fails are the items walked in file order with
-    check(item, f"{at}[{pos}]"), so that the error names the first bad one."""
+    check(item, f"{at}[{pos}]"), so that the error names the first bad one.
+    With a kind, as verify reads, an object entry of the other kind is
+    rejected too, after check's object test and before its fields."""
+    if kind is not None:
+        admit_fields, check_fields = admit, check
+
+        def admit(item):
+            return _entry_kind(item) == kind and admit_fields(item)
+
+        def check(item, here):
+            if isinstance(item, dict) and _entry_kind(item) != kind:
+                raise SchemaError(f"{here} is {_KIND_NAMES[_entry_kind(item)]} entry, "
+                                  f"but entries[0] makes this {_KIND_NAMES[kind]} file")
+            check_fields(item, here)
     columns = []
     if admit is None or all(map(admit, items)):
         for key, shape in fields:
@@ -190,12 +222,13 @@ def _check_spinor_entry(entry, here: str) -> None:
         _field(pair, (2,), f"{here}.components[{k}]", _PAIR)
 
 
-def _parse_spinor_entries(doc, where: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ids, rep tags and (n, 4) complex components of a spinor file's entries."""
+def _parse_spinor_entries(doc, where: str, kind=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ids, rep tags and (n, 4) complex components of a spinor file's
+    entries; kind as _read_items takes it."""
     entries = _entries_of(doc, where)
     values, = _read_items(entries, (("components", (4, 2)),), _check_spinor_entry, f"{where}: entries",
                           f"{where}: unreadable spinor entries",
-                          lambda entry: isinstance(entry, dict) and entry.get("rep", "weyl") in _REPS)
+                          lambda entry: isinstance(entry, dict) and entry.get("rep", "weyl") in _REPS, kind)
     reps = np.array([entry.get("rep", "weyl") for entry in entries], dtype=object)
     return _ids(entries), reps, values.view(np.complex128)[..., 0]
 
@@ -210,11 +243,12 @@ def _check_covariant_entry(entry, here: str) -> None:
         _field(entry[name], shape, f"{here}.{name}", what)
 
 
-def _parse_bilinear_entries(doc, where: str) -> tuple[np.ndarray, np.ndarray]:
-    """Ids and the (n, 16) covariant stacks of a covariant file's entries."""
+def _parse_bilinear_entries(doc, where: str, kind=None) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and the (n, 16) covariant stacks of a covariant file's entries;
+    kind as _read_items takes it."""
     entries = _entries_of(doc, where)
     columns = _read_items(entries, _COVARIANT_FIELDS, _check_covariant_entry, f"{where}: entries",
-                          f"{where}: unreadable covariant entries", lambda entry: isinstance(entry, dict))
+                          f"{where}: unreadable covariant entries", lambda entry: isinstance(entry, dict), kind)
     return _ids(entries), np.column_stack(columns)
 
 
@@ -224,32 +258,15 @@ def load_spinor_file(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _parse_spinor_entries(_load_json(path), path)
 
 
-def _entry_kind(entry) -> str:
-    """'bilinears' for an object with any covariant field, else 'spinors'."""
-    if isinstance(entry, dict) and any(name in entry for name, _ in _COVARIANT_FIELDS):
-        return "bilinears"
-    return "spinors"
-
-
 def _detect_input_kind(path: str) -> tuple[str, tuple]:
-    """The file's kind, set by its first entry, and its parsed entries; a
-    later entry of the other kind is a schema error, as is a non-object entry
-    first or in a covariant file (the spinor reader names the others)."""
+    """The file's kind, set by its first entry, and its entries read as
+    that kind: an entry of the other kind is a schema error, and the reader
+    names the first bad entry in file order."""
     doc = _load_json(path)
     entries = _entries_of(doc, path)
     kind = _entry_kind(entries[0]) if entries else "spinors"
-    names = {"spinors": "a spinor", "bilinears": "a covariant"}
-    for pos, entry in enumerate(entries):
-        if not isinstance(entry, dict) and (pos == 0 or kind == "bilinears"):
-            raise SchemaError(f"{path}: entries[{pos}]: expected an object")
-        if _entry_kind(entry) != kind:
-            raise SchemaError(
-                f"{path}: entries[{pos}] is {names[_entry_kind(entry)]} entry, "
-                f"but entries[0] makes this {names[kind]} file"
-            )
-    if kind == "bilinears":
-        return kind, _parse_bilinear_entries(doc, path)
-    return kind, _parse_spinor_entries(doc, path)
+    parse = _parse_bilinear_entries if kind == "bilinears" else _parse_spinor_entries
+    return kind, parse(doc, path, kind)
 
 
 def load_mapping_params(path: str) -> classmap.MappingParams:
@@ -525,5 +542,16 @@ def main(argv=None) -> int:
         return 3 if isinstance(exc, InternalError) else 2
 
 
+def run() -> None:
+    """The process entry: main(), then exit with its code.  Before the exit
+    the heap is frozen, so that interpreter shutdown does not collect the
+    numpy and package object graph, which the operating system reclaims
+    anyway; atexit handlers and the flush of stdout and stderr still run."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

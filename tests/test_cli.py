@@ -338,6 +338,29 @@ def test_verify_names_a_non_object_entry(tmp_path, capsys, entries, pos):
     assert run_cli.err == f"error: {f}: entries[{pos}]: expected an object\n"
 
 
+COVARIANT = {"id": "c", "sigma": 1.0, "omega": 0.0, "J": [1, 0, 0, 0], "K": [0, 1, 0, 0], "S": [0, 0, 0, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([{**COVARIANT, "S": [0, 0, 0, 0, 0, True]}, "spinor"],
+     "entries[0].S: expected 6 finite numbers, got [0, 0, 0, 0, 0, True]"),
+    (["spinor", 5, {"sigma": 1}], "entries[1]: expected an object"),
+    (["spinor", {**entry("t", [1, 0, 1, 0]), "rep": "x"}, COVARIANT], "entries[1]: rep must be 'weyl' or 'dirac'"),
+    ([COVARIANT, {"sigma": 1}, "spinor"], "entries[1]: missing field 'omega'"),
+    ([COVARIANT, "spinor", {"sigma": 1}],
+     "entries[1] is a spinor entry, but entries[0] makes this a covariant file"),
+], ids=["bad-covariant-then-spinor", "nonobject-then-covariant", "bad-rep-then-covariant",
+        "bad-covariant-then-spinor-later", "spinor-then-bad-covariant"])
+def test_verify_names_the_first_bad_entry(tmp_path, capsys, entries, message):
+    """verify names the first bad entry in file order, a kind mismatch
+    among them, as classify names a spinor file's first bad entry."""
+    named = {"spinor": entry("s", [1, 0, 1, 0])}
+    f = spinor_file(tmp_path / "in.json", [named.get(e, e) if isinstance(e, str) else e for e in entries])
+    code, out = run_cli(["verify", f], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert run_cli.err == f"error: {f}: {message}\n"
+
+
 def test_verify_missing_covariant_field_named(tmp_path, capsys):
     good = {"id": "c", "sigma": 1.0, "omega": 0.0,
             "J": [1, 0, 0, 0], "K": [0, 1, 0, 0], "S": [0, 0, 0, 0, 0, 0]}
@@ -763,6 +786,30 @@ def test_undecodable_json_names_the_file(tmp_path, capsys, command, text, messag
     assert code == 2 and out == ""
     assert run_cli.err.startswith(f"error: {f}: ") and message in run_cli.err
     assert run_cli.err.count("\n") == 1
+
+
+# -- unwritable output ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [["classify", "IN"], ["verify", "IN"], ["generate", "--class", "2"]],
+                         ids=["classify", "verify", "generate"])
+@pytest.mark.parametrize("out, reason", [("", "Is a directory"), ("missing/x.json", "No such file or directory")],
+                         ids=["directory", "missing-directory"])
+def test_unwritable_out_is_schema_error(tmp_path, capsys, argv, out, reason):
+    """An --out path that cannot be opened for writing exits 2 with one
+    line naming it, as an unreadable input does; stdout stays empty."""
+    f = spinor_file(tmp_path / "in.json", [entry("a", [1, 0, 1, 0])])
+    target = f"{tmp_path}/{out}"
+    code, stdout = run_cli([f if a == "IN" else a for a in argv] + ["--out", target], capsys=capsys)
+    assert (code, stdout) == (2, "")
+    assert run_cli.err.startswith(f"error: cannot write {target}: [Errno ") and reason in run_cli.err
+    assert run_cli.err.count("\n") == 1
+
+
+def test_input_error_comes_before_unwritable_out(tmp_path, capsys):
+    code, out = run_cli(["classify", str(tmp_path / "none.json"), "--out", str(tmp_path)], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert run_cli.err.startswith(f"error: cannot read {tmp_path / 'none.json'}: ")
 
 
 # -- internal faults -----------------------------------------------------------------
