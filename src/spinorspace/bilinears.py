@@ -32,7 +32,7 @@ import numpy as np
 
 from . import conventions
 from .clifford import (_I2, _O2, PAULI, GammaRep, InternalError, Record, RowError, Signature, _blade_matrices,
-                       _ldexp_quiet, _product_table, _ray, _unbox)
+                       _block, _frozen, _ldexp_quiet, _product_table, _ray, _unbox)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor, Quaternion
 
 __all__ = [
@@ -54,7 +54,7 @@ REALITY_TOL = 1e-10
 _COVARIANT_FIELDS = (("sigma", ()), ("omega", ()), ("J", (4,)), ("K", (4,)), ("S", (6,)))
 # how many components each has, and where each starts in a stack
 _GROUP_SIZES = tuple(int(np.prod(shape)) for _, shape in _COVARIANT_FIELDS)
-_GROUP_STARTS = np.cumsum((0,) + _GROUP_SIZES[:-1])
+_GROUP_STARTS = _frozen(np.cumsum((0,) + _GROUP_SIZES[:-1]))
 
 
 class BilinearSet(Record):
@@ -70,6 +70,7 @@ class BilinearSet(Record):
     _tags = ("signature",)
     _views = tuple((name, slice(start, start + size) if shape else start) for (name, shape), start, size
                    in zip(_COVARIANT_FIELDS, _GROUP_STARTS.tolist(), _GROUP_SIZES))
+    _holds = "covariants"
 
     def __init__(self, sigma, omega, J, K, S, signature: Signature = Signature.MINKOWSKI) -> None:
         sigma = np.asarray(sigma, dtype=float)
@@ -89,8 +90,6 @@ class BilinearSet(Record):
     def __post_init__(self, v: np.ndarray) -> None:
         if v.shape[-1:] != (16,):
             raise ValueError(f"expected 16 covariant components, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("covariants must be finite")
 
     @classmethod
     def from_stack(cls, v: np.ndarray, signature: Signature = Signature.MINKOWSKI) -> "BilinearSet":
@@ -130,18 +129,15 @@ def dirac_adjoint(psi: ClassicalSpinor) -> np.ndarray:
 # generators of the Euclidean algebra acting on C^4; squares are +1 and the
 # five closed-form component expressions are exactly their sandwiches
 EUCLIDEAN_GENERATORS = (
-    np.block([[_I2, _O2], [_O2, -_I2]]),
-    np.block([[_O2, 1j * PAULI[0]], [-1j * PAULI[0], _O2]]),
-    np.block([[_O2, -1j * PAULI[1]], [1j * PAULI[1], _O2]]),
-    np.block([[_O2, -1j * PAULI[2]], [1j * PAULI[2], _O2]]),
+    _block(_I2, _O2, _O2, -_I2),
+    _block(_O2, 1j * PAULI[0], -1j * PAULI[0], _O2),
+    _block(_O2, -1j * PAULI[1], 1j * PAULI[1], _O2),
+    _block(_O2, -1j * PAULI[2], 1j * PAULI[2], _O2),
 )
 
 # volume form orientation fixed by the omega component formula; equals minus
 # the ordered product E0 E1 E2 E3
-EUCLIDEAN_VOLUME = np.block([[_O2, _I2], [_I2, _O2]])
-
-for _m in EUCLIDEAN_GENERATORS + (EUCLIDEAN_VOLUME,):
-    _m.flags.writeable = False
+EUCLIDEAN_VOLUME = _block(_O2, _I2, _I2, _O2)
 
 # the Euclidean generators as a representation of their own, not a spinor tag
 _EUCLIDEAN_REP = GammaRep("euclidean", EUCLIDEAN_GENERATORS)
@@ -175,9 +171,7 @@ def _covariant_blades(signature: Signature) -> tuple[np.ndarray, np.ndarray]:
     mu, (first, second) = np.arange(1, 5), np.array(BIVECTOR_ORDER).T + 1
     blades = np.concatenate([[0, 15], mu, index[15, mu], index[first, second]])
     coeffs = np.concatenate([[1.0, -1.0], np.ones(4), 1j * sign[15, mu], 2j * sign[first, second]])
-    blades.flags.writeable = False
-    coeffs.flags.writeable = False
-    return blades, coeffs
+    return _frozen(blades, coeffs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,8 +183,7 @@ def _covariant_basis(signature: Signature) -> np.ndarray:
     basis[np.arange(16), blades] = coeffs
     # -e0123 negates the whole pseudoscalar row, as the engine does: its zeros are -0
     basis[1] = -np.eye(16, dtype=np.complex128)[15]
-    basis.flags.writeable = False
-    return basis
+    return _frozen(basis)
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,17 +197,13 @@ def _forms(signature: Signature, rep: GammaRep | None) -> np.ndarray:
         adj = rep.gammas[0]
     blades, coeffs = _covariant_blades(signature)
     images = coeffs[:, None, None] * _blade_matrices(rep)[blades]
-    forms = _by_group(1.0, 1.0, 1.0, ORIENTATION[signature], -1.0)[:, None, None] * (adj @ images)
-    forms.flags.writeable = False
-    return forms
+    return _frozen(_by_group(1.0, 1.0, 1.0, ORIENTATION[signature], -1.0)[:, None, None] * (adj @ images))
 
 
 @functools.lru_cache(maxsize=16)
 def _s_weights(factor: float) -> np.ndarray:
     """(16,) read-only weights, 1 on sigma, omega, J, K and factor on S."""
-    w = _by_group(1.0, 1.0, 1.0, 1.0, factor)
-    w.flags.writeable = False
-    return w
+    return _frozen(_by_group(1.0, 1.0, 1.0, 1.0, factor))
 
 
 def _fitting(values: np.ndarray) -> np.ndarray:
@@ -266,8 +255,10 @@ def bilinear_covariants(psi: ClassicalSpinor, c_S: float | None = None) -> Bilin
     c_S is the calibrated normalization of the tensor bilinear; the default
     comes from the frozen conventions and should not normally be overridden.
     Spinors whose covariants overflow float64 raise RowError (a ValueError)
-    naming their rows.
+    naming their rows; anything but a ClassicalSpinor is a ValueError.
     """
+    if not isinstance(psi, ClassicalSpinor):
+        raise ValueError(f"expected a ClassicalSpinor, got {type(psi).__name__}")
     if c_S is None:
         c_S = conventions.S_SCALE
     v = _covariants(psi.components, c_S, Signature.MINKOWSKI, psi.rep)
@@ -276,10 +267,11 @@ def bilinear_covariants(psi: ClassicalSpinor, c_S: float | None = None) -> Bilin
 
 def euclidean_bilinears(psi, c_S: float | None = None) -> BilinearSet:
     """Observables of psi in C^4 read through the Euclidean algebra; psi may
-    be a (..., 4) batch."""
+    be a (..., 4) batch, as components or as a ClassicalSpinor, whose
+    representation tag the Euclidean forms do not read."""
     if c_S is None:
         c_S = conventions.S_SCALE_EUCLIDEAN
-    comps = np.asarray(psi, dtype=np.complex128)
+    comps = psi.components if isinstance(psi, ClassicalSpinor) else np.asarray(psi, dtype=np.complex128)
     if comps.shape[-1:] != (4,):
         raise ValueError(f"expected 4 components, got shape {comps.shape}")
     return BilinearSet._of(_fitting(_covariants(comps, c_S, Signature.EUCLIDEAN)), signature=Signature.EUCLIDEAN)

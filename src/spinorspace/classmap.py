@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import _forms
-from .clifford import WEYL, Record, RowError, Signature
+from .clifford import WEYL, Record, RowError, Signature, _frozen
 from .lounesto import ClassificationReport, classify
 from .spinor_forms import ClassicalSpinor
 
@@ -65,6 +65,7 @@ class MappingParams:
 class MappingMatrix(Record):
     _tags = ("params",)
     _views = (("matrix", ...),)
+    _holds = "mapping matrix entries"
 
     def __init__(self, matrix, params: MappingParams) -> None:
         super().__init__(np.array(matrix, dtype=np.complex128), params=params)
@@ -129,8 +130,7 @@ def _degenerate_table() -> np.ndarray:
     table = np.empty(2 ** len(_KEPT), dtype=object)
     for code in range(len(table)):
         table[code] = tuple(name for i, name in enumerate(_KEPT) if code >> i & 1)
-    table.flags.writeable = False
-    return table
+    return _frozen(table)
 
 
 _DEGENERATE = _degenerate_table()

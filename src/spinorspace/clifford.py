@@ -107,6 +107,14 @@ def _ray(values: np.ndarray, axis=-1) -> tuple[np.ndarray, np.ndarray]:
 _ldexp_quiet = np.errstate(over="ignore")(np.ldexp)
 
 
+def _frozen(*arrays: np.ndarray):
+    """The arrays marked read-only: the one way a shared table or constant
+    is published.  One array gives the array itself, several a tuple."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
 class _View:
     """Named view array[..., index] of a record: a float for one entry of a
     single item, a view of the array otherwise.  Read once, then kept in the
@@ -134,14 +142,15 @@ _WHOLE = property(operator.attrgetter("_array"))
 class Record:
     """One read-only array plus its tags: the base of the array types.
 
-    A subclass names its tags (signature, rep, params) in _tags and its
-    views in _views as (name, index) pairs, each read as array[..., index],
-    with the index ... naming the whole array.  Its public constructor
-    builds a fresh array and hands it to Record.__init__, which runs the
-    subclass's check hook __post_init__ on it and adopts it; kernels adopt
-    their fresh results with _of, with no copy and no check.  Two records
-    are equal when their type, tags and array are; records are immutable
-    and unhashable.
+    A subclass names its tags (signature, rep, params) in _tags, its views
+    in _views as (name, index) pairs, each read as array[..., index], with
+    the index ... naming the whole array, and what its array holds in
+    _holds.  Its public constructor builds a fresh array and hands it to
+    Record.__init__, which runs the subclass's check hook __post_init__ on
+    it, rejects it unless every entry is finite and adopts it; kernels
+    adopt their fresh results with _of, with no copy and no check.  Two
+    records are equal when their type, tags and array are; records are
+    immutable and unhashable.
 
     The hook keeps the name of the dataclass hook it replaced because the
     benchmark's tracer (perfbench/tracer.py) times spinor construction by
@@ -150,6 +159,7 @@ class Record:
 
     _tags: tuple[str, ...] = ()
     _views: tuple[tuple[str, object], ...] = ()
+    _holds = "entries"
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -158,6 +168,8 @@ class Record:
 
     def __init__(self, array: np.ndarray, **tags) -> None:
         self.__post_init__(array)
+        if not np.isfinite(array).all():
+            raise ValueError(f"{self._holds} must be finite")
         array.setflags(write=False)
         self.__dict__.update(tags, _array=array)
 
@@ -226,9 +238,8 @@ class Signature(enum.Enum):
 
 
 # each blade as a bitmask with bit g set for generator g, and the blade of each mask
-_MASKS = np.array([sum(1 << g for g in b) for b in BLADES])
-_BY_MASK = np.empty(DIM, dtype=np.intp)
-_BY_MASK[_MASKS] = np.arange(DIM)
+_MASKS = _frozen(np.array([sum(1 << g for g in b) for b in BLADES]))
+_BY_MASK = _frozen(np.argsort(_MASKS))
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,10 +256,7 @@ def _product_table(signature: Signature) -> tuple[np.ndarray, np.ndarray]:
     swaps = (above[:, None, :] * bits[None, :, :]).sum(axis=-1)
     shared = bits[:, None, :] & bits[None, :, :]
     sign = (-1.0) ** swaps * np.where(shared == 1, signature.metric, 1.0).prod(axis=-1)
-    index = _BY_MASK[_MASKS[:, None] ^ _MASKS[None, :]]
-    index.flags.writeable = False
-    sign.flags.writeable = False
-    return index, sign
+    return _frozen(_BY_MASK[_MASKS[:, None] ^ _MASKS[None, :]], sign)
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,14 +268,11 @@ def _mul_gather(signature: Signature, right: bool) -> tuple[np.ndarray, np.ndarr
     if right:
         index, sign = index.T, sign.T
     source = np.argsort(index, axis=0)
-    gathered = np.take_along_axis(sign, source, axis=0)
-    source.flags.writeable = False
-    gathered.flags.writeable = False
-    return source, gathered
+    return _frozen(source, np.take_along_axis(sign, source, axis=0))
 
 
-_REVERSION_SIGNS = np.array([(-1.0) ** (k * (k - 1) // 2) for k in BLADE_GRADES])
-_GRADE_MASKS = {k: np.array([g == k for g in BLADE_GRADES]) for k in range(5)}
+_REVERSION_SIGNS = _frozen(np.array([(-1.0) ** (k * (k - 1) // 2) for k in BLADE_GRADES]))
+_GRADE_MASKS = {k: _frozen(np.array([g == k for g in BLADE_GRADES])) for k in range(5)}
 
 
 class Multivector(Record):
@@ -279,6 +284,7 @@ class Multivector(Record):
 
     _tags = ("signature",)
     _views = (("coeffs", ...),)
+    _holds = "blade coefficients"
 
     # an array times a multivector scales it row by row (see _scale)
     # instead of numpy broadcasting over the multivector as an object
@@ -439,18 +445,16 @@ def adjoint_dagger(a: Multivector) -> Multivector:
 
 # -- matrix representations ------------------------------------------------
 
-_S1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_S2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_S3 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-PAULI = (_S1, _S2, _S3)
-_I2 = np.eye(2, dtype=np.complex128)
-_O2 = np.zeros((2, 2), dtype=np.complex128)
+PAULI = _frozen(np.array([[0, 1], [1, 0]], dtype=np.complex128),
+                np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+                np.array([[1, 0], [0, -1]], dtype=np.complex128))
+_I2 = _frozen(np.eye(2, dtype=np.complex128))
+_O2 = _frozen(np.zeros((2, 2), dtype=np.complex128))
 
 
 def _block(a, b, c, d) -> np.ndarray:
-    m = np.block([[a, b], [c, d]])
-    m.flags.writeable = False
-    return m
+    """The read-only 4x4 matrix [[a, b], [c, d]] of 2x2 blocks."""
+    return _frozen(np.block([[a, b], [c, d]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,26 +468,13 @@ class GammaRep:
         return self.tag
 
 
-WEYL = GammaRep(
-    "weyl",
-    (
-        _block(_O2, _I2, _I2, _O2),
-        _block(_O2, _S1, -_S1, _O2),
-        _block(_O2, _S2, -_S2, _O2),
-        _block(_O2, _S3, -_S3, _O2),
-    ),
-)
+# the spatial generators, the same in both representations
+_SPATIAL = tuple(_block(_O2, s, -s, _O2) for s in PAULI)
+
+WEYL = GammaRep("weyl", (_block(_O2, _I2, _I2, _O2),) + _SPATIAL)
 
 # chosen so that the complexified idempotent is represented by the matrix unit E11
-DIRAC = GammaRep(
-    "dirac",
-    (
-        _block(_I2, _O2, _O2, -_I2),
-        _block(_O2, _S1, -_S1, _O2),
-        _block(_O2, _S2, -_S2, _O2),
-        _block(_O2, _S3, -_S3, _O2),
-    ),
-)
+DIRAC = GammaRep("dirac", (_block(_I2, _O2, _O2, -_I2),) + _SPATIAL)
 
 _REP_BY_TAG = {"weyl": WEYL, "dirac": DIRAC}
 
@@ -502,8 +493,7 @@ def _blade_matrices(rep: GammaRep) -> np.ndarray:
     mats = np.broadcast_to(np.eye(4, dtype=np.complex128), (DIM, 4, 4))
     for g, gamma in enumerate(rep.gammas):
         mats = np.where((_MASKS >> g & 1).astype(bool)[:, None, None], mats @ gamma, mats)
-    mats.flags.writeable = False
-    return mats
+    return _frozen(mats)
 
 
 def rep_matrix(a: Multivector, rep: GammaRep = WEYL) -> np.ndarray:
@@ -524,8 +514,7 @@ def idempotent_f(complexified: bool = False) -> Multivector:
     return f * (0.5 * (one + blade((1, 2), 1j)))
 
 
-_WEYL_TO_DIRAC = np.block([[_I2, _I2], [-_I2, _I2]]) / np.sqrt(2.0)
-_WEYL_TO_DIRAC.flags.writeable = False
+_WEYL_TO_DIRAC = _frozen(np.block([[_I2, _I2], [-_I2, _I2]]) / np.sqrt(2.0))
 
 
 def weyl_to_dirac_matrix() -> np.ndarray:

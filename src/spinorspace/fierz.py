@@ -30,8 +30,8 @@ import numpy as np
 from . import conventions
 from .bilinears import (_GROUP_STARTS, ORIENTATION, BilinearSet, _by_group, _covariant_basis, _covariant_blades,
                         _s_weights, minkowski_dot, minkowski_square)
-from .clifford import (Multivector, Record, RowError, Signature, _mul_gather, _ray, _unbox, left_mul_matrix,
-                       pseudoscalar, rep_matrix, scalar)
+from .clifford import (Multivector, Record, RowError, Signature, _frozen, _mul_gather, _ray, _unbox,
+                       left_mul_matrix, pseudoscalar, rep_matrix, scalar)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
 
 __all__ = [
@@ -78,6 +78,7 @@ class FpkResiduals(Record):
     """
 
     _views = (("r1", 0), ("r2", 1), ("r3", 2), ("r4", 3))
+    _holds = "residuals"
 
     def __init__(self, r1: float, r2: float, r3: float, r4: float) -> None:
         super().__init__(np.stack(np.broadcast_arrays(r1, r2, r3, r4), axis=-1).astype(float))
@@ -109,8 +110,7 @@ def _identity_forms(signature: Signature) -> np.ndarray:
     s = bivector_multivector(np.eye(6), signature)
     q[3:, 1, 10:] = o * s.coeffs[:, 5:11].real.T
     q[3:, 0, 10:] = o * (pseudoscalar(signature) * s).coeffs[:, 5:11].real.T
-    q.flags.writeable = False
-    return q
+    return _frozen(q)
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,9 +152,7 @@ def _aggregate_matrix(signature: Signature) -> np.ndarray:
     1, -o, eta_mu, -eta_mu, eta_mu eta_nu / 2 (o the orientation)."""
     eta = np.array(signature.metric)
     w = _by_group(1.0, -ORIENTATION[signature], eta, -eta, [eta[mu] * eta[nu] / 2 for mu, nu in BIVECTOR_ORDER])
-    matrix = w[:, None] * _covariant_basis(signature)
-    matrix.flags.writeable = False
-    return matrix
+    return _frozen(w[:, None] * _covariant_basis(signature))
 
 
 def aggregate(b: BilinearSet) -> Multivector:
@@ -201,16 +199,13 @@ def _probe_gather(signature: Signature) -> tuple[np.ndarray, np.ndarray, np.ndar
     source, sign = _mul_gather(signature, True)
     size = np.abs(coeffs)[:, None]
     weight = coeffs[:, None] / size * sign[:, blades].T
-    source = np.ascontiguousarray(source[:, blades].T)
-    for table in (source, weight, size):
-        table.flags.writeable = False
-    return source, weight, size
+    return _frozen(np.ascontiguousarray(source[:, blades].T), weight, size)
 
 
 # where each covariant's rows of Gamma_A Z start in a flat (256,) residual,
 # and the group of each identity line
-_ROW_GROUPS = 16 * _GROUP_STARTS
-_LINE_GROUPS = np.array([0, 2, 4, 3, 1])
+_ROW_GROUPS = _frozen(16 * _GROUP_STARTS)
+_LINE_GROUPS = _frozen(np.array([0, 2, 4, 3, 1]))
 
 
 def generalized_fpk_residuals(z: Multivector, b: BilinearSet) -> np.ndarray:
@@ -247,6 +242,7 @@ class SingularAggregateParams(Record):
     views of one read-only (9,) array.  Components are stored index-down."""
 
     _views = (("J", slice(0, 4)), ("s", slice(4, 8)), ("h", 8))
+    _holds = "aggregate parameters"
 
     def __init__(self, J, s, h: float) -> None:
         j, s = np.array(J, dtype=float), np.array(s, dtype=float)

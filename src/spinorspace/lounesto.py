@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import _COVARIANT_FIELDS, _GROUP_STARTS, BilinearSet, _covariants_on_ray
-from .clifford import GammaRep, RowError, Signature, WEYL, _unbox
+from .clifford import GammaRep, RowError, Signature, WEYL, _frozen, _unbox
 from .fierz import _fpk_check
 from .spinor_forms import ClassicalSpinor
 
@@ -82,7 +82,7 @@ class ClassificationReport:
 
 _PATTERN_KEYS = tuple(name for name, _ in _COVARIANT_FIELDS)
 # the bit of each of sigma, omega, J, K, S in a pattern's code
-_PATTERN_BITS = 1 << np.arange(len(_PATTERN_KEYS))
+_PATTERN_BITS = _frozen(1 << np.arange(len(_PATTERN_KEYS)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -93,8 +93,7 @@ def _pattern_table() -> np.ndarray:
     for bits in itertools.product((False, True), repeat=len(_PATTERN_KEYS)):
         code = sum(bit << i for i, bit in enumerate(bits))
         table[code] = _pattern_class(dict(zip(_PATTERN_KEYS, bits)))
-    table.flags.writeable = False
-    return table
+    return _frozen(table)
 
 
 def _pattern_class(nonzero: dict) -> LounestoClass:

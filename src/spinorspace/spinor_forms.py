@@ -22,8 +22,8 @@ import functools
 
 import numpy as np
 
-from .clifford import (_I2, BLADES, DIRAC, PAULI, GammaRep, Multivector, Record, Signature, _ldexp_quiet,
-                       _product_table, _ray, _unbox, idempotent_f, rep_matrix, weyl_to_dirac_matrix)
+from .clifford import (_I2, BLADES, DIRAC, PAULI, GammaRep, Multivector, Record, RowError, Signature, _frozen,
+                       _ldexp_quiet, _product_table, _ray, _unbox, idempotent_f, rep_matrix, weyl_to_dirac_matrix)
 
 __all__ = [
     "Quaternion",
@@ -46,8 +46,8 @@ __all__ = [
 # (q1, q2) of an even multivector are these signs times the coefficients of
 # these blades: q1 = s + s23 i + s31 j + s12 k in the units 1, i = e23,
 # j = e31 = -e13, k = e12, and q2 = -p + s01 i + s02 j + s03 k
-_OPERATOR_BLADES = np.array([0, 10, 9, 8, 15, 5, 6, 7])
-_OPERATOR_SIGNS = np.array([1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
+_OPERATOR_BLADES, _OPERATOR_SIGNS = _frozen(np.array([0, 10, 9, 8, 15, 5, 6, 7]),
+                                            np.array([1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -59,9 +59,7 @@ def _hamilton() -> np.ndarray:
     t = np.zeros((4, 4, 16))
     p, q = np.indices((4, 4))
     t[p, q, index[blades][:, blades]] = np.outer(units, units) * sign[blades][:, blades]
-    t = t[..., blades] * units
-    t.flags.writeable = False
-    return t
+    return _frozen(t[..., blades] * units)
 
 
 def _hamilton_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -72,9 +70,7 @@ def _hamilton_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _complex_units() -> np.ndarray:
     """(4, 2, 2) read-only images of 1, i, j, k in M(2, C): I, -i sigma_1,2,3."""
-    units = np.stack([_I2] + [-1j * s for s in PAULI])
-    units.flags.writeable = False
-    return units
+    return _frozen(np.stack([_I2] + [-1j * s for s in PAULI]))
 
 
 class Quaternion(Record):
@@ -82,6 +78,7 @@ class Quaternion(Record):
     are views of one read-only (..., 4) array (floats for a single one)."""
 
     _views = (("w", 0), ("x", 1), ("y", 2), ("z", 3))
+    _holds = "quaternion components"
 
     def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> None:
         super().__init__(np.stack(np.broadcast_arrays(w, x, y, z), axis=-1).astype(float))
@@ -96,9 +93,14 @@ class Quaternion(Record):
         return Quaternion._of(-self._array)
 
     def __mul__(self, other):
-        """Hamilton product with a quaternion; a number (or batch-shaped array) scales."""
+        """Hamilton product with a quaternion; a number (or batch-shaped array)
+        scales.  Rows whose product does not fit in float64 raise RowError."""
         if isinstance(other, Quaternion):
-            return Quaternion._of(_hamilton_product(self._array, other._array))
+            product = _hamilton_product(self._array, other._array)
+            unfit = ~np.isfinite(product).all(axis=-1)
+            if unfit.any():
+                raise RowError("quaternion product does not fit in float64", unfit)
+            return Quaternion._of(product)
         return Quaternion._of(self._array * np.asarray(other, dtype=float)[..., None])
 
     __rmul__ = __mul__
@@ -128,6 +130,8 @@ class QuatMatrix2(Record):
     """2x2 matrix with quaternion entries, multiplied entrywise over H, or a
     batch of them: one read-only (..., 2, 2, 4) array, with entries[r][c]
     the Quaternion views of it."""
+
+    _holds = "quaternion entries"
 
     def __init__(self, entries: tuple[tuple[Quaternion, Quaternion], tuple[Quaternion, Quaternion]]) -> None:
         q = np.broadcast_arrays(*(e.as_array() for row in entries for e in row))
@@ -164,9 +168,7 @@ def _blade_quat_images() -> np.ndarray:
     gens = np.zeros((4, 2, 2, 4))
     gens[0, [0, 1], [0, 1], 0] = 1.0, -1.0
     gens[[1, 2, 3], 0, 1, [1, 2, 3]] = gens[[1, 2, 3], 1, 0, [1, 2, 3]] = 1.0
-    images = np.stack([functools.reduce(_quat_matmul, gens[[0, 0, *b]]) for b in BLADES])
-    images.flags.writeable = False
-    return images
+    return _frozen(np.stack([functools.reduce(_quat_matmul, gens[[0, 0, *b]]) for b in BLADES]))
 
 
 def quaternion_rep_e(mu: int) -> QuatMatrix2:
@@ -187,6 +189,7 @@ class ClassicalSpinor(Record):
 
     _tags = ("rep",)
     _views = (("components", ...),)
+    _holds = "spinor components"
 
     def __init__(self, components, rep: GammaRep = DIRAC) -> None:
         super().__init__(np.array(components, dtype=np.complex128), rep=rep)
@@ -194,8 +197,6 @@ class ClassicalSpinor(Record):
     def __post_init__(self, c: np.ndarray) -> None:
         if c.shape[-1:] != (4,):
             raise ValueError(f"expected 4 components, got shape {c.shape}")
-        if not np.isfinite(c).all():
-            raise ValueError("spinor components must be finite")
 
     def norm(self) -> float:
         c = self.components
@@ -222,6 +223,7 @@ class SpinorOperator(Record):
 
     q1 = property(lambda self: Quaternion._of(self._array[..., :4]))
     q2 = property(lambda self: Quaternion._of(self._array[..., 4:]))
+    _holds = "spinor operator components"
 
     def __init__(self, q1: Quaternion, q2: Quaternion) -> None:
         super().__init__(np.concatenate(np.broadcast_arrays(q1.as_array(), q2.as_array()), axis=-1))
@@ -233,6 +235,7 @@ class AlgebraicSpinor(Record):
     for a batch."""
 
     _views = (("matrix", ...),)
+    _holds = "ideal element entries"
 
     def __init__(self, matrix) -> None:
         super().__init__(np.array(matrix, dtype=np.complex128))
@@ -296,7 +299,7 @@ def operator_to_quat_matrix(op: SpinorOperator) -> QuatMatrix2:
 # -- classical <-> operator --------------------------------------------------
 
 # the signed reals of the standard-representation components are (q1, q2)
-_CLASSICAL_SIGNS = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+_CLASSICAL_SIGNS = _frozen(np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0]))
 
 
 def classical_from_operator(op: SpinorOperator) -> ClassicalSpinor:

@@ -235,3 +235,18 @@ def test_component_norm_beyond_float64_is_inf():
     with np.errstate(all="ignore"):
         assert b.component_norm() == np.inf
         assert bl.BilinearSet.from_stack(np.full((1, 16), 1e200)).component_norm().tolist() == [np.inf]
+
+
+@pytest.mark.parametrize("rep", [cl.WEYL, cl.DIRAC], ids=str)
+def test_euclidean_bilinears_take_a_classical_spinor(rng, rep):
+    comps = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    # the Euclidean forms read the components, not the representation tag
+    assert bl.euclidean_bilinears(ClassicalSpinor(comps, rep)) == bl.euclidean_bilinears(comps)
+    assert bl.euclidean_bilinears(ClassicalSpinor(comps[0], rep)) == bl.euclidean_bilinears(comps[0])
+
+
+@pytest.mark.parametrize("psi", [np.array([1, 0, 0, 0], complex), [1, 0, 1, 0], Quaternion(1.0)],
+                         ids=["ndarray", "list", "Quaternion"])
+def test_bilinear_covariants_take_only_a_classical_spinor(psi):
+    with pytest.raises(ValueError, match=f"^expected a ClassicalSpinor, got {type(psi).__name__}$"):
+        bl.bilinear_covariants(psi)

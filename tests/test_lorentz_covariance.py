@@ -1,0 +1,72 @@
+"""Spin(1,3) covariance of the covariants, a metamorphic oracle.
+
+A rotor R = (cosh(eta/2) + sinh(eta/2) e0 e_k)(cos(theta/2) - sin(theta/2)
+e_i e_j), built from engine products, moves a spinor as psi' = rho(R) psi.
+Then sigma and omega are unchanged, J and K transform by the Lorentz
+transformation Lambda that R induces on the basis vectors, R~ e_mu R =
+Lambda_mu^nu e_nu, and S by Lambda wedge Lambda, read the same way off
+R~ e_mu e_nu R.  None of this depends on the frozen conventions.
+
+The class is guaranteed only while e^(2|eta|) < margin: the thresholds are
+tol |psi'|^2, which is not Lorentz invariant (J_0 = |psi'|^2 grows up to
+e^|eta| |psi|^2 while sigma and omega stay), and a kept covariant's
+Euclidean norm shrinks by at most e^-|eta|.  Rapidities are drawn beyond
+that bound too, where only the transformation laws are asserted.
+
+Rounding bounds: sigma' and omega' are computed from psi' alone, so they
+hold within c eps |psi'|^2.  The reference Lambda J sums entries up to
+e^|eta| |psi|^2, |psi'|^2 at its largest, and for a lightlike J boosted
+along its direction |psi'|^2 shrinks to e^-|eta| |psi|^2, so J, K and S
+are compared within c eps e^|eta| |psi|^2.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from spinorspace.bilinears import bilinear_covariants
+from spinorspace.clifford import DIRAC, WEYL, basis_vector, blade, geometric_product, rep_matrix, reversion, scalar
+from spinorspace.lounesto import LounestoClass, classify, generate
+from spinorspace.spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
+
+EPS = np.finfo(float).eps
+C = 32.0
+CLASSES = [LounestoClass.C1, LounestoClass.C2, LounestoClass.C3, LounestoClass.C4, LounestoClass.C5, LounestoClass.C6]
+PLANES = [(1, 2), (1, 3), (2, 3)]
+
+
+def rotor(eta, k, theta, plane):
+    """(cosh(eta/2) + sinh(eta/2) e0 e_k)(cos(theta/2) - sin(theta/2) e_i e_j)."""
+    e = [basis_vector(mu) for mu in range(4)]
+    boost = scalar(np.cosh(eta / 2)) + np.sinh(eta / 2) * geometric_product(e[0], e[k])
+    rotation = scalar(np.cos(theta / 2)) - np.sin(theta / 2) * geometric_product(e[plane[0]], e[plane[1]])
+    return geometric_product(boost, rotation)
+
+
+def induced(r, blades, coefficients):
+    """Rows of the map R~ b R on the given blades, read at the given coefficients."""
+    return np.array([geometric_product(geometric_product(reversion(r), blade(b)), r).coeffs[coefficients].real
+                     for b in blades])
+
+
+@given(st.sampled_from(CLASSES), st.sampled_from([WEYL, DIRAC]), st.integers(0, 2 ** 16),
+       st.floats(-20.0, 20.0), st.integers(1, 3), st.floats(0.0, 2 * np.pi), st.sampled_from(PLANES))
+def test_covariants_transform_under_spin13(cls, rep, seed, eta, k, theta, plane):
+    psi = generate(cls, seed, 1, rep)[0]
+    r = rotor(eta, k, theta, plane)
+    moved = ClassicalSpinor(rep_matrix(r, rep) @ psi.components, rep)
+    lam = induced(r, [(mu,) for mu in range(4)], slice(1, 5))
+    lam2 = induced(r, BIVECTOR_ORDER, slice(5, 11))
+    b, b_moved = bilinear_covariants(psi), bilinear_covariants(moved)
+
+    invariant_bound = C * EPS * moved.norm() ** 2
+    assert abs(b_moved.sigma - b.sigma) <= invariant_bound
+    assert abs(b_moved.omega - b.omega) <= invariant_bound
+    bound = C * EPS * np.exp(abs(eta)) * psi.norm() ** 2
+    assert np.abs(b_moved.J - lam @ b.J).max() <= bound
+    assert np.abs(b_moved.K - lam @ b.K).max() <= bound
+    assert np.abs(b_moved.S - lam2 @ b.S).max() <= bound
+
+    report = classify(psi)
+    if np.exp(2 * abs(eta)) < report.margin:
+        assert classify(moved).lounesto_class == report.lounesto_class

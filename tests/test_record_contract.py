@@ -313,3 +313,36 @@ def test_records_are_unhashable_and_immutable(rng):
         for name in ("stack", "_x", "coeffs", "sigma", "w"):
             with pytest.raises(AttributeError):
                 setattr(item, name, 0.0)
+
+
+# each type's public constructor from one array, the array's shape and
+# dtype, and the message naming what the type holds; a record built from
+# records (QuatMatrix2, SpinorOperator) gets them from _of, which is unchecked
+NON_FINITE_CASES = {
+    "Multivector": (lambda a: Multivector(Signature.MINKOWSKI, a), (16,), complex, "blade coefficients"),
+    "Quaternion": (lambda a: Quaternion(*a), (4,), float, "quaternion components"),
+    "QuatMatrix2": (lambda a: QuatMatrix2(tuple(tuple(Quaternion._of(q) for q in row) for row in a)), (2, 2, 4),
+                    float, "quaternion entries"),
+    "ClassicalSpinor": (lambda a: ClassicalSpinor(a, WEYL), (4,), complex, "spinor components"),
+    "SpinorOperator": (lambda a: SpinorOperator(Quaternion._of(a[:4]), Quaternion._of(a[4:])), (8,), float,
+                       "spinor operator components"),
+    "AlgebraicSpinor": (AlgebraicSpinor, (4, 4), complex, "ideal element entries"),
+    "BilinearSet": (BilinearSet.from_stack, (16,), float, "covariants"),
+    "FpkResiduals": (lambda a: FpkResiduals(*a), (4,), float, "residuals"),
+    "SingularAggregateParams": (lambda a: SingularAggregateParams(a[:4], a[4:8], a[8]), (9,), float,
+                                "aggregate parameters"),
+    "MappingMatrix": (lambda a: MappingMatrix(a, PARAMS), (4, 4), complex, "mapping matrix entries"),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_CASES)
+@given(st.data())
+def test_constructors_reject_non_finite(name, data):
+    build, shape, dtype, holds = NON_FINITE_CASES[name]
+    array = data.draw(complexes(shape) if dtype is complex else reals(shape))
+    if name == "AlgebraicSpinor":
+        array[:, 1:] = 0.0
+    parts = array.view(np.float64).reshape(-1)
+    parts[data.draw(st.integers(0, parts.size - 1))] = data.draw(NON_FINITE)
+    with pytest.raises(ValueError, match=message(f"{holds} must be finite")):
+        build(array)

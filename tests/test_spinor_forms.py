@@ -452,3 +452,15 @@ def test_ideal_element_check_of_subnormal_matrix_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert sf.AlgebraicSpinor(m).matrix.tobytes() == m.tobytes()
+
+
+def test_overflowing_quaternion_product_names_its_rows():
+    big = sf.Quaternion(1e308, 1e308)
+    with pytest.raises(cl.RowError, match="^quaternion product does not fit in float64$") as caught:
+        big * big
+    assert caught.value.rows.shape == () and caught.value.rows
+    batch = sf.Quaternion([1.0, 1e308, 0.25], [0.0, 1e308, 0.25])
+    with pytest.raises(cl.RowError, match="^quaternion product does not fit in float64$") as caught:
+        batch * big
+    assert caught.value.rows.tolist() == [False, True, False]
+    assert (sf.Quaternion(0.25, 0.25) * big).as_array().tolist() == [0.0, 0.5e308, 0.0, 0.0]
