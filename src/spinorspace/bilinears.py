@@ -31,8 +31,8 @@ import functools
 import numpy as np
 
 from . import conventions
-from .clifford import (_I2, _O2, PAULI, GammaRep, InternalError, Record, RowError, Signature, _blade_matrices,
-                       _block, _frozen, _ldexp_quiet, _product_table, _ray, _unbox)
+from .clifford import (_I2, _O2, PAULI, GammaRep, InternalError, Record, Signature, _blade_matrices, _block,
+                       _fitting, _frozen, _ldexp_quiet, _product_table, _ray, _unbox)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor, Quaternion
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 REALITY_TOL = 1e-10
+_UNFIT = "covariants do not fit in float64"
 
 # the covariants in stored order with their shapes: the layout of a
 # covariant stack, and the fields of an entry of a covariant file
@@ -206,13 +207,6 @@ def _s_weights(factor: float) -> np.ndarray:
     return _frozen(_by_group(1.0, 1.0, 1.0, 1.0, factor))
 
 
-def _fitting(values: np.ndarray) -> np.ndarray:
-    """values itself; rows holding a non-finite entry raise RowError."""
-    if not np.isfinite(values).all():
-        raise RowError("covariants do not fit in float64", ~np.isfinite(values).all(axis=-1))
-    return values
-
-
 def _covariants(comps: np.ndarray, c_S: float, signature: Signature,
                 rep: GammaRep | None = None) -> np.ndarray:
     """(..., 16) real covariants sigma, omega, J, K, S of the (..., 4) batch
@@ -225,7 +219,7 @@ def _covariants(comps: np.ndarray, c_S: float, signature: Signature,
     real = moduli[..., 1::2] <= REALITY_TOL * np.maximum(scale, 1e-300)
     if not real.all():
         # a row that does not fit fails the comparison too: it is the input's fault
-        _fitting(values)
+        _fitting(values, _UNFIT)
         k = int(np.argmin(real.reshape(-1, len(_LABELS)).all(axis=0)))
         raise InternalError(
             f"internal consistency: {_LABELS[k]} acquired an imaginary part "
@@ -245,7 +239,7 @@ def _covariants_on_ray(psi: ClassicalSpinor) -> tuple[np.ndarray, np.ndarray, np
     does not fit in float64 raise RowError naming their rows."""
     ray, e = _ray(psi.components)
     v = _covariants(ray, conventions.S_SCALE, Signature.MINKOWSKI, psi.rep)
-    return ray, e, v, _fitting(_ldexp_quiet(v, 2 * e))
+    return ray, e, v, _fitting(_ldexp_quiet(v, 2 * e), _UNFIT)
 
 
 def bilinear_covariants(psi: ClassicalSpinor, c_S: float | None = None) -> BilinearSet:
@@ -262,7 +256,7 @@ def bilinear_covariants(psi: ClassicalSpinor, c_S: float | None = None) -> Bilin
     if c_S is None:
         c_S = conventions.S_SCALE
     v = _covariants(psi.components, c_S, Signature.MINKOWSKI, psi.rep)
-    return BilinearSet._of(_fitting(v), signature=Signature.MINKOWSKI)
+    return BilinearSet._of(_fitting(v, _UNFIT), signature=Signature.MINKOWSKI)
 
 
 def euclidean_bilinears(psi, c_S: float | None = None) -> BilinearSet:
@@ -274,7 +268,8 @@ def euclidean_bilinears(psi, c_S: float | None = None) -> BilinearSet:
     comps = psi.components if isinstance(psi, ClassicalSpinor) else np.asarray(psi, dtype=np.complex128)
     if comps.shape[-1:] != (4,):
         raise ValueError(f"expected 4 components, got shape {comps.shape}")
-    return BilinearSet._of(_fitting(_covariants(comps, c_S, Signature.EUCLIDEAN)), signature=Signature.EUCLIDEAN)
+    return BilinearSet._of(_fitting(_covariants(comps, c_S, Signature.EUCLIDEAN), _UNFIT),
+                          signature=Signature.EUCLIDEAN)
 
 
 def euclidean_components_closed_form(psi):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import _forms
-from .clifford import WEYL, Record, RowError, Signature, _frozen
-from .lounesto import ClassificationReport, classify
+from .clifford import WEYL, Record, RowError, Signature, _fitting, _frozen
+from .lounesto import _PATTERN_BITS, DEFAULT_TOL, ClassificationReport, classify
 from .spinor_forms import ClassicalSpinor
 
 __all__ = [
@@ -80,15 +80,13 @@ class MappingMatrix(Record):
 
 def build_M(p: MappingParams) -> MappingMatrix:
     """Assemble the matrix from its nine free entries; parameters whose
-    matrix does not fit in float64 are a ValueError."""
+    matrix does not fit in float64 raise RowError (a ValueError)."""
     ratio = p.m22 / p.m12
     row1 = np.array([p.m11, p.m12, p.m13, p.m14], dtype=np.complex128)
     row4 = np.array([p.m41, p.m42, p.m43, p.m44], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = np.vstack([row1, ratio * row1, -np.conj(ratio) * row4, row4])
-    if not np.isfinite(m).all():
-        raise ValueError("mapping matrix does not fit in float64")
-    return MappingMatrix(m, p)
+        m = np.concatenate([row1, ratio * row1, -np.conj(ratio) * row4, row4])
+    return MappingMatrix(_fitting(m, "mapping matrix does not fit in float64").reshape(4, 4), p)
 
 
 def constraint_residuals(m: np.ndarray) -> tuple[float, float]:
@@ -126,7 +124,7 @@ _KEPT = ("J", "K", "S")
 
 def _degenerate_table() -> np.ndarray:
     """The names in _KEPT whose zero flags are set, indexed by those flags
-    read as little-endian bits."""
+    read as little-endian bits, as lounesto reads its pattern codes."""
     table = np.empty(2 ** len(_KEPT), dtype=object)
     for code in range(len(table)):
         table[code] = tuple(name for i, name in enumerate(_KEPT) if code >> i & 1)
@@ -139,7 +137,7 @@ _DEGENERATE = _degenerate_table()
 def map_to_class4(
     m: MappingMatrix,
     phi: ClassicalSpinor,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
 ) -> MappedSpinor:
     """Apply the mapping to a regular spinor, or to a batch of them at once.
 
@@ -171,8 +169,7 @@ def map_to_class4(
         )
     image_report = classify(out, tol)
     zero = np.stack([image_report.zero_flags[name] for name in _KEPT], axis=-1)
-    code = np.packbits(zero, axis=-1, bitorder="little")[..., 0]
-    return MappedSpinor(out, _DEGENERATE[code], image_report)
+    return MappedSpinor(out, _DEGENERATE[zero @ _PATTERN_BITS[:len(_KEPT)]], image_report)
 
 
 def hermitian_constrain(p: MappingParams, tol: float = 1e-12) -> MappingMatrix:

@@ -60,7 +60,7 @@ import numpy as np
 
 from . import classmap, fierz, lounesto
 from .bilinears import _COVARIANT_FIELDS, BilinearSet, _covariants_on_ray
-from .clifford import InternalError, RowError, Signature, _ldexp_quiet, rep_by_tag
+from .clifford import InternalError, RowError, Signature, _fitting, _ldexp_quiet, rep_by_tag
 from .jsonio import Rows, dumps, floats
 from .spinor_forms import ClassicalSpinor
 from .topology import winding_report
@@ -399,9 +399,7 @@ def _verify_rows(ray: BilinearSet, e: np.ndarray, mode: str, tol: float) -> dict
         values = res5 / zscale[:, None]
         columns = {"residuals": values, "pass": res5.max(axis=-1) <= tol * zscale}
     norm2 = _ldexp_quiet(ray.component_norm() ** 2, 2 * e[:, 0])
-    unfit = ~np.isfinite(norm2) | ~np.isfinite(values).all(axis=-1)
-    if unfit.any():
-        raise RowError("residuals do not fit in float64", unfit)
+    _fitting(np.column_stack([norm2, values]), "residuals do not fit in float64")
     return columns
 
 
@@ -441,8 +439,7 @@ def cmd_map4(args) -> int:
         with np.errstate(all="ignore"):
             r0, r123 = classmap.constraint_residuals(m.matrix)
             abs_det = classmap.no_inverse_witness(m)
-        if not np.isfinite([r0, r123, abs_det]).all():
-            raise ValueError("constraint residuals of the mapping matrix do not fit in float64")
+        _fitting(np.array([r0, r123, abs_det]), "constraint residuals of the mapping matrix do not fit in float64")
     except ValueError as exc:
         raise SchemaError(f"{args.params}: {exc}") from exc
     params_blob = json.dumps(

@@ -88,10 +88,27 @@ class InternalError(RuntimeError):
     program, not of its input."""
 
 
+def _fitting(values: np.ndarray, message: str) -> np.ndarray:
+    """values itself; rows (over the last axis) holding a non-finite entry raise RowError(message)."""
+    if not np.isfinite(values).all():
+        raise RowError(message, ~np.isfinite(values).all(axis=-1))
+    return values
+
+
 def _unbox(x):
     """Python scalar for a 0-d result, the array itself for a batch."""
     x = np.asarray(x)
     return x.item() if x.ndim == 0 else x
+
+
+def _row_norm(record) -> float:
+    """Euclidean 2-norm of each row of a record's array, bound as norm()."""
+    return _unbox(np.sqrt((record._array.conj() * record._array).real.sum(axis=-1)))
+
+
+def _row_max_abs(record) -> float:
+    """Largest modulus in each row of a record's array, bound as max_abs()."""
+    return _unbox(np.abs(record._array).max(axis=-1))
 
 
 def _ray(values: np.ndarray, axis=-1) -> tuple[np.ndarray, np.ndarray]:
@@ -339,26 +356,27 @@ class Multivector(Record):
     def scalar_part(self) -> complex:
         return _unbox(self.coeffs[..., 0])
 
-    def norm(self) -> float:
-        """Euclidean 2-norm of the coefficient vector."""
-        return _unbox(np.sqrt((self.coeffs.conj() * self.coeffs).real.sum(axis=-1)))
-
-    def max_abs(self) -> float:
-        return _unbox(np.abs(self.coeffs).max(axis=-1))
+    norm = _row_norm
+    max_abs = _row_max_abs
 
 
 # -- constructors ---------------------------------------------------------
 
 
+def _from_slots(signature: Signature, slots, values) -> Multivector:
+    """The multivector of the (..., k) values at k blade slots (indices or a slice), every other blade 0."""
+    c = np.zeros(np.shape(values)[:-1] + (DIM,), dtype=np.complex128)
+    c[..., slots] = values
+    return Multivector(signature, c)
+
+
 def zero(signature: Signature = Signature.MINKOWSKI) -> Multivector:
-    return Multivector(signature, np.zeros(DIM, dtype=np.complex128))
+    return scalar(0.0, signature)
 
 
 def scalar(value: complex, signature: Signature = Signature.MINKOWSKI) -> Multivector:
     """Scalar multivector; an array of values gives a batch of that shape."""
-    c = np.zeros(np.shape(value) + (DIM,), dtype=np.complex128)
-    c[..., 0] = value
-    return Multivector(signature, c)
+    return _from_slots(signature, [0], np.asarray(value, dtype=np.complex128)[..., None])
 
 
 def blade(
@@ -367,12 +385,7 @@ def blade(
     signature: Signature = Signature.MINKOWSKI,
 ) -> Multivector:
     """Basis blade from an ascending generator index tuple, e.g. (0, 1) for e0e1."""
-    key = tuple(indices)
-    if key not in BLADE_INDEX:
-        raise ValueError(f"not a canonical blade index tuple: {indices}")
-    c = np.zeros(DIM, dtype=np.complex128)
-    c[BLADE_INDEX[key]] = coeff
-    return Multivector(signature, c)
+    return from_blade_dict({tuple(indices): coeff}, signature)
 
 
 def basis_vector(mu: int, signature: Signature = Signature.MINKOWSKI) -> Multivector:
@@ -389,10 +402,11 @@ def from_blade_dict(
     data: dict[tuple[int, ...], complex],
     signature: Signature = Signature.MINKOWSKI,
 ) -> Multivector:
-    c = np.zeros(DIM, dtype=np.complex128)
-    for key, value in data.items():
-        c[BLADE_INDEX[tuple(key)]] = value
-    return Multivector(signature, c)
+    """Multivector of coefficients keyed by canonical blade index tuples; other keys are a ValueError."""
+    slots = [BLADE_INDEX.get(tuple(key)) for key in data]
+    if None in slots:
+        raise ValueError(f"not a canonical blade index tuple: {list(data)[slots.index(None)]}")
+    return _from_slots(signature, slots, np.fromiter(data.values(), dtype=np.complex128, count=len(data)))
 
 
 # -- core operations ------------------------------------------------------

@@ -30,8 +30,8 @@ import numpy as np
 from . import conventions
 from .bilinears import (_GROUP_STARTS, ORIENTATION, BilinearSet, _by_group, _covariant_basis, _covariant_blades,
                         _s_weights, minkowski_dot, minkowski_square)
-from .clifford import (Multivector, Record, RowError, Signature, _frozen, _mul_gather, _ray, _unbox,
-                       left_mul_matrix, pseudoscalar, rep_matrix, scalar)
+from .clifford import (Multivector, Record, RowError, Signature, _from_slots, _frozen, _mul_gather, _ray,
+                       _row_max_abs, _unbox, left_mul_matrix, pseudoscalar, rep_matrix, scalar)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
 
 __all__ = [
@@ -52,10 +52,7 @@ __all__ = [
 
 def vector_multivector(components, signature: Signature = Signature.MINKOWSKI) -> Multivector:
     """Grade-1 multivector with index-down (..., 4) components, raised with eta_mu."""
-    components = np.asarray(components, dtype=np.complex128)
-    c = np.zeros(components.shape[:-1] + (16,), dtype=np.complex128)
-    c[..., 1:5] = components * signature.metric
-    return Multivector(signature, c)
+    return _from_slots(signature, slice(1, 5), np.asarray(components, dtype=np.complex128) * signature.metric)
 
 
 def bivector_multivector(components, signature: Signature = Signature.MINKOWSKI) -> Multivector:
@@ -63,10 +60,7 @@ def bivector_multivector(components, signature: Signature = Signature.MINKOWSKI)
     12, 13, 23) order, raised with eta_mu eta_nu."""
     eta = signature.metric
     raising = [eta[mu] * eta[nu] for mu, nu in BIVECTOR_ORDER]
-    components = np.asarray(components, dtype=np.complex128)
-    c = np.zeros(components.shape[:-1] + (16,), dtype=np.complex128)
-    c[..., 5:11] = components * raising
-    return Multivector(signature, c)
+    return _from_slots(signature, slice(5, 11), np.asarray(components, dtype=np.complex128) * raising)
 
 
 class FpkResiduals(Record):
@@ -83,8 +77,7 @@ class FpkResiduals(Record):
     def __init__(self, r1: float, r2: float, r3: float, r4: float) -> None:
         super().__init__(np.stack(np.broadcast_arrays(r1, r2, r3, r4), axis=-1).astype(float))
 
-    def max_abs(self) -> float:
-        return _unbox(np.abs(self._array).max(axis=-1))
+    max_abs = _row_max_abs
 
     def passes(self, tol: float, scale: float) -> bool:
         """Whether every residual is within tol relative to scale^2, scale

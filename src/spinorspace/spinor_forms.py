@@ -22,8 +22,9 @@ import functools
 
 import numpy as np
 
-from .clifford import (_I2, BLADES, DIRAC, PAULI, GammaRep, Multivector, Record, RowError, Signature, _frozen,
-                       _ldexp_quiet, _product_table, _ray, _unbox, idempotent_f, rep_matrix, weyl_to_dirac_matrix)
+from .clifford import (_I2, BLADES, DIRAC, PAULI, GammaRep, Multivector, Record, Signature, _fitting, _frozen,
+                       _from_slots, _ldexp_quiet, _product_table, _ray, _row_norm, _unbox, idempotent_f, rep_matrix,
+                       weyl_to_dirac_matrix)
 
 __all__ = [
     "Quaternion",
@@ -62,6 +63,13 @@ def _hamilton() -> np.ndarray:
     return _frozen(t[..., blades] * units)
 
 
+# quaternion-layer arithmetic runs quietly where it can overflow, and each
+# result holding a non-finite entry raises RowError naming its batch rows
+_quiet = np.errstate(over="ignore", invalid="ignore")
+_PRODUCT_UNFIT = "quaternion product does not fit in float64"
+_SUM_UNFIT = "quaternion sum does not fit in float64"
+
+
 def _hamilton_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product of the (..., 4) arrays a and b, broadcast."""
     return np.einsum("...p,...q,pqr->...r", a, b, _hamilton())
@@ -83,25 +91,26 @@ class Quaternion(Record):
     def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> None:
         super().__init__(np.stack(np.broadcast_arrays(w, x, y, z), axis=-1).astype(float))
 
+    @_quiet
     def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion._of(self._array + other._array)
+        return Quaternion._of(_fitting(self._array + other._array, _SUM_UNFIT))
 
+    @_quiet
     def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion._of(self._array - other._array)
+        return Quaternion._of(_fitting(self._array - other._array, _SUM_UNFIT))
 
     def __neg__(self) -> "Quaternion":
         return Quaternion._of(-self._array)
 
+    @_quiet
     def __mul__(self, other):
         """Hamilton product with a quaternion; a number (or batch-shaped array)
         scales.  Rows whose product does not fit in float64 raise RowError."""
         if isinstance(other, Quaternion):
             product = _hamilton_product(self._array, other._array)
-            unfit = ~np.isfinite(product).all(axis=-1)
-            if unfit.any():
-                raise RowError("quaternion product does not fit in float64", unfit)
-            return Quaternion._of(product)
-        return Quaternion._of(self._array * np.asarray(other, dtype=float)[..., None])
+        else:
+            product = self._array * np.asarray(other, dtype=float)[..., None]
+        return Quaternion._of(_fitting(product, _PRODUCT_UNFIT))
 
     __rmul__ = __mul__
 
@@ -111,9 +120,7 @@ class Quaternion(Record):
     def dot(self, other: "Quaternion") -> float:
         return _unbox((self._array * other._array).sum(axis=-1))
 
-    def norm(self) -> float:
-        return _unbox(np.sqrt(self.dot(self)))
-
+    norm = _row_norm
     as_array = Record.stack
 
     def to_complex_matrix(self) -> np.ndarray:
@@ -124,6 +131,12 @@ class Quaternion(Record):
 def _quat_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product over H of the (..., 2, 2, 4) arrays a and b."""
     return _hamilton_product(a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
+
+
+def _fitting_matrix(entries: np.ndarray, message: str) -> "QuatMatrix2":
+    """The QuatMatrix2 of the (..., 2, 2, 4) entries, checked by _fitting over each matrix of the batch."""
+    batch = entries.shape[:-3]
+    return QuatMatrix2._of(_fitting(entries.reshape(batch + (16,)), message).reshape(entries.shape))
 
 
 class QuatMatrix2(Record):
@@ -141,14 +154,17 @@ class QuatMatrix2(Record):
     def entries(self) -> tuple[tuple[Quaternion, ...], ...]:
         return tuple(tuple(Quaternion._of(self._array[..., r, c, :]) for c in range(2)) for r in range(2))
 
+    @_quiet
     def __matmul__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        return QuatMatrix2._of(_quat_matmul(self._array, other._array))
+        return _fitting_matrix(_quat_matmul(self._array, other._array), _PRODUCT_UNFIT)
 
+    @_quiet
     def __add__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        return QuatMatrix2._of(self._array + other._array)
+        return _fitting_matrix(self._array + other._array, _SUM_UNFIT)
 
+    @_quiet
     def scale(self, factor: float) -> "QuatMatrix2":
-        return QuatMatrix2._of(self._array * np.asarray(factor, dtype=float)[..., None, None, None])
+        return _fitting_matrix(self._array * np.asarray(factor, dtype=float)[..., None, None, None], _PRODUCT_UNFIT)
 
     def to_complex(self) -> np.ndarray:
         """4x4 complex image, each quaternion entry expanded to its 2x2 block."""
@@ -198,9 +214,7 @@ class ClassicalSpinor(Record):
         if c.shape[-1:] != (4,):
             raise ValueError(f"expected 4 components, got shape {c.shape}")
 
-    def norm(self) -> float:
-        c = self.components
-        return _unbox(np.sqrt((c.conj() * c).real.sum(axis=-1)))
+    norm = _row_norm
 
     @property
     def is_zero(self) -> bool:
@@ -275,10 +289,7 @@ def operator_from_coeffs(s: float, s_bivec, p: float) -> SpinorOperator:
 
 
 def operator_to_even_multivector(op: SpinorOperator) -> Multivector:
-    v = op.stack()
-    c = np.zeros(v.shape[:-1] + (16,))
-    c[..., _OPERATOR_BLADES] = v * _OPERATOR_SIGNS
-    return Multivector(Signature.MINKOWSKI, c)
+    return _from_slots(Signature.MINKOWSKI, _OPERATOR_BLADES, op.stack() * _OPERATOR_SIGNS)
 
 
 def operator_from_even_multivector(mv: Multivector) -> SpinorOperator:

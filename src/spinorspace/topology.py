@@ -18,6 +18,7 @@ import numpy as np
 from .bilinears import BilinearSet, euclidean_components_closed_form
 from .clifford import RowError, _unbox
 from .fierz import _fpk_check
+from .lounesto import DEFAULT_TOL
 
 __all__ = [
     "WindingReport",
@@ -111,7 +112,7 @@ def regular_sphere_check(psi, tol: float = 1e-8) -> float:
     return _unbox(np.abs(jj + np.asarray(omega) ** 2 - 1.0))
 
 
-def fpk_membership(p: BilinearSet, tol: float = 1e-8) -> bool:
+def fpk_membership(p: BilinearSet, tol: float = DEFAULT_TOL) -> bool:
     """Whether the point satisfies the quadratic covariant identities (the
     membership gate of the physical sector), per point of a batch and alike
     at every scale.  The all-zero point passes as a degenerate member."""

@@ -1,5 +1,7 @@
 """Multivector engine: products, involutions, matrix images."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -236,3 +238,17 @@ def test_multivector_immutable(rng):
 def test_blade_constructor_rejects_noncanonical():
     with pytest.raises(ValueError, match="canonical"):
         cl.blade((1, 0))
+
+
+@pytest.mark.parametrize("key", [(1, 0), (0, 0), (4,), ()])
+def test_blade_dict_and_blade_share_one_key_check(key):
+    """A non-canonical key is the same ValueError from both constructors; the
+    canonical key () of the scalar blade passes both."""
+    if key == ():
+        assert cl.from_blade_dict({key: 2.0}) == cl.blade(key, 2.0) == cl.scalar(2.0)
+        return
+    message = f"^not a canonical blade index tuple: {re.escape(str(key))}$"
+    with pytest.raises(ValueError, match=message):
+        cl.from_blade_dict({(0,): 1.0, key: 1.0})
+    with pytest.raises(ValueError, match=message):
+        cl.blade(key)

@@ -17,14 +17,19 @@ Rounding bounds: sigma' and omega' are computed from psi' alone, so they
 hold within c eps |psi'|^2.  The reference Lambda J sums entries up to
 e^|eta| |psi|^2, |psi'|^2 at its largest, and for a lightlike J boosted
 along its direction |psi'|^2 shrinks to e^-|eta| |psi|^2, so J, K and S
-are compared within c eps e^|eta| |psi|^2.
+are compared within c eps e^|eta| |psi|^2.  The aggregate Z of psi moves to
+R Z R~, compared within the same bound, and the spinor rebuilt from it is
+rho(R) times the one rebuilt from Z up to a phase: the two span one complex
+ray, with a sine of their angle within c eps e^|eta|.
 """
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ray_angle_sine
 from spinorspace.bilinears import bilinear_covariants
+from spinorspace.fierz import aggregate, default_probe_spinor, reconstruct
 from spinorspace.clifford import DIRAC, WEYL, basis_vector, blade, geometric_product, rep_matrix, reversion, scalar
 from spinorspace.lounesto import LounestoClass, classify, generate
 from spinorspace.spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
@@ -70,3 +75,36 @@ def test_covariants_transform_under_spin13(cls, rep, seed, eta, k, theta, plane)
     report = classify(psi)
     if np.exp(2 * abs(eta)) < report.margin:
         assert classify(moved).lounesto_class == report.lounesto_class
+
+
+# the draws of the transformation laws, for the aggregate and reconstruction
+spin13_draws = given(st.sampled_from(CLASSES), st.sampled_from([WEYL, DIRAC]), st.integers(0, 2 ** 16),
+                     st.floats(-20.0, 20.0), st.integers(1, 3), st.floats(0.0, 2 * np.pi), st.sampled_from(PLANES))
+
+
+def moved_pair(cls, rep, seed, eta, k, theta, plane):
+    """(psi, R, rho(R) psi) of one draw."""
+    psi = generate(cls, seed, 1, rep)[0]
+    r = rotor(eta, k, theta, plane)
+    return psi, r, ClassicalSpinor(rep_matrix(r, rep) @ psi.components, rep)
+
+
+def rebuilt(z, rep):
+    return reconstruct(z, default_probe_spinor(z, rep)).components
+
+
+@spin13_draws
+def test_aggregate_transforms_as_a_sandwich(cls, rep, seed, eta, k, theta, plane):
+    psi, r, moved = moved_pair(cls, rep, seed, eta, k, theta, plane)
+    z = aggregate(bilinear_covariants(psi))
+    sandwich = geometric_product(geometric_product(r, z), reversion(r))
+    bound = C * EPS * np.exp(abs(eta)) * psi.norm() ** 2
+    assert np.abs(aggregate(bilinear_covariants(moved)).coeffs - sandwich.coeffs).max() <= bound
+
+
+@spin13_draws
+def test_reconstruction_commutes_with_the_rotor(cls, rep, seed, eta, k, theta, plane):
+    psi, r, moved = moved_pair(cls, rep, seed, eta, k, theta, plane)
+    from_moved = rebuilt(aggregate(bilinear_covariants(moved)), rep)
+    moved_rebuilt = rep_matrix(r, rep) @ rebuilt(aggregate(bilinear_covariants(psi)), rep)
+    assert ray_angle_sine(from_moved, moved_rebuilt) <= C * EPS * np.exp(abs(eta))

@@ -1,0 +1,145 @@
+"""One home per array primitive.
+
+Underneath the multivector engine sit a few array primitives, each written
+once in clifford: the fit check _fitting, which raises RowError for the
+rows holding a non-finite entry; the row norm and the row max-abs, bound as
+the norm and max_abs methods of the record types that have them; and the
+blade-slot constructor _from_slots, from which every multivector
+constructor builds.  The bit code of a set of flags and the default
+classification tolerance live in lounesto.  These tests read the package's
+syntax trees and pin that no module writes one of them out again, and that
+no module keeps an import it does not use.
+"""
+
+import ast
+import functools
+import inspect
+from pathlib import Path
+
+import numpy as np
+
+from spinorspace import classmap, clifford, fierz, lounesto, spinor_forms, topology
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spinorspace"
+
+CONSTRUCTORS = {
+    "clifford:zero", "clifford:scalar", "clifford:blade", "clifford:from_blade_dict",
+    "fierz:vector_multivector", "fierz:bivector_multivector", "spinor_forms:operator_to_even_multivector",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def modules() -> tuple:
+    """(name, syntax tree) of every module of the package."""
+    return tuple((path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py")))
+
+
+def scopes_naming(name: str, calls_only: bool = False) -> set:
+    """module:qualname of every scope in the package that names name (as a
+    plain name or an attribute), or with calls_only that calls it."""
+    found = set()
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, []
+
+        def visit_scope(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef = visit_scope
+
+        def visit_Call(self, node):
+            if calls_only and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.add(f"{self.module}:{'.'.join(self.scope)}")
+            self.generic_visit(node)
+
+        def visit_Name(self, node):
+            if not calls_only and node.id == name:
+                found.add(f"{self.module}:{'.'.join(self.scope)}")
+
+        def visit_Attribute(self, node):
+            if not calls_only and node.attr == name:
+                found.add(f"{self.module}:{'.'.join(self.scope)}")
+            self.generic_visit(node)
+
+    for module, tree in modules():
+        Visitor(module).visit(tree)
+    return found
+
+
+def test_isfinite_only_in_the_fit_check_and_the_input_checks():
+    assert scopes_naming("isfinite") == {
+        "clifford:_fitting",
+        "clifford:Record.__init__",
+        "jsonio:floats",
+        "jsonio:_row_texts",
+        "topology:_validate_path",
+        "cli:_tolerance",
+    }
+
+
+def test_the_fit_check_is_the_one_raising_a_fit_error():
+    """No scope but _fitting builds a "does not fit in float64" error of its own."""
+    for module, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                assert "does not fit" not in ast.unparse(node), f"{module}: {ast.unparse(node)}"
+
+
+def test_constructors_build_from_blade_slots():
+    assert not CONSTRUCTORS & scopes_naming("zeros", calls_only=True)
+    builders = set().union(*(scopes_naming(name, True) for name in ("_from_slots", "scalar", "from_blade_dict")))
+    assert CONSTRUCTORS <= builders
+
+
+def test_norm_and_max_abs_are_each_one_function():
+    for module, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in ("norm", "max_abs"), f"{module}: def {node.name}"
+    records = [cls for module in (clifford, spinor_forms, fierz, classmap, lounesto)
+               for cls in vars(module).values() if inspect.isclass(cls) and issubclass(cls, clifford.Record)]
+    has = {name: {cls.__name__ for cls in records if hasattr(cls, name)} for name in ("norm", "max_abs")}
+    assert has == {"norm": {"Multivector", "ClassicalSpinor", "Quaternion"},
+                   "max_abs": {"Multivector", "FpkResiduals"}}
+    for cls in records:
+        assert getattr(cls, "norm", clifford._row_norm) is clifford._row_norm
+        assert getattr(cls, "max_abs", clifford._row_max_abs) is clifford._row_max_abs
+
+
+def test_quaternion_norm_is_the_root_of_its_dot():
+    q = spinor_forms.Quaternion(*np.random.default_rng(20).standard_normal((4, 7)) * 1e100)
+    assert q.norm().tobytes() == np.sqrt(q.dot(q)).tobytes()
+
+
+def test_one_bit_code_and_one_default_tolerance():
+    assert not scopes_naming("packbits")
+    defaults = set()
+    for module, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                values = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+                if any(isinstance(v, ast.Constant) and v.value == 1e-8 for v in values):
+                    defaults.add(f"{module}:{node.name}")
+    # the unit-norm tolerance of the sphere check is no classification default
+    assert defaults == {"topology:regular_sphere_check"}
+    for function in (classmap.map_to_class4, topology.fpk_membership, lounesto.classify):
+        assert inspect.signature(function).parameters["tol"].default is lounesto.DEFAULT_TOL
+
+
+def test_no_module_keeps_an_unused_import():
+    """Every name a module imports is read in it; the package's __init__,
+    whose imports are its public names, is exempt."""
+    for module, tree in modules():
+        if module == "__init__":
+            continue
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= read, f"{module} imports {sorted(imported - read)} unused"

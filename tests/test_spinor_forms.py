@@ -464,3 +464,52 @@ def test_overflowing_quaternion_product_names_its_rows():
         batch * big
     assert caught.value.rows.tolist() == [False, True, False]
     assert (sf.Quaternion(0.25, 0.25) * big).as_array().tolist() == [0.0, 0.5e308, 0.0, 0.0]
+
+
+# a quaternion and a 2x2 quaternionic matrix whose arithmetic leaves float64
+BIG = sf.Quaternion(1e308, 1e308)
+BIG_MATRIX = sf.quat_matrix(BIG, BIG, BIG, BIG)
+# one row of each batch does not fit: the middle one
+ROWS = [False, True, False]
+
+
+def quaternion_batch(middle: float) -> sf.Quaternion:
+    return sf.Quaternion([1.0, middle, 0.25], [0.0, middle, 0.25])
+
+
+def matrix_batch(middle: float) -> sf.QuatMatrix2:
+    q = quaternion_batch(middle)
+    return sf.quat_matrix(q, q, q, q)
+
+
+@pytest.mark.parametrize("operation, message", [
+    (lambda a, b: a + b, "sum"),
+    (lambda a, b: a - (-b), "sum"),
+    (lambda a, b: a * 1e10, "product"),
+    (lambda a, b: 1e10 * a, "product"),
+], ids=["add", "subtract", "scale", "scale-left"])
+def test_overflowing_quaternion_arithmetic_names_its_rows(operation, message):
+    with pytest.raises(cl.RowError, match=f"^quaternion {message} does not fit in float64$") as caught:
+        operation(BIG, BIG)
+    assert caught.value.rows.shape == () and caught.value.rows
+    with pytest.raises(cl.RowError, match=f"^quaternion {message} does not fit in float64$") as caught:
+        operation(quaternion_batch(1e308), quaternion_batch(1e308))
+    assert caught.value.rows.tolist() == ROWS
+    assert operation(quaternion_batch(1.0), quaternion_batch(1.0)).as_array().shape == (3, 4)
+
+
+@pytest.mark.parametrize("operation, message", [
+    (lambda a, b: a @ b, "product"),
+    (lambda a, b: a + b, "sum"),
+    (lambda a, b: a.scale(1e10), "product"),
+], ids=["matmul", "add", "scale"])
+def test_overflowing_quaternion_matrix_arithmetic_names_its_rows(operation, message):
+    """Rows of a matrix batch, not of its entries, are named: the product of
+    a huge matrix with itself is no silent NaN."""
+    with pytest.raises(cl.RowError, match=f"^quaternion {message} does not fit in float64$") as caught:
+        operation(BIG_MATRIX, BIG_MATRIX)
+    assert caught.value.rows.shape == () and caught.value.rows
+    with pytest.raises(cl.RowError, match=f"^quaternion {message} does not fit in float64$") as caught:
+        operation(matrix_batch(1e308), matrix_batch(1e308))
+    assert caught.value.rows.tolist() == ROWS
+    assert operation(matrix_batch(1.0), matrix_batch(1.0)).stack().shape == (3, 2, 2, 4)
