@@ -16,7 +16,7 @@ import numpy as np
 
 from spinorspace import clifford as cl
 from spinorspace import conventions
-from spinorspace.bilinears import bilinear_covariants, euclidean_bilinears
+from spinorspace.bilinears import BilinearSet, bilinear_covariants, euclidean_bilinears
 from spinorspace.fierz import (
     aggregate,
     bivector_multivector,
@@ -32,6 +32,12 @@ def random_spinor(rng):
     return ClassicalSpinor(rng.standard_normal(4) + 1j * rng.standard_normal(4), cl.WEYL)
 
 
+def rescaled(b, ratio):
+    """The covariant set b with S scaled by ratio, the candidate scale over
+    the frozen one: +-1 or +-2, so exactly the set that candidate gives."""
+    return BilinearSet(b.sigma, b.omega, b.J, b.K, b.S * ratio, signature=b.signature)
+
+
 def scan_time_minus(rng, trials):
     """The tensor scale must close the wedge identity, the aggregate
     idempotency, and the rank-one matrix expansion simultaneously."""
@@ -41,7 +47,7 @@ def scan_time_minus(rng, trials):
         worst = 0.0
         for _ in range(trials):
             psi = random_spinor(rng)
-            b = bilinear_covariants(psi, c_S=candidate)
+            b = rescaled(bilinear_covariants(psi), candidate / conventions.S_SCALE)
             z = aggregate(b)
             outer = 4.0 * np.outer(
                 psi.components, psi.components.conj() @ cl.WEYL.gammas[0]
@@ -95,7 +101,7 @@ def scan_euclidean(rng, trials):
         worst = 0.0
         for _ in range(trials):
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            b = euclidean_bilinears(psi, c_S=candidate)
+            b = rescaled(euclidean_bilinears(psi), candidate / conventions.S_SCALE_EUCLIDEAN)
             jmv = vector_multivector(b.J, sig)
             kmv = vector_multivector(b.K, sig)
             smv = bivector_multivector(b.S, sig)

@@ -148,6 +148,8 @@ _EUCLIDEAN_REP = GammaRep("euclidean", EUCLIDEAN_GENERATORS)
 # the reversed volume EUCLIDEAN_VOLUME.  The sign fixes the K forms, the
 # aggregate's volume term and the mirrored quadratic identities.
 ORIENTATION = {Signature.MINKOWSKI: 1.0, Signature.EUCLIDEAN: -1.0}
+# the calibrated scale of the stored S in each signature, of size 1/2
+_S_SCALES = {Signature.MINKOWSKI: conventions.S_SCALE, Signature.EUCLIDEAN: conventions.S_SCALE_EUCLIDEAN}
 
 _LABELS = (
     ("sigma", "omega")
@@ -207,8 +209,7 @@ def _s_weights(factor: float) -> np.ndarray:
     return _frozen(_by_group(1.0, 1.0, 1.0, 1.0, factor))
 
 
-def _covariants(comps: np.ndarray, c_S: float, signature: Signature,
-                rep: GammaRep | None = None) -> np.ndarray:
+def _covariants(comps: np.ndarray, signature: Signature, rep: GammaRep | None = None) -> np.ndarray:
     """(..., 16) real covariants sigma, omega, J, K, S of the (..., 4) batch
     comps, in stored order, as a fresh array.  Whether they fit in float64
     is for the caller to check once, after its last scaling (_fitting)."""
@@ -225,11 +226,8 @@ def _covariants(comps: np.ndarray, c_S: float, signature: Signature,
             f"internal consistency: {_LABELS[k]} acquired an imaginary part "
             f"{np.max(np.abs(values.imag[..., k])):.3e} beyond tolerance"
         )
-    if abs(c_S) <= 1.0:
-        # no weight above 1: no finite product overflows
-        return values.real * _s_weights(c_S)
-    with np.errstate(over="ignore"):
-        return values.real * _s_weights(c_S)
+    # no weight above 1: no finite product overflows
+    return values.real * _s_weights(_S_SCALES[signature])
 
 
 def _covariants_on_ray(psi: ClassicalSpinor) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -238,38 +236,33 @@ def _covariants_on_ray(psi: ClassicalSpinor) -> tuple[np.ndarray, np.ndarray, np
     own, b = v 4^e, exact wherever they are normal floats.  Spinors whose b
     does not fit in float64 raise RowError naming their rows."""
     ray, e = _ray(psi.components)
-    v = _covariants(ray, conventions.S_SCALE, Signature.MINKOWSKI, psi.rep)
+    v = _covariants(ray, Signature.MINKOWSKI, psi.rep)
     return ray, e, v, _fitting(_ldexp_quiet(v, 2 * e), _UNFIT)
 
 
-def bilinear_covariants(psi: ClassicalSpinor, c_S: float | None = None) -> BilinearSet:
+def bilinear_covariants(psi: ClassicalSpinor) -> BilinearSet:
     """All five covariants of a time-minus spinor in its own representation;
     a batch of spinors gives the covariant batch of the same shape.
 
-    c_S is the calibrated normalization of the tensor bilinear; the default
-    comes from the frozen conventions and should not normally be overridden.
-    Spinors whose covariants overflow float64 raise RowError (a ValueError)
-    naming their rows; anything but a ClassicalSpinor is a ValueError.
+    S carries the calibrated normalization conventions.S_SCALE.  Spinors
+    whose covariants overflow float64 raise RowError (a ValueError) naming
+    their rows; anything but a ClassicalSpinor is a ValueError.
     """
     if not isinstance(psi, ClassicalSpinor):
         raise ValueError(f"expected a ClassicalSpinor, got {type(psi).__name__}")
-    if c_S is None:
-        c_S = conventions.S_SCALE
-    v = _covariants(psi.components, c_S, Signature.MINKOWSKI, psi.rep)
+    v = _covariants(psi.components, Signature.MINKOWSKI, psi.rep)
     return BilinearSet._of(_fitting(v, _UNFIT), signature=Signature.MINKOWSKI)
 
 
-def euclidean_bilinears(psi, c_S: float | None = None) -> BilinearSet:
-    """Observables of psi in C^4 read through the Euclidean algebra; psi may
-    be a (..., 4) batch, as components or as a ClassicalSpinor, whose
-    representation tag the Euclidean forms do not read."""
-    if c_S is None:
-        c_S = conventions.S_SCALE_EUCLIDEAN
+def euclidean_bilinears(psi) -> BilinearSet:
+    """Observables of psi in C^4 read through the Euclidean algebra, S with
+    the calibrated conventions.S_SCALE_EUCLIDEAN; psi may be a (..., 4)
+    batch, as components or as a ClassicalSpinor, whose representation tag
+    the Euclidean forms do not read."""
     comps = psi.components if isinstance(psi, ClassicalSpinor) else np.asarray(psi, dtype=np.complex128)
     if comps.shape[-1:] != (4,):
         raise ValueError(f"expected 4 components, got shape {comps.shape}")
-    return BilinearSet._of(_fitting(_covariants(comps, c_S, Signature.EUCLIDEAN), _UNFIT),
-                          signature=Signature.EUCLIDEAN)
+    return BilinearSet._of(_fitting(_covariants(comps, Signature.EUCLIDEAN), _UNFIT), signature=Signature.EUCLIDEAN)
 
 
 def euclidean_components_closed_form(psi):

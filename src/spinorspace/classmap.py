@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import _forms
-from .clifford import WEYL, Record, RowError, Signature, _fitting, _frozen
+from .clifford import WEYL, Record, RowError, Signature, _fitting, _frozen, _quiet
 from .lounesto import _PATTERN_BITS, DEFAULT_TOL, ClassificationReport, classify
 from .spinor_forms import ClassicalSpinor
 
@@ -78,14 +78,14 @@ class MappingMatrix(Record):
         return float(np.linalg.norm(self.matrix))
 
 
+@_quiet
 def build_M(p: MappingParams) -> MappingMatrix:
     """Assemble the matrix from its nine free entries; parameters whose
     matrix does not fit in float64 raise RowError (a ValueError)."""
     ratio = p.m22 / p.m12
     row1 = np.array([p.m11, p.m12, p.m13, p.m14], dtype=np.complex128)
     row4 = np.array([p.m41, p.m42, p.m43, p.m44], dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = np.concatenate([row1, ratio * row1, -np.conj(ratio) * row4, row4])
+    m = np.concatenate([row1, ratio * row1, -np.conj(ratio) * row4, row4])
     return MappingMatrix(_fitting(m, "mapping matrix does not fit in float64").reshape(4, 4), p)
 
 
@@ -158,9 +158,8 @@ def map_to_class4(
         first = classes[irregular][0]
         raise RowError(f"input must be a regular spinor (class 1-3), got {first.value}", classes == first)
     out = ClassicalSpinor(np.matmul(m.matrix, phi.components[..., None])[..., 0], WEYL)
-    with np.errstate(over="ignore"):
-        # an image too large to square is no kernel vector; classify rejects it
-        kernel = out.norm() <= tol * phi.norm()
+    # an image too large to square has norm inf, no kernel vector; classify rejects it
+    kernel = out.norm() <= tol * phi.norm()
     if np.any(kernel):
         raise RowError(
             "image vanishes: phi lies in the kernel of the mapping (det M = 0 "
@@ -180,25 +179,19 @@ def hermitian_constrain(p: MappingParams, tol: float = 1e-12) -> MappingMatrix:
     Violated relations are reported together; the returned matrix satisfies
     M = M^dag to machine precision.
     """
-    violations = []
-    for name in ("m11", "m12", "m22"):
-        value = getattr(p, name)
-        if abs(value.imag) > tol * max(1.0, abs(value)):
-            violations.append(f"{name} must be real")
-    if abs(p.m11 * p.m22 - p.m12 ** 2) > tol * max(1.0, abs(p.m12) ** 2):
-        violations.append("m11 m22 must equal m12^2")
-    if abs(p.m41 - np.conj(p.m14)) > tol * max(1.0, abs(p.m14)):
-        violations.append("m41 must equal conj(m14)")
-    expected_m13 = -p.m22 * p.m14 / p.m12
-    if abs(p.m13 - expected_m13) > tol * max(1.0, abs(expected_m13)):
-        violations.append("m13 must equal -m22 m14 / m12")
-    if abs(p.m42 + np.conj(p.m13)) > tol * max(1.0, abs(p.m13)):
-        violations.append("m42 must equal -conj(m13)")
-    if abs(p.m43.imag) > tol * max(1.0, abs(p.m43)):
-        violations.append("m43 must be real")
-    expected_m44 = -p.m12 * p.m43 / p.m22
-    if abs(p.m44 - expected_m44) > tol * max(1.0, abs(expected_m44)):
-        violations.append("m44 must equal -m12 m43 / m22")
+    expected_m13, expected_m44 = -p.m22 * p.m14 / p.m12, -p.m12 * p.m43 / p.m22
+    relations = [
+        ("m11 must be real", p.m11.imag, abs(p.m11)),
+        ("m12 must be real", p.m12.imag, abs(p.m12)),
+        ("m22 must be real", p.m22.imag, abs(p.m22)),
+        ("m11 m22 must equal m12^2", p.m11 * p.m22 - p.m12 ** 2, abs(p.m12) ** 2),
+        ("m41 must equal conj(m14)", p.m41 - np.conj(p.m14), abs(p.m14)),
+        ("m13 must equal -m22 m14 / m12", p.m13 - expected_m13, abs(expected_m13)),
+        ("m42 must equal -conj(m13)", p.m42 + np.conj(p.m13), abs(p.m13)),
+        ("m43 must be real", p.m43.imag, abs(p.m43)),
+        ("m44 must equal -m12 m43 / m22", p.m44 - expected_m44, abs(expected_m44)),
+    ]
+    violations = [violation for violation, gap, size in relations if abs(gap) > tol * max(1.0, size)]
     if violations:
         raise ValueError("self-adjointness relations violated: " + "; ".join(violations))
     m = build_M(p)

@@ -88,10 +88,16 @@ class InternalError(RuntimeError):
     program, not of its input."""
 
 
-def _fitting(values: np.ndarray, message: str) -> np.ndarray:
-    """values itself; rows (over the last axis) holding a non-finite entry raise RowError(message)."""
+# the one way arithmetic that can overflow runs: a function decorated with it
+# computes quietly, and its result goes through _fitting.  Only a decorator:
+# one np.errstate object cannot be entered twice, but its decorated calls nest
+_quiet = np.errstate(all="ignore")
+
+
+def _fitting(values: np.ndarray, message: str, axis=-1) -> np.ndarray:
+    """values itself; rows (over axis) holding a non-finite entry raise RowError(message)."""
     if not np.isfinite(values).all():
-        raise RowError(message, ~np.isfinite(values).all(axis=-1))
+        raise RowError(message, ~np.isfinite(values).all(axis=axis))
     return values
 
 
@@ -101,8 +107,10 @@ def _unbox(x):
     return x.item() if x.ndim == 0 else x
 
 
+@_quiet
 def _row_norm(record) -> float:
-    """Euclidean 2-norm of each row of a record's array, bound as norm()."""
+    """Euclidean 2-norm of each row of a record's array, bound as norm();
+    inf where the squares overflow."""
     return _unbox(np.sqrt((record._array.conj() * record._array).real.sum(axis=-1)))
 
 
@@ -121,7 +129,7 @@ def _ray(values: np.ndarray, axis=-1) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ldexp whose overflow to inf passes without a warning: callers check the result
-_ldexp_quiet = np.errstate(over="ignore")(np.ldexp)
+_ldexp_quiet = _quiet(np.ldexp)
 
 
 def _frozen(*arrays: np.ndarray):
@@ -290,6 +298,8 @@ def _mul_gather(signature: Signature, right: bool) -> tuple[np.ndarray, np.ndarr
 
 _REVERSION_SIGNS = _frozen(np.array([(-1.0) ** (k * (k - 1) // 2) for k in BLADE_GRADES]))
 _GRADE_MASKS = {k: _frozen(np.array([g == k for g in BLADE_GRADES])) for k in range(5)}
+_SUM_UNFIT = "multivector sum does not fit in float64"
+_PRODUCT_UNFIT = "multivector product does not fit in float64"
 
 
 class Multivector(Record):
@@ -316,13 +326,15 @@ class Multivector(Record):
 
     # -- arithmetic ------------------------------------------------------
 
+    @_quiet
     def __add__(self, other: "Multivector") -> "Multivector":
         self._check_tags(other)
-        return Multivector._of(self.coeffs + other.coeffs, signature=self.signature)
+        return Multivector._of(_fitting(self.coeffs + other.coeffs, _SUM_UNFIT), signature=self.signature)
 
+    @_quiet
     def __sub__(self, other: "Multivector") -> "Multivector":
         self._check_tags(other)
-        return Multivector._of(self.coeffs - other.coeffs, signature=self.signature)
+        return Multivector._of(_fitting(self.coeffs - other.coeffs, _SUM_UNFIT), signature=self.signature)
 
     def __neg__(self) -> "Multivector":
         return Multivector._of(-self.coeffs, signature=self.signature)
@@ -335,10 +347,11 @@ class Multivector(Record):
     def __rmul__(self, other) -> "Multivector":
         return self._scale(other)
 
+    @_quiet
     def _scale(self, factor) -> "Multivector":
         """Scale by a number, or row by row by an array of the batch shape."""
         factor = np.asarray(factor, dtype=np.complex128)[..., None]
-        return Multivector._of(self.coeffs * factor, signature=self.signature)
+        return Multivector._of(_fitting(self.coeffs * factor, _PRODUCT_UNFIT), signature=self.signature)
 
     # -- involutions and projections --------------------------------------
 

@@ -23,8 +23,8 @@ import functools
 import numpy as np
 
 from .clifford import (_I2, BLADES, DIRAC, PAULI, GammaRep, Multivector, Record, Signature, _fitting, _frozen,
-                       _from_slots, _ldexp_quiet, _product_table, _ray, _row_norm, _unbox, idempotent_f, rep_matrix,
-                       weyl_to_dirac_matrix)
+                       _from_slots, _ldexp_quiet, _product_table, _quiet, _ray, _row_norm, _unbox, idempotent_f,
+                       rep_matrix, weyl_to_dirac_matrix)
 
 __all__ = [
     "Quaternion",
@@ -65,7 +65,6 @@ def _hamilton() -> np.ndarray:
 
 # quaternion-layer arithmetic runs quietly where it can overflow, and each
 # result holding a non-finite entry raises RowError naming its batch rows
-_quiet = np.errstate(over="ignore", invalid="ignore")
 _PRODUCT_UNFIT = "quaternion product does not fit in float64"
 _SUM_UNFIT = "quaternion sum does not fit in float64"
 
@@ -117,8 +116,10 @@ class Quaternion(Record):
     def conjugate(self) -> "Quaternion":
         return Quaternion._of(self._array * (1.0, -1.0, -1.0, -1.0))
 
+    @_quiet
     def dot(self, other: "Quaternion") -> float:
-        return _unbox((self._array * other._array).sum(axis=-1))
+        """Euclidean inner product; rows where it does not fit in float64 raise RowError."""
+        return _unbox(_fitting((self._array * other._array).sum(axis=-1), _PRODUCT_UNFIT, axis=()))
 
     norm = _row_norm
     as_array = Record.stack
@@ -131,12 +132,6 @@ class Quaternion(Record):
 def _quat_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product over H of the (..., 2, 2, 4) arrays a and b."""
     return _hamilton_product(a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
-
-
-def _fitting_matrix(entries: np.ndarray, message: str) -> "QuatMatrix2":
-    """The QuatMatrix2 of the (..., 2, 2, 4) entries, checked by _fitting over each matrix of the batch."""
-    batch = entries.shape[:-3]
-    return QuatMatrix2._of(_fitting(entries.reshape(batch + (16,)), message).reshape(entries.shape))
 
 
 class QuatMatrix2(Record):
@@ -156,15 +151,16 @@ class QuatMatrix2(Record):
 
     @_quiet
     def __matmul__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        return _fitting_matrix(_quat_matmul(self._array, other._array), _PRODUCT_UNFIT)
+        return QuatMatrix2._of(_fitting(_quat_matmul(self._array, other._array), _PRODUCT_UNFIT, axis=(-3, -2, -1)))
 
     @_quiet
     def __add__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        return _fitting_matrix(self._array + other._array, _SUM_UNFIT)
+        return QuatMatrix2._of(_fitting(self._array + other._array, _SUM_UNFIT, axis=(-3, -2, -1)))
 
     @_quiet
     def scale(self, factor: float) -> "QuatMatrix2":
-        return _fitting_matrix(self._array * np.asarray(factor, dtype=float)[..., None, None, None], _PRODUCT_UNFIT)
+        product = self._array * np.asarray(factor, dtype=float)[..., None, None, None]
+        return QuatMatrix2._of(_fitting(product, _PRODUCT_UNFIT, axis=(-3, -2, -1)))
 
     def to_complex(self) -> np.ndarray:
         """4x4 complex image, each quaternion entry expanded to its 2x2 block."""

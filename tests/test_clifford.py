@@ -252,3 +252,20 @@ def test_blade_dict_and_blade_share_one_key_check(key):
         cl.from_blade_dict({(0,): 1.0, key: 1.0})
     with pytest.raises(ValueError, match=message):
         cl.blade(key)
+
+
+@pytest.mark.parametrize("operation, message", [
+    (lambda a: a + a, "sum"),
+    (lambda a: a - (-a), "sum"),
+    (lambda a: a * 10.0, "product"),
+    (lambda a: 10.0 * a, "product"),
+], ids=["add", "subtract", "scale", "scale-left"])
+def test_overflowing_multivector_arithmetic_names_its_rows(operation, message):
+    pattern = f"^multivector {message} does not fit in float64$"
+    with pytest.raises(cl.RowError, match=pattern) as caught:
+        operation(cl.scalar(1e308))
+    assert caught.value.rows.shape == () and caught.value.rows
+    with pytest.raises(cl.RowError, match=pattern) as caught:
+        operation(cl.scalar([1.0, 1e308, 0.25]))
+    assert caught.value.rows.tolist() == [False, True, False]
+    assert operation(cl.scalar([1.0, 2.0, 0.25])).coeffs.shape == (3, 16)

@@ -100,7 +100,8 @@ def test_s_scale_is_the_unique_calibration(rng):
     for candidate in (1.0, -1.0, 0.5, -0.5):
         worst = 0.0
         for psi in psis:
-            b = bilinear_covariants(psi, c_S=candidate)
+            b = bilinear_covariants(psi)
+            b = BilinearSet(b.sigma, b.omega, b.J, b.K, b.S * (candidate / S_SCALE))
             worst = max(worst, fierz.fpk_residuals(b).r4 / psi.norm() ** 4)
         if candidate == S_SCALE:
             assert worst < 1e-12

@@ -33,29 +33,6 @@ def test_overflowing_row_is_still_a_row_error(kernel):
     assert excinfo.value.rows.ndim == 0 and excinfo.value.rows
 
 
-def test_tensor_scale_overflow_is_a_row_error():
-    """Only the c_S scaling overflows here: the unscaled covariants fit."""
-    psi = ClassicalSpinor([[1e-3, 0, 1e-3, 0], [1, 0.5j, 2, 1]], cl.WEYL)
-    assert np.isfinite(bl.bilinear_covariants(psi).stack()).all()
-    with np.errstate(over="ignore"), pytest.raises(cl.RowError, match="do not fit in float64") as excinfo:
-        bl.bilinear_covariants(psi, c_S=1e308)
-    assert excinfo.value.rows.tolist() == [False, True]
-    with np.errstate(over="ignore"), pytest.raises(cl.RowError, match="do not fit in float64"):
-        bl.euclidean_bilinears(psi.components, c_S=1e308)
-
-
-
-def test_tensor_scale_overflow_raises_no_warning():
-    """The c_S scaling overflows silently into the RowError; tier-1 turns
-    any RuntimeWarning into a failure, so no np.errstate wrapper here."""
-    psi = ClassicalSpinor([[1e-3, 0, 1e-3, 0], [1, 0.5j, 2, 1]], cl.WEYL)
-    with pytest.raises(cl.RowError, match="do not fit in float64") as excinfo:
-        bl.bilinear_covariants(psi, c_S=1e308)
-    assert excinfo.value.rows.tolist() == [False, True]
-    with pytest.raises(cl.RowError, match="do not fit in float64") as excinfo:
-        bl.euclidean_bilinears(psi.components, c_S=1e308)
-    assert excinfo.value.rows.tolist() == [False, True]
-
 def test_reality_fault_is_internal_unless_a_row_does_not_fit(monkeypatch):
     forms = np.zeros((16, 4, 4), dtype=complex)
     forms[1] = 1j * np.eye(4)  # anti-Hermitian: its sandwich is imaginary

@@ -1,0 +1,64 @@
+"""One overflow path.
+
+Arithmetic that can overflow runs in a function decorated with
+clifford._quiet, the package's one np.errstate, and its result goes
+through clifford._fitting.  The covariant kernel takes no tensor scale of
+its own, only the frozen one of its signature, so it has no path that can
+overflow after its sandwiches.  These tests read the package's syntax
+trees and pin that no other np.errstate, and no with block entering one,
+comes back, and that a norm beyond float64 is inf without a warning.
+"""
+
+import ast
+import inspect
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spinorspace import bilinears, clifford, spinor_forms
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spinorspace"
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_the_one_errstate_is_the_quiet_decorator():
+    calls = [(module, node) for module, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and "errstate" in (getattr(node.func, "attr", None),
+                                                              getattr(node.func, "id", None))]
+    assert [(module, ast.unparse(node)) for module, node in calls] == [("clifford", "np.errstate(all='ignore')")]
+    assigned = [ast.unparse(node.targets[0]) for node in TREES["clifford"].body
+                if isinstance(node, ast.Assign) and node.value is calls[0][1]]
+    assert assigned == ["_quiet"]
+    assert isinstance(clifford._quiet, np.errstate)
+
+
+def test_no_with_block_enters_an_errstate():
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.With, ast.AsyncWith)):
+                for item in node.items:
+                    text = ast.unparse(item.context_expr)
+                    assert "errstate" not in text and "_quiet" not in text, f"{module}: with {text}"
+
+
+@pytest.mark.parametrize("kernel", [bilinears.bilinear_covariants, bilinears.euclidean_bilinears],
+                         ids=["covariants", "euclidean"])
+def test_covariant_kernels_take_only_the_spinor(kernel):
+    assert list(inspect.signature(kernel).parameters) == ["psi"]
+
+
+def test_quaternion_matrices_have_no_fit_check_of_their_own():
+    assert not hasattr(spinor_forms, "_fitting_matrix")
+
+
+@pytest.mark.parametrize("record", [
+    clifford.scalar(1e200),
+    spinor_forms.ClassicalSpinor([1e200, 0, 0, 0]),
+    spinor_forms.Quaternion(1e200),
+], ids=["multivector", "spinor", "quaternion"])
+def test_norm_beyond_float64_is_inf_without_a_warning(record):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert record.norm() == np.inf

@@ -498,6 +498,20 @@ def test_overflowing_quaternion_arithmetic_names_its_rows(operation, message):
     assert operation(quaternion_batch(1.0), quaternion_batch(1.0)).as_array().shape == (3, 4)
 
 
+def test_overflowing_quaternion_dot_names_its_rows():
+    """A square, or the sum of four, beyond float64 is a RowError, also in
+    the quaternionic covariants read through dot."""
+    with pytest.raises(cl.RowError, match="^quaternion product does not fit in float64$") as caught:
+        sf.Quaternion(1e200).dot(sf.Quaternion(1e200))
+    assert caught.value.rows.shape == () and caught.value.rows
+    with pytest.raises(cl.RowError, match="^quaternion product does not fit in float64$") as caught:
+        quaternion_batch(1e154).dot(quaternion_batch(1e154))
+    assert caught.value.rows.tolist() == ROWS
+    with pytest.raises(cl.RowError, match="^quaternion product does not fit in float64$"):
+        bl.quaternionic_euclidean_components(sf.Quaternion(1e200), sf.Quaternion(1.0))
+    assert quaternion_batch(1.0).dot(quaternion_batch(1.0)).tolist() == [1.0, 2.0, 0.125]
+
+
 @pytest.mark.parametrize("operation, message", [
     (lambda a, b: a @ b, "product"),
     (lambda a, b: a + b, "sum"),
