@@ -107,11 +107,6 @@ class BilinearSet(Record):
         return _unbox(np.sqrt(v[..., 0] + v[..., 1] + v[..., 2:6].sum(axis=-1) + v[..., 6:10].sum(axis=-1)
                               + v[..., 10:].sum(axis=-1)))
 
-    def as_dict(self) -> dict:
-        """Plain JSON values of a single set."""
-        return {"sigma": self.sigma, "omega": self.omega,
-                "J": self.J.tolist(), "K": self.K.tolist(), "S": self.S.tolist()}
-
 
 def minkowski_square(v: np.ndarray) -> float:
     """v^mu v_mu with the (+, -, -, -) contraction."""

@@ -171,27 +171,32 @@ def map_to_class4(
     return MappedSpinor(out, _DEGENERATE[zero @ _PATTERN_BITS[:len(_KEPT)]], image_report)
 
 
+@_quiet
 def hermitian_constrain(p: MappingParams, tol: float = 1e-12) -> MappingMatrix:
     """Build the mapping matrix from parameters obeying the self-adjointness
     relations: m11, m12, m22 real with m11 m22 = m12^2, m41 = m14^*,
     m13 = -m22 m14 / m12 = -m42^*, m43 real, and m44 = -m12 m43 / m22.
 
-    Violated relations are reported together; the returned matrix satisfies
-    M = M^dag to machine precision.
+    Violated relations are reported together, a relation whose gap or
+    expected size does not fit in float64 among them; the returned matrix
+    satisfies M = M^dag to machine precision.
     """
-    expected_m13, expected_m44 = -p.m22 * p.m14 / p.m12, -p.m12 * p.m43 / p.m22
+    # numpy scalars, whose overflow is quiet here, where Python's complex ** and abs raise
+    m11, m12, m13, m14, m22, m41, m42, m43, m44 = np.array([getattr(p, name) for name in PARAM_NAMES])
+    expected_m13, expected_m44 = -m22 * m14 / m12, -m12 * m43 / m22
     relations = [
-        ("m11 must be real", p.m11.imag, abs(p.m11)),
-        ("m12 must be real", p.m12.imag, abs(p.m12)),
-        ("m22 must be real", p.m22.imag, abs(p.m22)),
-        ("m11 m22 must equal m12^2", p.m11 * p.m22 - p.m12 ** 2, abs(p.m12) ** 2),
-        ("m41 must equal conj(m14)", p.m41 - np.conj(p.m14), abs(p.m14)),
-        ("m13 must equal -m22 m14 / m12", p.m13 - expected_m13, abs(expected_m13)),
-        ("m42 must equal -conj(m13)", p.m42 + np.conj(p.m13), abs(p.m13)),
-        ("m43 must be real", p.m43.imag, abs(p.m43)),
-        ("m44 must equal -m12 m43 / m22", p.m44 - expected_m44, abs(expected_m44)),
+        ("m11 must be real", m11.imag, abs(m11)),
+        ("m12 must be real", m12.imag, abs(m12)),
+        ("m22 must be real", m22.imag, abs(m22)),
+        ("m11 m22 must equal m12^2", m11 * m22 - m12 ** 2, abs(m12) ** 2),
+        ("m41 must equal conj(m14)", m41 - np.conj(m14), abs(m14)),
+        ("m13 must equal -m22 m14 / m12", m13 - expected_m13, abs(expected_m13)),
+        ("m42 must equal -conj(m13)", m42 + np.conj(m13), abs(m13)),
+        ("m43 must be real", m43.imag, abs(m43)),
+        ("m44 must equal -m12 m43 / m22", m44 - expected_m44, abs(expected_m44)),
     ]
-    violations = [violation for violation, gap, size in relations if abs(gap) > tol * max(1.0, size)]
+    violations = [violation for violation, gap, size in relations
+                  if not (size < np.inf and abs(gap) <= tol * max(1.0, size))]
     if violations:
         raise ValueError("self-adjointness relations violated: " + "; ".join(violations))
     m = build_M(p)

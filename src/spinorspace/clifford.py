@@ -101,6 +101,19 @@ def _fitting(values: np.ndarray, message: str, axis=-1) -> np.ndarray:
     return values
 
 
+def _scaled(values: np.ndarray, factor: np.ndarray, message: str, axis=-1) -> np.ndarray:
+    """values * factor, the factor broadcast over the row axes, checked by
+    _fitting; rows whose factor is not finite raise RowError("scale factor
+    must be finite") in its place, so only finite factors overflow.  The
+    factor is looked at only when the product fails the check."""
+    product = values * factor
+    try:
+        return _fitting(product, message, axis)
+    except RowError:
+        _fitting(np.broadcast_to(factor, product.shape), "scale factor must be finite", axis)
+        raise
+
+
 def _unbox(x):
     """Python scalar for a 0-d result, the array itself for a batch."""
     x = np.asarray(x)
@@ -140,21 +153,6 @@ def _frozen(*arrays: np.ndarray):
     return arrays[0] if len(arrays) == 1 else arrays
 
 
-class _View:
-    """Named view array[..., index] of a record: a float for one entry of a
-    single item, a view of the array otherwise.  Read once, then kept in the
-    record's __dict__."""
-
-    def __init__(self, name: str, index) -> None:
-        self.name, self.index = name, index
-
-    def __get__(self, record, owner=None):
-        if record is None:
-            return self
-        value = record.__dict__[self.name] = _unbox(record._array[..., self.index])
-        return value
-
-
 def _tag_text(tag) -> str:
     """A record's tag as text: an enum (a signature) by its value."""
     return tag.value if isinstance(tag, enum.Enum) else str(tag)
@@ -164,18 +162,25 @@ def _tag_text(tag) -> str:
 _WHOLE = property(operator.attrgetter("_array"))
 
 
+def _view(index) -> property:
+    """The named view array[..., index] of a record, computed on each read:
+    a float for one entry of a single item, a view of the array otherwise."""
+    return property(lambda record: _unbox(record._array[..., index]))
+
+
 class Record:
     """One read-only array plus its tags: the base of the array types.
 
     A subclass names its tags (signature, rep, params) in _tags, its views
-    in _views as (name, index) pairs, each read as array[..., index], with
-    the index ... naming the whole array, and what its array holds in
-    _holds.  Its public constructor builds a fresh array and hands it to
-    Record.__init__, which runs the subclass's check hook __post_init__ on
-    it, rejects it unless every entry is finite and adopts it; kernels
-    adopt their fresh results with _of, with no copy and no check.  Two
-    records are equal when their type, tags and array are; records are
-    immutable and unhashable.
+    in _views as (name, index) pairs, each a property read as
+    array[..., index] (_view) with the index ... naming the whole array,
+    and what its array holds in _holds.  Its public constructor builds a
+    fresh array and hands it to Record.__init__, which runs the subclass's
+    check hook __post_init__ on it, rejects it unless every entry is finite
+    and adopts it; kernels adopt their fresh results with _of, with no copy
+    and no check.  Only those two write a record's __dict__.  Two records
+    are equal when their type, tags and array are; records are immutable
+    and unhashable.
 
     The hook keeps the name of the dataclass hook it replaced because the
     benchmark's tracer (perfbench/tracer.py) times spinor construction by
@@ -189,7 +194,7 @@ class Record:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         for name, index in cls.__dict__.get("_views", ()):
-            setattr(cls, name, _WHOLE if index is ... else _View(name, index))
+            setattr(cls, name, _WHOLE if index is ... else _view(index))
 
     def __init__(self, array: np.ndarray, **tags) -> None:
         self.__post_init__(array)
@@ -351,7 +356,7 @@ class Multivector(Record):
     def _scale(self, factor) -> "Multivector":
         """Scale by a number, or row by row by an array of the batch shape."""
         factor = np.asarray(factor, dtype=np.complex128)[..., None]
-        return Multivector._of(_fitting(self.coeffs * factor, _PRODUCT_UNFIT), signature=self.signature)
+        return Multivector._of(_scaled(self.coeffs, factor, _PRODUCT_UNFIT), signature=self.signature)
 
     # -- involutions and projections --------------------------------------
 

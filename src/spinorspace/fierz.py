@@ -79,11 +79,6 @@ class FpkResiduals(Record):
 
     max_abs = _row_max_abs
 
-    def passes(self, tol: float, scale: float) -> bool:
-        """Whether every residual is within tol relative to scale^2, scale
-        being the covariants' component norm."""
-        return _unbox(self.max_abs() <= tol * scale ** 2)
-
 
 @functools.lru_cache(maxsize=None)
 def _identity_forms(signature: Signature) -> np.ndarray:

@@ -74,11 +74,6 @@ class ClassificationReport:
     tol: float
     margin: float
 
-    def as_dict(self) -> dict:
-        """Plain JSON values of a single report."""
-        return {"class": self.lounesto_class.value, **self.bilinears.as_dict(),
-                "zero_flags": dict(self.zero_flags), "tol": self.tol, "margin": self.margin}
-
 
 _PATTERN_KEYS = tuple(name for name, _ in _COVARIANT_FIELDS)
 # the bit of each of sigma, omega, J, K, S in a pattern's code
@@ -253,6 +248,20 @@ _DRAWERS = {
     LounestoClass.C6: _draw_c6,
 }
 
+# the bound, relative to |psi|^2, that the FPK identities put on the norm of
+# what each class must keep: from J.J = sigma^2 + omega^2 <= J_0^2 = |psi|^4,
+# sigma or omega (classes 2, 3) at most 1 and the smaller of the two (class 1)
+# at most 1/sqrt(2); J itself (classes 4-6), causal, at most sqrt(2) in
+# Euclidean norm
+_REACH = {
+    LounestoClass.C1: 0.5 ** 0.5,
+    LounestoClass.C2: 1.0,
+    LounestoClass.C3: 1.0,
+    LounestoClass.C4: 2.0 ** 0.5,
+    LounestoClass.C5: 2.0 ** 0.5,
+    LounestoClass.C6: 2.0 ** 0.5,
+}
+
 
 def generate(
     target: LounestoClass,
@@ -267,6 +276,10 @@ def generate(
     no nonzero column representative (J_0 = |psi|^2), and anomalous sets by
     definition come from no spinor at all.
 
+    A tolerance at or above the target's bound in _REACH is a ValueError
+    before the first draw: classify keeps a group only above tol |psi|^2,
+    and no spinor keeps what the target needs there.
+
     Candidates are drawn one at a time and classified a round at a time.  A
     round draws no more candidates than are still needed, so the draws and
     the spinors kept are those of classifying each draw on its own.  Fewer
@@ -277,6 +290,10 @@ def generate(
         raise ValueError(f"cannot generate spinors for class {target.value!r}")
     if count < 1:
         raise ValueError("count must be at least 1")
+    # an infinite tol is left to classify's tolerance check
+    if _REACH[target] <= tol < np.inf:
+        raise ValueError(f"generator for class {target.value} cannot reach tol {tol!r}: the FPK identities "
+                         f"bound what the class must keep by {_REACH[target]!r} |psi|^2")
     rng = np.random.default_rng(np.random.PCG64(seed))
     draw = _DRAWERS[target]
     accepted: list[np.ndarray] = []

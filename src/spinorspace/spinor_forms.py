@@ -23,8 +23,8 @@ import functools
 import numpy as np
 
 from .clifford import (_I2, BLADES, DIRAC, PAULI, GammaRep, Multivector, Record, Signature, _fitting, _frozen,
-                       _from_slots, _ldexp_quiet, _product_table, _quiet, _ray, _row_norm, _unbox, idempotent_f,
-                       rep_matrix, weyl_to_dirac_matrix)
+                       _from_slots, _ldexp_quiet, _product_table, _quiet, _ray, _row_norm, _scaled, _unbox,
+                       idempotent_f, rep_matrix, weyl_to_dirac_matrix)
 
 __all__ = [
     "Quaternion",
@@ -106,10 +106,8 @@ class Quaternion(Record):
         """Hamilton product with a quaternion; a number (or batch-shaped array)
         scales.  Rows whose product does not fit in float64 raise RowError."""
         if isinstance(other, Quaternion):
-            product = _hamilton_product(self._array, other._array)
-        else:
-            product = self._array * np.asarray(other, dtype=float)[..., None]
-        return Quaternion._of(_fitting(product, _PRODUCT_UNFIT))
+            return Quaternion._of(_fitting(_hamilton_product(self._array, other._array), _PRODUCT_UNFIT))
+        return Quaternion._of(_scaled(self._array, np.asarray(other, dtype=float)[..., None], _PRODUCT_UNFIT))
 
     __rmul__ = __mul__
 
@@ -159,8 +157,8 @@ class QuatMatrix2(Record):
 
     @_quiet
     def scale(self, factor: float) -> "QuatMatrix2":
-        product = self._array * np.asarray(factor, dtype=float)[..., None, None, None]
-        return QuatMatrix2._of(_fitting(product, _PRODUCT_UNFIT, axis=(-3, -2, -1)))
+        factor = np.asarray(factor, dtype=float)[..., None, None, None]
+        return QuatMatrix2._of(_scaled(self._array, factor, _PRODUCT_UNFIT, axis=(-3, -2, -1)))
 
     def to_complex(self) -> np.ndarray:
         """4x4 complex image, each quaternion entry expanded to its 2x2 block."""

@@ -130,6 +130,21 @@ def test_hermitian_constrain_lists_violations():
     assert ";" in message
 
 
+@pytest.mark.parametrize("values, violated", [
+    ((1, 1, 0, -1e308, 1, 1e308, 0, 0, 0), ["m41 must equal conj(m14)", "m13 must equal -m22 m14 / m12"]),
+    ((1, 1e200, 0, 0, 1, 0, 0, 0, 0), ["m11 m22 must equal m12^2"]),
+    ((1, 1, 0, 1.5e308 + 1.5e308j, 1, 0, 0, 0, 0), ["m41 must equal conj(m14)", "m13 must equal -m22 m14 / m12"]),
+    ((1, 1e-300, 0, 1e300, 1, 1e300, 0, 0, 0), ["m11 m22 must equal m12^2", "m13 must equal -m22 m14 / m12"]),
+    ((1, 1, 0, 0, 0, 0, 0, 0, 0), ["m11 m22 must equal m12^2", "m44 must equal -m12 m43 / m22"]),
+], ids=["gap-overflows", "square-overflows", "modulus-overflows", "expected-overflows", "m22-zero"])
+def test_hermitian_constrain_lists_relations_beyond_float64(values, violated):
+    """A relation whose gap or expected value does not fit in float64 is
+    violated; the call raises no warning and no other exception."""
+    with pytest.raises(ValueError) as excinfo:
+        classmap.hermitian_constrain(classmap.MappingParams(*values))
+    assert str(excinfo.value) == "self-adjointness relations violated: " + "; ".join(violated)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason=(

@@ -464,7 +464,7 @@ def test_generate_unreachable_target_is_usage_error(capsys):
     code, out = run_cli(["generate", "--class", "4", "--tol", "10"], capsys=capsys)
     assert code == 2
     assert out == ""
-    assert "failed to converge" in run_cli.err
+    assert "cannot reach tol 10.0" in run_cli.err
 
 
 def test_generate_invalid_class_usage_error():

@@ -53,8 +53,6 @@ def test_report_flags_consistent(rng):
     assert report.lounesto_class is LounestoClass.C1
     assert not report.zero_flags["J"]
     assert report.margin >= 1.0
-    d = report.as_dict()
-    assert d["class"] == "1" and "margin" in d and "zero_flags" in d
 
 
 def test_classify_bilinears_of_generated_spinor(rng):
@@ -179,9 +177,11 @@ def test_generate_fails_where_one_at_a_time_fails(monkeypatch):
         kinds.add(got[0])
     assert kinds == {"ok", "error"}
     monkeypatch.undo()
+    # the reference has no bound: it fails only when its draws run out
     got = outcome(lounesto.generate, LounestoClass.C4, 0, 1, tol=10.0)
-    assert got == ("error", "generator for class 4 failed to converge")
-    assert same_outcome(got, outcome(generate_one_at_a_time, LounestoClass.C4, 0, 1, tol=10.0))
+    assert got[0] == "error" and "cannot reach tol 10.0" in got[1]
+    assert outcome(generate_one_at_a_time, LounestoClass.C4, 0, 1, tol=10.0) == (
+        "error", "generator for class 4 failed to converge")
 
 
 def test_generated_currents_never_vanish():

@@ -6,7 +6,9 @@ through clifford._fitting.  The covariant kernel takes no tensor scale of
 its own, only the frozen one of its signature, so it has no path that can
 overflow after its sandwiches.  These tests read the package's syntax
 trees and pin that no other np.errstate, and no with block entering one,
-comes back, and that a norm beyond float64 is inf without a warning.
+comes back, and that a norm beyond float64 is inf without a warning.  A
+non-finite scale factor is no overflow: it raises its own RowError for the
+rows it scales, and finite factors keep the overflow message.
 """
 
 import ast
@@ -62,3 +64,45 @@ def test_norm_beyond_float64_is_inf_without_a_warning(record):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert record.norm() == np.inf
+
+
+def quat_matrix_of(q):
+    return spinor_forms.quat_matrix(q, q, q, q)
+
+
+SCALINGS = {
+    "multivector": lambda f, ones: clifford.scalar(ones) * f,
+    "multivector-left": lambda f, ones: f * clifford.scalar(ones),
+    "quaternion": lambda f, ones: spinor_forms.Quaternion(ones) * f,
+    "quaternion-left": lambda f, ones: f * spinor_forms.Quaternion(ones),
+    "quat-matrix": lambda f, ones: quat_matrix_of(spinor_forms.Quaternion(ones)).scale(f),
+}
+
+
+@pytest.mark.parametrize("scale", SCALINGS.values(), ids=SCALINGS.keys())
+@pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_scale_factor_is_named(scale, factor):
+    with pytest.raises(clifford.RowError, match="^scale factor must be finite$") as excinfo:
+        scale(factor, 1.0)
+    assert excinfo.value.rows.shape == () and excinfo.value.rows
+
+
+# an array factor on the left of a Quaternion is numpy's to broadcast, item by item
+BATCH_SCALINGS = {name: scale for name, scale in SCALINGS.items() if name != "quaternion-left"}
+
+
+@pytest.mark.parametrize("scale", BATCH_SCALINGS.values(), ids=BATCH_SCALINGS.keys())
+def test_a_batch_names_the_rows_whose_factor_is_not_finite(scale):
+    with pytest.raises(clifford.RowError, match="^scale factor must be finite$") as excinfo:
+        scale(np.array([2.0, np.nan, 1e300, -np.inf]), np.ones(4))
+    assert excinfo.value.rows.tolist() == [False, True, False, True]
+    with pytest.raises(clifford.RowError, match="^scale factor must be finite$") as excinfo:
+        scale(np.nan, np.ones(3))
+    assert excinfo.value.rows.tolist() == [True, True, True]
+
+
+@pytest.mark.parametrize("scale", BATCH_SCALINGS.values(), ids=BATCH_SCALINGS.keys())
+def test_overflow_from_finite_factors_keeps_its_message(scale):
+    with pytest.raises(clifford.RowError, match="product does not fit in float64$") as excinfo:
+        scale(np.array([2.0, 1e300]), np.array([1.0, 1e10]))
+    assert excinfo.value.rows.tolist() == [False, True]
