@@ -101,19 +101,6 @@ def _fitting(values: np.ndarray, message: str, axis=-1) -> np.ndarray:
     return values
 
 
-def _scaled(values: np.ndarray, factor: np.ndarray, message: str, axis=-1) -> np.ndarray:
-    """values * factor, the factor broadcast over the row axes, checked by
-    _fitting; rows whose factor is not finite raise RowError("scale factor
-    must be finite") in its place, so only finite factors overflow.  The
-    factor is looked at only when the product fails the check."""
-    product = values * factor
-    try:
-        return _fitting(product, message, axis)
-    except RowError:
-        _fitting(np.broadcast_to(factor, product.shape), "scale factor must be finite", axis)
-        raise
-
-
 def _unbox(x):
     """Python scalar for a 0-d result, the array itself for a batch."""
     x = np.asarray(x)
@@ -178,9 +165,9 @@ class Record:
     fresh array and hands it to Record.__init__, which runs the subclass's
     check hook __post_init__ on it, rejects it unless every entry is finite
     and adopts it; kernels adopt their fresh results with _of, with no copy
-    and no check.  Only those two write a record's __dict__.  Two records
-    are equal when their type, tags and array are; records are immutable
-    and unhashable.
+    and no check, or with _like, keeping a record's tags.  Only those three
+    write a record's __dict__.  Two records are equal when their type, tags
+    and array are; records are immutable and unhashable.
 
     The hook keeps the name of the dataclass hook it replaced because the
     benchmark's tracer (perfbench/tracer.py) times spinor construction by
@@ -215,6 +202,13 @@ class Record:
         record.__dict__.update(tags, _array=array)
         return record
 
+    def _like(self, array: np.ndarray):
+        """The record of this type and these tags that keeps array, adopted as _of adopts it."""
+        record = object.__new__(type(self))
+        array.setflags(write=False)
+        record.__dict__.update(self.__dict__, _array=array)
+        return record
+
     def stack(self) -> np.ndarray:
         """The read-only array that holds the record."""
         return self._array
@@ -222,7 +216,7 @@ class Record:
     def _on_ray(self):
         """(ray, e): the record on its power-of-two ray (_ray) with its tags, record = ray 2^e."""
         array, e = _ray(self._array)
-        return self._of(array, **{name: getattr(self, name) for name in self._tags}), e
+        return self._like(array), e
 
     def _check_tags(self, other: "Record") -> None:
         for name in self._tags:
@@ -248,6 +242,55 @@ class Record:
     def __repr__(self) -> str:
         tags = "".join(f", {name}={_tag_text(getattr(self, name))}" for name in self._tags)
         return f"{type(self).__name__}({self._array!r}{tags})"
+
+
+class _Linear:
+    """Vector-space arithmetic of an algebra record, mixed in ahead of Record:
+    + and - with a record of its type and tags, unary -, and * by a number on
+    either side.  A type names its entries in _noun and the trailing axes of
+    one row in _rank; rows that do not fit in float64 raise RowError (_fit)."""
+
+    _rank = 1
+
+    # an array times a record scales it row by row (see _scale) instead of
+    # numpy broadcasting over the record as an object
+    __array_ufunc__ = None
+
+    def _fit(self, values: np.ndarray, what: str) -> np.ndarray:
+        """values; rows holding a non-finite entry raise RowError("<noun> <what> does not fit in float64")."""
+        return _fitting(values, f"{self._noun} {what} does not fit in float64", tuple(range(-self._rank, 0)))
+
+    @_quiet
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_tags(other)
+        return self._like(self._fit(self._array + other._array, "sum"))
+
+    def __sub__(self, other):
+        return self + -other if isinstance(other, type(self)) else NotImplemented
+
+    def __neg__(self):
+        return self._like(-self._array)
+
+    @_quiet
+    def _scale(self, factor):
+        """Scale by a number, or row by row by an array of the batch shape, of
+        a dtype (not bool) that casts to the array's within its kind, else
+        TypeError.  Rows whose factor is not finite raise RowError("scale
+        factor must be finite"); it is looked at only when the product fails."""
+        f = np.asarray(factor)
+        if f.dtype == bool or not np.can_cast(f, self._array.dtype, "same_kind"):
+            raise TypeError(f"cannot scale a {self._noun} by {type(factor).__name__}")
+        f = f.astype(self._array.dtype, copy=False)[(...,) + (None,) * self._rank]
+        product = self._array * f
+        try:
+            return self._like(self._fit(product, "product"))
+        except RowError:
+            _fitting(np.broadcast_to(f, product.shape), "scale factor must be finite", tuple(range(-self._rank, 0)))
+            raise
+
+    __mul__ = __rmul__ = _scale
 
 
 class Signature(enum.Enum):
@@ -303,11 +346,9 @@ def _mul_gather(signature: Signature, right: bool) -> tuple[np.ndarray, np.ndarr
 
 _REVERSION_SIGNS = _frozen(np.array([(-1.0) ** (k * (k - 1) // 2) for k in BLADE_GRADES]))
 _GRADE_MASKS = {k: _frozen(np.array([g == k for g in BLADE_GRADES])) for k in range(5)}
-_SUM_UNFIT = "multivector sum does not fit in float64"
-_PRODUCT_UNFIT = "multivector product does not fit in float64"
 
 
-class Multivector(Record):
+class Multivector(_Linear, Record):
     """Immutable multivector: complex blade coefficients plus a signature.
 
     coeffs has shape (..., 16): the leading axes are a batch of multivectors
@@ -317,10 +358,7 @@ class Multivector(Record):
     _tags = ("signature",)
     _views = (("coeffs", ...),)
     _holds = "blade coefficients"
-
-    # an array times a multivector scales it row by row (see _scale)
-    # instead of numpy broadcasting over the multivector as an object
-    __array_ufunc__ = None
+    _noun = "multivector"
 
     def __init__(self, signature: Signature, coeffs) -> None:
         super().__init__(np.array(coeffs, dtype=np.complex128), signature=signature)
@@ -329,43 +367,17 @@ class Multivector(Record):
         if c.shape[-1:] != (DIM,):
             raise ValueError(f"expected {DIM} blade coefficients, got shape {c.shape}")
 
-    # -- arithmetic ------------------------------------------------------
-
-    @_quiet
-    def __add__(self, other: "Multivector") -> "Multivector":
-        self._check_tags(other)
-        return Multivector._of(_fitting(self.coeffs + other.coeffs, _SUM_UNFIT), signature=self.signature)
-
-    @_quiet
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        self._check_tags(other)
-        return Multivector._of(_fitting(self.coeffs - other.coeffs, _SUM_UNFIT), signature=self.signature)
-
-    def __neg__(self) -> "Multivector":
-        return Multivector._of(-self.coeffs, signature=self.signature)
-
     def __mul__(self, other):
-        if isinstance(other, Multivector):
-            return geometric_product(self, other)
-        return self._scale(other)
-
-    def __rmul__(self, other) -> "Multivector":
-        return self._scale(other)
-
-    @_quiet
-    def _scale(self, factor) -> "Multivector":
-        """Scale by a number, or row by row by an array of the batch shape."""
-        factor = np.asarray(factor, dtype=np.complex128)[..., None]
-        return Multivector._of(_scaled(self.coeffs, factor, _PRODUCT_UNFIT), signature=self.signature)
+        return geometric_product(self, other) if isinstance(other, Multivector) else self._scale(other)
 
     # -- involutions and projections --------------------------------------
 
     def reverse(self) -> "Multivector":
-        return Multivector._of(self.coeffs * _REVERSION_SIGNS, signature=self.signature)
+        return self._like(self.coeffs * _REVERSION_SIGNS)
 
     def conjugate(self) -> "Multivector":
         """Complex conjugation of the blade coefficients."""
-        return Multivector._of(self.coeffs.conj(), signature=self.signature)
+        return self._like(self.coeffs.conj())
 
     def grade(self, k: int) -> "Multivector":
         return grade_projection(self, k)
@@ -442,7 +454,7 @@ def _mul_matrix(a: Multivector, right: bool) -> np.ndarray:
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """a b, broadcasting the batch shapes of a and b against each other."""
     a._check_tags(b)
-    return Multivector._of(np.matmul(_mul_matrix(a, False), b.coeffs[..., None])[..., 0], signature=a.signature)
+    return a._like(np.matmul(_mul_matrix(a, False), b.coeffs[..., None])[..., 0])
 
 
 def left_mul_matrix(a: Multivector) -> np.ndarray:
@@ -463,7 +475,7 @@ def reversion(a: Multivector) -> Multivector:
 def grade_projection(a: Multivector, k: int) -> Multivector:
     if not 0 <= k <= 4:
         raise ValueError(f"grade out of range: {k}")
-    return Multivector._of(np.where(_GRADE_MASKS[k], a.coeffs, 0.0), signature=a.signature)
+    return a._like(np.where(_GRADE_MASKS[k], a.coeffs, 0.0))
 
 
 def adjoint_dagger(a: Multivector) -> Multivector:

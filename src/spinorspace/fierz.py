@@ -165,7 +165,7 @@ def boomerang_residual(z: Multivector, sigma: float) -> float:
     of a batch of aggregates and their sigmas, computed with Z and sigma
     scaled by Z's 4^-k (_even_ray), so alike at every scale."""
     coeffs, k = _even_ray(z.coeffs)
-    ray = Multivector._of(coeffs, signature=z.signature)
+    ray = z._like(coeffs)
     resid = ray * ray - (4.0 * np.ldexp(sigma, -2 * k[..., 0])) * ray
     # |Z|^2 is at least 1/4 on the ray: the floor only makes 0/0 read 0 for Z = 0
     return _unbox(resid.max_abs() / np.maximum(ray.norm() ** 2, 0.25))
@@ -285,7 +285,7 @@ def reconstruct(
     the result and both tests are alike at every scale.
     """
     coeffs, k = _even_ray(z.coeffs)
-    zm = rep_matrix(Multivector._of(coeffs, signature=z.signature), xi.rep)
+    zm = rep_matrix(z._like(coeffs), xi.rep)
     xc, _ = _even_ray(xi.components)
     zxi = np.matmul(zm, xc[..., None])[..., 0]
     kernel = np.sum(xc.conj() * (zxi @ xi.rep.gammas[0].T), axis=-1)

@@ -23,7 +23,7 @@ import functools
 import numpy as np
 
 from .clifford import (_I2, BLADES, DIRAC, PAULI, GammaRep, Multivector, Record, Signature, _fitting, _frozen,
-                       _from_slots, _ldexp_quiet, _product_table, _quiet, _ray, _row_norm, _scaled, _unbox,
+                       _from_slots, _ldexp_quiet, _Linear, _product_table, _quiet, _ray, _row_norm, _unbox,
                        idempotent_f, rep_matrix, weyl_to_dirac_matrix)
 
 __all__ = [
@@ -63,10 +63,7 @@ def _hamilton() -> np.ndarray:
     return _frozen(t[..., blades] * units)
 
 
-# quaternion-layer arithmetic runs quietly where it can overflow, and each
-# result holding a non-finite entry raises RowError naming its batch rows
 _PRODUCT_UNFIT = "quaternion product does not fit in float64"
-_SUM_UNFIT = "quaternion sum does not fit in float64"
 
 
 def _hamilton_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,39 +77,27 @@ def _complex_units() -> np.ndarray:
     return _frozen(np.stack([_I2] + [-1j * s for s in PAULI]))
 
 
-class Quaternion(Record):
+class Quaternion(_Linear, Record):
     """Real quaternion w + x i + y j + z k, or a batch of them: w, x, y, z
     are views of one read-only (..., 4) array (floats for a single one)."""
 
     _views = (("w", 0), ("x", 1), ("y", 2), ("z", 3))
     _holds = "quaternion components"
+    _noun = "quaternion"
 
     def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> None:
         super().__init__(np.stack(np.broadcast_arrays(w, x, y, z), axis=-1).astype(float))
-
-    @_quiet
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion._of(_fitting(self._array + other._array, _SUM_UNFIT))
-
-    @_quiet
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion._of(_fitting(self._array - other._array, _SUM_UNFIT))
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion._of(-self._array)
 
     @_quiet
     def __mul__(self, other):
         """Hamilton product with a quaternion; a number (or batch-shaped array)
         scales.  Rows whose product does not fit in float64 raise RowError."""
         if isinstance(other, Quaternion):
-            return Quaternion._of(_fitting(_hamilton_product(self._array, other._array), _PRODUCT_UNFIT))
-        return Quaternion._of(_scaled(self._array, np.asarray(other, dtype=float)[..., None], _PRODUCT_UNFIT))
-
-    __rmul__ = __mul__
+            return Quaternion._of(self._fit(_hamilton_product(self._array, other._array), "product"))
+        return self._scale(other)
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion._of(self._array * (1.0, -1.0, -1.0, -1.0))
+        return self._like(self._array * (1.0, -1.0, -1.0, -1.0))
 
     @_quiet
     def dot(self, other: "Quaternion") -> float:
@@ -132,12 +117,14 @@ def _quat_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _hamilton_product(a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
 
 
-class QuatMatrix2(Record):
+class QuatMatrix2(_Linear, Record):
     """2x2 matrix with quaternion entries, multiplied entrywise over H, or a
     batch of them: one read-only (..., 2, 2, 4) array, with entries[r][c]
     the Quaternion views of it."""
 
     _holds = "quaternion entries"
+    _noun = "quaternion"
+    _rank = 3
 
     def __init__(self, entries: tuple[tuple[Quaternion, Quaternion], tuple[Quaternion, Quaternion]]) -> None:
         q = np.broadcast_arrays(*(e.as_array() for row in entries for e in row))
@@ -149,16 +136,9 @@ class QuatMatrix2(Record):
 
     @_quiet
     def __matmul__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        return QuatMatrix2._of(_fitting(_quat_matmul(self._array, other._array), _PRODUCT_UNFIT, axis=(-3, -2, -1)))
+        return QuatMatrix2._of(self._fit(_quat_matmul(self._array, other._array), "product"))
 
-    @_quiet
-    def __add__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        return QuatMatrix2._of(_fitting(self._array + other._array, _SUM_UNFIT, axis=(-3, -2, -1)))
-
-    @_quiet
-    def scale(self, factor: float) -> "QuatMatrix2":
-        factor = np.asarray(factor, dtype=float)[..., None, None, None]
-        return QuatMatrix2._of(_scaled(self._array, factor, _PRODUCT_UNFIT, axis=(-3, -2, -1)))
+    scale = _Linear._scale
 
     def to_complex(self) -> np.ndarray:
         """4x4 complex image, each quaternion entry expanded to its 2x2 block."""

@@ -37,7 +37,7 @@ def project_regular(p: BilinearSet) -> BilinearSet:
     """Zero K and S, keeping (sigma, J, omega); idempotent, row by row for a batch."""
     v = p.stack().copy()
     v[..., 6:] = 0.0
-    return BilinearSet._of(v, signature=p.signature)
+    return p._like(v)
 
 
 @dataclass(frozen=True)

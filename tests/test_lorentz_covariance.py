@@ -20,7 +20,9 @@ along its direction |psi'|^2 shrinks to e^-|eta| |psi|^2, so J, K and S
 are compared within c eps e^|eta| |psi|^2.  The aggregate Z of psi moves to
 R Z R~, compared within the same bound, and the spinor rebuilt from it is
 rho(R) times the one rebuilt from Z up to a phase: the two span one complex
-ray, with a sine of their angle within c eps e^|eta|.
+ray, with a sine of their angle within c eps e^|eta|.  The FPK identities
+hold for the covariants of every spinor, so the pass flags of psi' are set
+at every drawn rapidity, with residuals within c eps |b'|^2 on its ray.
 """
 
 import numpy as np
@@ -29,10 +31,11 @@ from hypothesis import strategies as st
 
 from conftest import ray_angle_sine
 from spinorspace.bilinears import bilinear_covariants
-from spinorspace.fierz import aggregate, default_probe_spinor, reconstruct
+from spinorspace.fierz import _fpk_check, aggregate, default_probe_spinor, reconstruct
 from spinorspace.clifford import DIRAC, WEYL, basis_vector, blade, geometric_product, rep_matrix, reversion, scalar
-from spinorspace.lounesto import LounestoClass, classify, generate
+from spinorspace.lounesto import DEFAULT_TOL, LounestoClass, classify, generate
 from spinorspace.spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
+from spinorspace.topology import fpk_membership
 
 EPS = np.finfo(float).eps
 C = 32.0
@@ -108,3 +111,13 @@ def test_reconstruction_commutes_with_the_rotor(cls, rep, seed, eta, k, theta, p
     from_moved = rebuilt(aggregate(bilinear_covariants(moved)), rep)
     moved_rebuilt = rep_matrix(r, rep) @ rebuilt(aggregate(bilinear_covariants(psi)), rep)
     assert ray_angle_sine(from_moved, moved_rebuilt) <= C * EPS * np.exp(abs(eta))
+
+
+@spin13_draws
+def test_fpk_flags_hold_under_spin13(cls, rep, seed, eta, k, theta, plane):
+    _, _, moved = moved_pair(cls, rep, seed, eta, k, theta, plane)
+    b = bilinear_covariants(moved)
+    ray, _ = b._on_ray()
+    residuals, flags = _fpk_check(ray, DEFAULT_TOL)
+    assert fpk_membership(b) and flags.all()
+    assert np.abs(residuals).max() <= C * EPS * ray.component_norm() ** 2

@@ -3,9 +3,10 @@
 Underneath the multivector engine sit a few array primitives, each written
 once in clifford: the fit check _fitting, which raises RowError for the
 rows holding a non-finite entry; the row norm and the row max-abs, bound as
-the norm and max_abs methods of the record types that have them; and the
-blade-slot constructor _from_slots, from which every multivector
-constructor builds.  The bit code of a set of flags and the default
+the norm and max_abs methods of the record types that have them; the
+vector-space arithmetic _Linear (+, -, unary - and scaling) of the three
+algebra records; and the blade-slot constructor _from_slots, from which
+every multivector constructor builds.  The bit code of a set of flags and the default
 classification tolerance live in lounesto.  These tests read the package's
 syntax trees and pin that no module writes one of them out again, and that
 no module keeps an import it does not use.
@@ -107,6 +108,21 @@ def test_norm_and_max_abs_are_each_one_function():
     for cls in records:
         assert getattr(cls, "norm", clifford._row_norm) is clifford._row_norm
         assert getattr(cls, "max_abs", clifford._row_max_abs) is clifford._row_max_abs
+
+
+def test_vector_space_arithmetic_is_written_once():
+    for module, tree in modules():
+        if module != "clifford":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    assert node.name not in ("__add__", "__sub__", "__neg__", "__rmul__"), f"{module}: def {node.name}"
+    for cls in (clifford.Multivector, spinor_forms.Quaternion, spinor_forms.QuatMatrix2):
+        assert issubclass(cls, clifford._Linear) and not issubclass(clifford._Linear, clifford.Record)
+        for name in ("__add__", "__sub__", "__neg__", "__rmul__"):
+            assert getattr(cls, name) is getattr(clifford._Linear, name), f"{cls.__name__}.{name}"
+    assert spinor_forms.QuatMatrix2.scale is clifford._Linear._scale
+    assert not hasattr(clifford, "_scaled")
+    assert not hasattr(clifford, "_SUM_UNFIT") and not hasattr(spinor_forms, "_SUM_UNFIT")
 
 
 def test_quaternion_norm_is_the_root_of_its_dot():
