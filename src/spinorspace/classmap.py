@@ -37,25 +37,20 @@ __all__ = [
 PARAM_NAMES = ("m11", "m12", "m13", "m14", "m22", "m41", "m42", "m43", "m44")
 
 
-@dataclass(frozen=True)
-class MappingParams:
-    """Free entries of the mapping matrix; m12 must be nonzero since the
-    dependent rows divide by it."""
+class MappingParams(Record):
+    """Free entries of the mapping matrix, each view a complex; m12 must be
+    nonzero since the dependent rows divide by it."""
 
-    m11: complex
-    m12: complex
-    m13: complex
-    m14: complex
-    m22: complex
-    m41: complex
-    m42: complex
-    m43: complex
-    m44: complex
+    _views = tuple((name, i) for i, name in enumerate(PARAM_NAMES))
+    _holds = "mapping parameters"
 
-    def __post_init__(self) -> None:
-        for name in PARAM_NAMES:
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        if self.m12 == 0:
+    def __init__(self, m11, m12, m13, m14, m22, m41, m42, m43, m44) -> None:
+        super().__init__(np.array([m11, m12, m13, m14, m22, m41, m42, m43, m44], dtype=np.complex128))
+
+    def __post_init__(self, p: np.ndarray) -> None:
+        if p.shape != (len(PARAM_NAMES),):
+            raise ValueError(f"expected {len(PARAM_NAMES)} mapping parameters, got shape {p.shape}")
+        if p[1] == 0:
             raise ValueError("m12 must be nonzero")
 
     def as_dict(self) -> dict:
@@ -83,8 +78,7 @@ def build_M(p: MappingParams) -> MappingMatrix:
     """Assemble the matrix from its nine free entries; parameters whose
     matrix does not fit in float64 raise RowError (a ValueError)."""
     ratio = p.m22 / p.m12
-    row1 = np.array([p.m11, p.m12, p.m13, p.m14], dtype=np.complex128)
-    row4 = np.array([p.m41, p.m42, p.m43, p.m44], dtype=np.complex128)
+    row1, row4 = p.stack()[:4], p.stack()[5:]
     m = np.concatenate([row1, ratio * row1, -np.conj(ratio) * row4, row4])
     return MappingMatrix(_fitting(m, "mapping matrix does not fit in float64").reshape(4, 4), p)
 
@@ -182,7 +176,7 @@ def hermitian_constrain(p: MappingParams, tol: float = 1e-12) -> MappingMatrix:
     satisfies M = M^dag to machine precision.
     """
     # numpy scalars, whose overflow is quiet here, where Python's complex ** and abs raise
-    m11, m12, m13, m14, m22, m41, m42, m43, m44 = np.array([getattr(p, name) for name in PARAM_NAMES])
+    m11, m12, m13, m14, m22, m41, m42, m43, m44 = p.stack()
     expected_m13, expected_m44 = -m22 * m14 / m12, -m12 * m43 / m22
     relations = [
         ("m11 must be real", m11.imag, abs(m11)),

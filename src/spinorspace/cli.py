@@ -28,8 +28,8 @@ each field of the whole file as one array, and only when that fails a walk
 of the entries in file order, so that the error names the first bad one.
 Mapping parameters whose matrix, or its constraint residuals, overflow
 float64 are a schema error naming the parameter file, and generate --count
-above MAX_COUNT is a usage error.  A path that is open, touches the
-origin, has fewer than 3 vertices or is too coarse exits 1.
+above MAX_COUNT or a negative --seed is a usage error.  A path that is
+open, touches the origin, has fewer than 3 vertices or is too coarse exits 1.
 
 classify, verify, reconstruct and map4 run one pipeline.  A file is read
 as one array of components or covariants; one block loop computes BLOCK
@@ -140,14 +140,27 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
-    """argparse type for generate --count: an int of at most MAX_COUNT."""
+def _int(text: str) -> int:
+    """text read as an int, with argparse's message for one that is not."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """argparse type for generate --count: an int of at most MAX_COUNT."""
+    value = _int(text)
     if value > MAX_COUNT:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_COUNT}, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type for generate --seed: a non-negative int, as numpy's generators take."""
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
     return value
 
 
@@ -509,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="lounesto_class", required=True,
                    choices=["1", "2", "3", "4", "5", "6"])
     p.add_argument("--count", type=_count, default=1, help=f"spinors to emit, at most {MAX_COUNT}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--rep", choices=_REPS, default="weyl")
     report_options(p)
 

@@ -166,8 +166,9 @@ class Record:
     check hook __post_init__ on it, rejects it unless every entry is finite
     and adopts it; kernels adopt their fresh results with _of, with no copy
     and no check, or with _like, keeping a record's tags.  Only those three
-    write a record's __dict__.  Two records are equal when their type, tags
-    and array are; records are immutable and unhashable.
+    write a record's __dict__.  A binary operation reads its operand through
+    _operand.  Two records are equal when their type, tags and array are;
+    records are immutable and unhashable.
 
     The hook keeps the name of the dataclass hook it replaced because the
     benchmark's tracer (perfbench/tracer.py) times spinor construction by
@@ -218,17 +219,20 @@ class Record:
         array, e = _ray(self._array)
         return self._like(array), e
 
-    def _check_tags(self, other: "Record") -> None:
+    def _operand(self, other) -> np.ndarray:
+        """The array of other, the operand of a binary operation: anything but
+        a record of this type raises TypeError, one with other tags ValueError."""
+        if type(other) is not type(self):
+            raise TypeError(f"expected a {type(self).__name__}, got {type(other).__name__}")
         for name in self._tags:
             mine, theirs = getattr(self, name), getattr(other, name)
             if mine != theirs:
                 raise ValueError(f"{name} mismatch: {_tag_text(mine)} vs {_tag_text(theirs)}")
+        return other._array
 
     def isclose(self, other: "Record", tol: float = 1e-12) -> bool:
-        """Whether every entry of every row is within tol; records with
-        other tags raise ValueError."""
-        self._check_tags(other)
-        return bool(np.max(np.abs(self._array - other._array)) <= tol)
+        """Whether every entry of every row is within tol of other's (_operand)."""
+        return bool(np.max(np.abs(self._array - self._operand(other))) <= tol)
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and all(getattr(self, t) == getattr(other, t) for t in self._tags)
@@ -264,8 +268,7 @@ class _Linear:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        self._check_tags(other)
-        return self._like(self._fit(self._array + other._array, "sum"))
+        return self._like(self._fit(self._array + self._operand(other), "sum"))
 
     def __sub__(self, other):
         return self + -other if isinstance(other, type(self)) else NotImplemented
@@ -453,8 +456,7 @@ def _mul_matrix(a: Multivector, right: bool) -> np.ndarray:
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """a b, broadcasting the batch shapes of a and b against each other."""
-    a._check_tags(b)
-    return a._like(np.matmul(_mul_matrix(a, False), b.coeffs[..., None])[..., 0])
+    return a._like(np.matmul(_mul_matrix(a, False), a._operand(b)[..., None])[..., 0])
 
 
 def left_mul_matrix(a: Multivector) -> np.ndarray:

@@ -93,7 +93,7 @@ class Quaternion(_Linear, Record):
         """Hamilton product with a quaternion; a number (or batch-shaped array)
         scales.  Rows whose product does not fit in float64 raise RowError."""
         if isinstance(other, Quaternion):
-            return Quaternion._of(self._fit(_hamilton_product(self._array, other._array), "product"))
+            return Quaternion._of(self._fit(_hamilton_product(self._array, self._operand(other)), "product"))
         return self._scale(other)
 
     def conjugate(self) -> "Quaternion":
@@ -102,7 +102,7 @@ class Quaternion(_Linear, Record):
     @_quiet
     def dot(self, other: "Quaternion") -> float:
         """Euclidean inner product; rows where it does not fit in float64 raise RowError."""
-        return _unbox(_fitting((self._array * other._array).sum(axis=-1), _PRODUCT_UNFIT, axis=()))
+        return _unbox(_fitting((self._array * self._operand(other)).sum(axis=-1), _PRODUCT_UNFIT, axis=()))
 
     norm = _row_norm
     as_array = Record.stack
@@ -136,7 +136,7 @@ class QuatMatrix2(_Linear, Record):
 
     @_quiet
     def __matmul__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        return QuatMatrix2._of(self._fit(_quat_matmul(self._array, other._array), "product"))
+        return QuatMatrix2._of(self._fit(_quat_matmul(self._array, self._operand(other)), "product"))
 
     scale = _Linear._scale
 

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -7,6 +10,13 @@ from spinorspace.spinor_forms import ClassicalSpinor
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
+
+
+def src_env() -> dict:
+    """This environment with the checkout's src ahead of any PYTHONPATH, for
+    a subprocess that imports the package from the checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture

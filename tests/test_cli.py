@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
 import warnings
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import src_env
 from spinorspace import bilinears, classmap, cli, clifford, lounesto
 from spinorspace.spinor_forms import ClassicalSpinor
 
@@ -222,21 +222,28 @@ def test_bad_covariant_field_is_schema_error(tmp_path, capsys, bad, field):
     assert f"entries[1].{field}: expected " in run_cli.err
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-@pytest.mark.parametrize("argv", [
-    ["classify", "in.json"],
-    ["generate", "--class", "1"],
-    ["verify", "in.json"],
-    ["map4", "in.json", "--params", "p.json"],
-    ["reconstruct", "in.json"],
-], ids=["classify", "generate", "verify", "map4", "reconstruct"])
-def test_tol_must_be_finite_and_nonnegative(capsys, argv, tol):
+TOL_COMMANDS = {
+    "classify": ["classify", "in.json"],
+    "generate": ["generate", "--class", "1"],
+    "verify": ["verify", "in.json"],
+    "map4": ["map4", "in.json", "--params", "p.json"],
+    "reconstruct": ["reconstruct", "in.json"],
+}
+# (argv, option, value) of each usage error an option's value gives
+BAD_VALUES = {f"{name}-{tol}": (argv, "--tol", tol) for name, argv in TOL_COMMANDS.items()
+              for tol in ("-1", "nan", "inf")}
+BAD_VALUES["generate-seed--1"] = (TOL_COMMANDS["generate"], "--seed", "-1")
+
+
+@pytest.mark.parametrize("argv, option, value", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_tol_must_be_finite_and_nonnegative(capsys, argv, option, value):
+    """And --seed non-negative: a usage error that names the option."""
     with pytest.raises(SystemExit) as excinfo:
-        cli.main(argv + ["--tol", tol])
+        cli.main(argv + [option, value])
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--tol" in captured.err
+    assert f"argument {option}: " in captured.err
 
 
 def overflow_file(tmp_path):
@@ -903,12 +910,10 @@ def test_import_leaves_hashlib_unloaded():
     """Only map4 hashes and only generate draws, so the other commands do
     not pay for importing hashlib or numpy.random.  Run in a fresh
     interpreter, since pytest and hypothesis import both."""
-    root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     code = "import sys, spinorspace.cli; print([m for m in ('hashlib', 'numpy.random') if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        capture_output=True, text=True, env=src_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -918,7 +923,7 @@ def test_console_entry_point_runs(tmp_path):
     f = circle_file(tmp_path / "c.json")
     proc = subprocess.run(
         [sys.executable, "-m", "spinorspace.cli", "winding", str(f)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"

@@ -21,13 +21,13 @@ import ast
 import dataclasses
 import inspect
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from conftest import src_env
 from spinorspace import classmap, cli
 from spinorspace import clifford as cl
 from spinorspace import lounesto
@@ -50,9 +50,8 @@ def test_cli_import_loads_every_traced_layer():
     layers = tracer_layers()
     assert len(layers) == 8
     code = "import sys; from spinorspace import cli; print(sorted(n for n in sys.modules if n.startswith('spinorspace.')))"
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+                          env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = set(ast.literal_eval(proc.stdout))
     assert {f"spinorspace.{layer}" for layer in layers} <= loaded

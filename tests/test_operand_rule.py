@@ -7,13 +7,15 @@ to the record's within its kind, so only a Multivector takes a complex one.
 Any other operand is a TypeError: a scaling names the record's noun and the
 operand's type, and + or - with another type is Python's unsupported
 operand error.  QuatMatrix2's -, unary - and * are the bits of its scale by
--1 and by the factor.
+-1 and by the factor.  The products (geometric, Hamilton, dot and @) and
+isclose read their operand through Record._operand, which names the type
+it expected and the type it got.
 """
 
 import numpy as np
 import pytest
 
-from spinorspace.clifford import Signature, scalar
+from spinorspace.clifford import Signature, geometric_product, scalar
 from spinorspace.spinor_forms import Quaternion, quat_matrix
 
 
@@ -38,6 +40,15 @@ TABLE = {
     "multivector-minus-float": (lambda: scalar(1.0) - 1.0, "^unsupported operand type"),
     "multivector-times-quaternion": (lambda: scalar(1.0) * quaternion(), "^cannot scale a multivector by Quaternion$"),
     "quaternion-times-multivector": (lambda: quaternion() * scalar(1.0), "^cannot scale a quaternion by Multivector$"),
+    "quaternion-dot-multivector": (lambda: quaternion().dot(scalar(1.0)), "^expected a Quaternion, got Multivector$"),
+    "quat-matrix-matmul-quaternion": (lambda: quat_matrix_of(quaternion()) @ quaternion(),
+                                      "^expected a QuatMatrix2, got Quaternion$"),
+    "quat-matrix-matmul-float": (lambda: quat_matrix_of(quaternion()) @ 2.0, "^expected a QuatMatrix2, got float$"),
+    "geometric-product-quaternion": (lambda: geometric_product(scalar(1.0), quaternion()),
+                                     "^expected a Multivector, got Quaternion$"),
+    "multivector-isclose-quaternion": (lambda: scalar(1.0).isclose(quaternion()),
+                                       "^expected a Multivector, got Quaternion$"),
+    "quaternion-isclose-float": (lambda: quaternion().isclose(2.0), "^expected a Quaternion, got float$"),
 }
 
 

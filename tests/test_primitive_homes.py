@@ -5,8 +5,9 @@ once in clifford: the fit check _fitting, which raises RowError for the
 rows holding a non-finite entry; the row norm and the row max-abs, bound as
 the norm and max_abs methods of the record types that have them; the
 vector-space arithmetic _Linear (+, -, unary - and scaling) of the three
-algebra records; and the blade-slot constructor _from_slots, from which
-every multivector constructor builds.  The bit code of a set of flags and the default
+algebra records; the operand step Record._operand, through which every
+binary operation reads its operand; and the blade-slot constructor
+_from_slots, from which every multivector constructor builds.  The bit code of a set of flags and the default
 classification tolerance live in lounesto.  These tests read the package's
 syntax trees and pin that no module writes one of them out again, and that
 no module keeps an import it does not use.
@@ -123,6 +124,14 @@ def test_vector_space_arithmetic_is_written_once():
     assert spinor_forms.QuatMatrix2.scale is clifford._Linear._scale
     assert not hasattr(clifford, "_scaled")
     assert not hasattr(clifford, "_SUM_UNFIT") and not hasattr(spinor_forms, "_SUM_UNFIT")
+
+
+def test_every_binary_operation_reads_its_operand_through_one_step():
+    assert not hasattr(clifford.Record, "_check_tags") and not scopes_naming("_check_tags")
+    assert scopes_naming("_operand", calls_only=True) == {
+        "clifford:_Linear.__add__", "clifford:geometric_product", "clifford:Record.isclose",
+        "spinor_forms:Quaternion.dot", "spinor_forms:Quaternion.__mul__", "spinor_forms:QuatMatrix2.__matmul__",
+    }
 
 
 def test_quaternion_norm_is_the_root_of_its_dot():

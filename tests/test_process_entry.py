@@ -11,13 +11,13 @@ import ast
 import gc
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import src_env
 from spinorspace import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,8 +68,7 @@ def test_process_run_equals_main_in_process(workdir, capsys, monkeypatch):
     """Exit code, stdout bytes, stderr and --out bytes of each command are
     the same from `python -m spinorspace.cli` as from cli.main(argv), and
     main() leaves the collector enabled as it was and freezes nothing."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                                     os.environ.get("PYTHONPATH")]))}
+    env = src_env()
     procs = {name: subprocess.Popen([sys.executable, "-m", "spinorspace.cli", *argv_of(name, f"{name}.proc.out")],
                                     cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
              for name in COMMANDS}

@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from spinorspace import clifford as cl
 from spinorspace.bilinears import BilinearSet
-from spinorspace.classmap import MappingMatrix, MappingParams
+from spinorspace.classmap import PARAM_NAMES, MappingMatrix, MappingParams
 from spinorspace.clifford import DIRAC, WEYL, Multivector, Signature
 from spinorspace.fierz import FpkResiduals, SingularAggregateParams
 from spinorspace.spinor_forms import AlgebraicSpinor, ClassicalSpinor, QuatMatrix2, Quaternion, SpinorOperator
@@ -268,15 +268,47 @@ def test_mapping_matrix(data):
         MappingMatrix(np.zeros(shape), PARAMS)
 
 
+@given(st.data())
+def test_mapping_params(data):
+    """Nine complex entries, positional or by name, each view a complex; m12
+    nonzero and every entry finite."""
+    values = data.draw(complexes((9,)))
+    values[1] = values[1] or 1.0
+    p = MappingParams(*data.draw(given_as(values)))
+    assert_kept(p.stack(), values, np.complex128)
+    for name, value in zip(PARAM_NAMES, values):
+        assert type(getattr(p, name)) is complex
+        assert np.complex128(getattr(p, name)).tobytes() == value.tobytes()
+    assert MappingParams(**dict(zip(PARAM_NAMES, values))) == p
+    assert p.as_dict() == dict(zip(PARAM_NAMES, values.tolist()))
+    values.view(np.float64)[data.draw(st.integers(0, 17))] = data.draw(NON_FINITE)
+    with pytest.raises(ValueError, match=message("mapping parameters must be finite")):
+        MappingParams(*values)
+
+
+def test_mapping_params_shape_and_m12():
+    for shape in [(1,), (2,), (4, 4)]:
+        with pytest.raises(ValueError, match=message(f"expected 9 mapping parameters, got shape {(9,) + shape}")):
+            MappingParams(*[np.ones(shape)] * 9)
+    with pytest.raises(ValueError, match=message("m12 must be nonzero")):
+        MappingParams(1, 0, 3, 4, 5, 6, 7, 8, 9)
+    assert MappingParams(1, 2, 3, 4, 5, 6, 7, 8, 9) == PARAMS
+    assert MappingParams(1, 2, 3, 4, 5, 6, 7, 8, 10) != PARAMS
+    with pytest.raises(TypeError):
+        hash(PARAMS)
+    with pytest.raises(AttributeError):
+        PARAMS.m11 = 0.0
+
+
 def records(rng):
-    """One item of each of the eight types."""
+    """One item of each of the nine types."""
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     m = np.zeros((4, 4), dtype=complex)
     m[:, 0] = c
     q = Quaternion(*rng.standard_normal(4))
     return [cl.scalar(1.5), q, QuatMatrix2(((q, q), (q, q))), ClassicalSpinor(c, WEYL), AlgebraicSpinor(m),
             BilinearSet.from_stack(rng.standard_normal(16)), FpkResiduals(*rng.standard_normal(4)),
-            MappingMatrix(m, PARAMS)]
+            MappingMatrix(m, PARAMS), MappingParams(*c, *c, 1.0)]
 
 
 def test_equal_records_compare_equal(rng):

@@ -54,7 +54,7 @@ def records(batch: tuple) -> list:
     ]
     if batch:
         return batched
-    return batched + [MappingMatrix(values(4, 4, complex_=True), PARAMS),
+    return batched + [MappingMatrix(values(4, 4, complex_=True), PARAMS), MappingParams(*values(9, complex_=True)),
                       SingularAggregateParams([1, 1, 0, 0], [0, 0, 1, 0], 0.5)]
 
 
@@ -65,7 +65,7 @@ def properties(record) -> list:
 def test_every_view_is_a_property():
     assert not hasattr(clifford, "_View")
     types = record_types()
-    assert len(types) == 10
+    assert len(types) == 11
     for cls in types:
         for name, _ in cls._views:
             assert type(vars(cls)[name]) is property, f"{cls.__name__}.{name}"
@@ -75,7 +75,7 @@ def test_every_view_is_a_property():
 def test_reading_a_view_leaves_the_record_as_built(batch):
     built = records(batch)
     assert {type(r) for r in built} == (record_types() if not batch else
-                                        record_types() - {MappingMatrix, SingularAggregateParams})
+                                        record_types() - {MappingMatrix, MappingParams, SingularAggregateParams})
     for record in built:
         before = dict(vars(record))
         for name, index in record._views:

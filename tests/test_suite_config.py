@@ -6,8 +6,13 @@ imports libcst to write the patch of the failing example, and libcst's
 import warns that mypy_extensions.TypedDict is deprecated.  As an error
 that warning raises inside pytest's report hook, which stops the session
 with INTERNALERROR and leaves every later test unrun.
+
+The suite needs no install and no PYTHONPATH: pyproject.toml puts src on
+the path, and a test that starts an interpreter importing the package
+hands it conftest.src_env.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +40,14 @@ def test_failing_property_is_reported_and_later_tests_run(tmp_path):
     assert "FAILED test_a_property.py::test_property" in out
     assert "FAILED test_b_overflow.py::test_overflow - RuntimeWarning" in out
     assert "2 failed, 1 passed" in out
+
+
+def test_suite_runs_from_a_bare_checkout():
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_cli.py::test_console_entry_point_runs", "tests/test_scripts.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "3 passed" in proc.stdout
