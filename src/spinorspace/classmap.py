@@ -38,20 +38,18 @@ PARAM_NAMES = ("m11", "m12", "m13", "m14", "m22", "m41", "m42", "m43", "m44")
 
 
 class MappingParams(Record):
-    """Free entries of the mapping matrix, each view a complex; m12 must be
-    nonzero since the dependent rows divide by it."""
+    """Free entries of the mapping matrix, or a (..., 9) batch of them; rows
+    with m12 = 0 raise RowError, since the dependent rows divide by it."""
 
     _views = tuple((name, i) for i, name in enumerate(PARAM_NAMES))
     _holds = "mapping parameters"
 
     def __init__(self, m11, m12, m13, m14, m22, m41, m42, m43, m44) -> None:
-        super().__init__(np.array([m11, m12, m13, m14, m22, m41, m42, m43, m44], dtype=np.complex128))
+        super().__init__(np.stack(np.broadcast_arrays(m11, m12, m13, m14, m22, m41, m42, m43, m44), -1).astype(complex))
 
     def __post_init__(self, p: np.ndarray) -> None:
-        if p.shape != (len(PARAM_NAMES),):
-            raise ValueError(f"expected {len(PARAM_NAMES)} mapping parameters, got shape {p.shape}")
-        if p[1] == 0:
-            raise ValueError("m12 must be nonzero")
+        if not p[..., 1].all():
+            raise RowError("m12 must be nonzero", p[..., 1] == 0)
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in PARAM_NAMES}
@@ -66,34 +64,38 @@ class MappingMatrix(Record):
         super().__init__(np.array(matrix, dtype=np.complex128), params=params)
 
     def __post_init__(self, m: np.ndarray) -> None:
-        if m.shape != (4, 4):
+        if m.shape[-2:] != (4, 4):
             raise ValueError("mapping matrix must be 4x4")
 
     def frobenius(self) -> float:
+        """Frobenius norm of one matrix."""
         return float(np.linalg.norm(self.matrix))
 
 
 @_quiet
 def build_M(p: MappingParams) -> MappingMatrix:
-    """Assemble the matrix from its nine free entries; parameters whose
-    matrix does not fit in float64 raise RowError (a ValueError)."""
-    ratio = p.m22 / p.m12
-    row1, row4 = p.stack()[:4], p.stack()[5:]
-    m = np.concatenate([row1, ratio * row1, -np.conj(ratio) * row4, row4])
-    return MappingMatrix(_fitting(m, "mapping matrix does not fit in float64").reshape(4, 4), p)
+    """Assemble the matrix from its nine free entries, or a batch of matrices
+    at once; rows whose matrix does not fit in float64 raise RowError."""
+    v = p.stack()
+    # divided as Python complexes: numpy's complex division differs from CPython's in the last bit
+    ratio = (v[..., 4:5].astype(object) / v[..., 1:2].astype(object)).astype(complex)
+    row1, row4 = v[..., :4], v[..., 5:]
+    m = np.stack([row1, ratio * row1, -np.conj(ratio) * row4, row4], axis=-2)
+    return MappingMatrix(_fitting(m, "mapping matrix does not fit in float64", (-2, -1)), p)
 
 
 def constraint_residuals(m: np.ndarray) -> tuple[float, float]:
     """Max-norms of M^dag g0 M and M^dag g1 g2 g3 M in the chiral
     representation (the sigma and omega forms of bilinears pulled back by
-    M); both vanish for matrices with the dependent-row structure."""
+    M) for one matrix; both vanish for matrices with the dependent-row
+    structure."""
     mat = np.asarray(m, dtype=np.complex128)
     r0, r123 = np.abs(mat.conj().T @ _forms(Signature.MINKOWSKI, WEYL)[:2] @ mat).max(axis=(-2, -1))
     return float(r0), float(r123)
 
 
 def no_inverse_witness(m: MappingMatrix | np.ndarray) -> float:
-    """|det M|; vanishes for every assembled mapping matrix."""
+    """|det M| of one matrix; vanishes for every assembled mapping matrix."""
     mat = m.matrix if isinstance(m, MappingMatrix) else np.asarray(m, dtype=np.complex128)
     return float(abs(np.linalg.det(mat)))
 
@@ -151,9 +153,12 @@ def map_to_class4(
     if irregular.any():
         first = classes[irregular][0]
         raise RowError(f"input must be a regular spinor (class 1-3), got {first.value}", classes == first)
-    out = ClassicalSpinor(np.matmul(m.matrix, phi.components[..., None])[..., 0], WEYL)
-    # an image too large to square has norm inf, no kernel vector; classify rejects it
-    kernel = out.norm() <= tol * phi.norm()
+    ray, _ = phi._on_ray()
+    image, ray_image = (np.matmul(m.matrix, psi.components[..., None])[..., 0] for psi in (phi, ray))
+    out = ClassicalSpinor(image, WEYL)
+    # M is linear, so phi lies in the kernel where its ray does, whose norms do not
+    # underflow; an image too large to square has norm inf: no kernel vector
+    kernel = ray._like(ray_image).norm() <= tol * ray.norm()
     if np.any(kernel):
         raise RowError(
             "image vanishes: phi lies in the kernel of the mapping (det M = 0 "
@@ -167,9 +172,10 @@ def map_to_class4(
 
 @_quiet
 def hermitian_constrain(p: MappingParams, tol: float = 1e-12) -> MappingMatrix:
-    """Build the mapping matrix from parameters obeying the self-adjointness
-    relations: m11, m12, m22 real with m11 m22 = m12^2, m41 = m14^*,
-    m13 = -m22 m14 / m12 = -m42^*, m43 real, and m44 = -m12 m43 / m22.
+    """Build the mapping matrix from one parameter set obeying the
+    self-adjointness relations: m11, m12, m22 real with m11 m22 = m12^2,
+    m41 = m14^*, m13 = -m22 m14 / m12 = -m42^*, m43 real, and
+    m44 = -m12 m43 / m22.
 
     Violated relations are reported together, a relation whose gap or
     expected size does not fit in float64 among them; the returned matrix

@@ -149,8 +149,10 @@ def _int(text: str) -> int:
 
 
 def _count(text: str) -> int:
-    """argparse type for generate --count: an int of at most MAX_COUNT."""
+    """argparse type for generate --count: an int from 1 to MAX_COUNT."""
     value = _int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     if value > MAX_COUNT:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_COUNT}, got {text!r}")
     return value

@@ -226,17 +226,13 @@ def _draw_c6(rng: np.random.Generator) -> np.ndarray:
 
 
 def _draw_c4(rng: np.random.Generator) -> np.ndarray:
-    # push a generic regular spinor through a singular class-4 mapping
-    from .classmap import MappingParams, build_M
-
+    # the nine parameters of a singular class-4 mapping, then the generic
+    # regular spinor it pushes through: generate maps a round at once
     while True:
         values = _complex_vector(rng, 9)
         if abs(values[1]) > 0.2:
             break
-    params = MappingParams(*values)
-    m = build_M(params).matrix
-    phi = _draw_c1(rng)
-    return m @ phi
+    return np.concatenate([values, _draw_c1(rng)])
 
 
 _DRAWERS = {
@@ -251,13 +247,15 @@ _DRAWERS = {
 # the bound, relative to |psi|^2, that the FPK identities put on the norm of
 # what each class must keep: from J.J = sigma^2 + omega^2 <= J_0^2 = |psi|^4,
 # sigma or omega (classes 2, 3) at most 1 and the smaller of the two (class 1)
-# at most 1/sqrt(2); J itself (classes 4-6), causal, at most sqrt(2) in
-# Euclidean norm
+# at most 1/sqrt(2); J (classes 5, 6), causal, at most sqrt(2) in Euclidean
+# norm, as |J|^2 = 2 |psi|^4 - sigma^2 - omega^2.  By Fierz completeness
+# component_norm()^2 = 4 |psi|^4, so |K|^2 + |S|^2 = 2 |psi|^4 for every
+# spinor, and class 4, which keeps both, keeps the smaller at most 1
 _REACH = {
     LounestoClass.C1: 0.5 ** 0.5,
     LounestoClass.C2: 1.0,
     LounestoClass.C3: 1.0,
-    LounestoClass.C4: 2.0 ** 0.5,
+    LounestoClass.C4: 1.0,
     LounestoClass.C5: 2.0 ** 0.5,
     LounestoClass.C6: 2.0 ** 0.5,
 }
@@ -280,11 +278,11 @@ def generate(
     before the first draw: classify keeps a group only above tol |psi|^2,
     and no spinor keeps what the target needs there.
 
-    Candidates are drawn one at a time and classified a round at a time.  A
-    round draws no more candidates than are still needed, so the draws and
-    the spinors kept are those of classifying each draw on its own.  Fewer
-    than `count` accepted within _MAX_ATTEMPTS * count draws is a
-    ValueError.
+    Candidates are drawn one at a time, then mapped (class 4) and
+    classified a round at a time.  A round draws no more candidates than are
+    still needed, so the draws and the spinors kept are those of classifying
+    each draw on its own.  Fewer than `count` accepted within
+    _MAX_ATTEMPTS * count draws is a ValueError.
     """
     if target not in _DRAWERS:
         raise ValueError(f"cannot generate spinors for class {target.value!r}")
@@ -305,8 +303,11 @@ def generate(
                 f"generator for class {target.value} failed to converge"
             )
         attempts_left -= size
-        candidates = ClassicalSpinor(np.array([draw(rng) for _ in range(size)]), WEYL)
-        kept = candidates.components[candidates.norm() >= 1e-6]
+        draws = np.array([draw(rng) for _ in range(size)])
+        if target is LounestoClass.C4:
+            from .classmap import MappingParams, build_M   # classmap imports this module
+            draws = np.matmul(build_M(MappingParams(*draws[:, :9].T)).matrix, draws[:, 9:, None])[..., 0]
+        kept = draws[ClassicalSpinor(draws, WEYL).norm() >= 1e-6]
         if len(kept):
             accepted += list(kept[classify(ClassicalSpinor(kept, WEYL), tol).lounesto_class == target])
     spinors = ClassicalSpinor(np.array(accepted), WEYL).to_rep(rep)

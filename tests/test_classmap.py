@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_spinor
 from spinorspace import classmap
@@ -21,6 +24,36 @@ def test_all_ones_row_structure():
 def test_m12_zero_rejected():
     with pytest.raises(ValueError, match="m12"):
         classmap.MappingParams(1, 0, 1, 1, 1, 1, 1, 1, 1)
+
+
+# parts of at least 1e-3 (or 0), so no part underflows at the smallest scale drawn
+PARTS = st.floats(-1.0, 1.0).filter(lambda x: x == 0 or abs(x) >= 1e-3)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[hnp.arrays(np.float64, (n, 9), elements=e) for e in (
+    st.floats(0.1, 1.0), st.floats(-np.pi, np.pi), st.floats(-150.0, 150.0))])))
+def test_batch_build_M_equals_its_rows(drawn):
+    """Parameters at scales 10^U(-150, 150), each entry its own: a batch
+    build_M equals the single build_M of each row bit for bit, and rows
+    whose matrix overflows raise RowError marking only those rows."""
+    modulus, phase, exponent = drawn
+    values = modulus * np.exp(1j * phase) * 10.0 ** exponent
+    single, unfit = [], []
+    for row in values:
+        try:
+            single.append(classmap.build_M(classmap.MappingParams(*row)).matrix)
+            unfit.append(False)
+        except cl.RowError as exc:
+            assert exc.rows.shape == () and exc.rows
+            unfit.append(True)
+    unfit = np.array(unfit)
+    if unfit.any():
+        with pytest.raises(cl.RowError, match="^mapping matrix does not fit in float64$") as excinfo:
+            classmap.build_M(classmap.MappingParams(*values.T))
+        assert excinfo.value.rows.tolist() == unfit.tolist()
+    batch = classmap.build_M(classmap.MappingParams(*values[~unfit].T))
+    assert batch.matrix.shape == (len(single), 4, 4)
+    assert batch.matrix.tobytes() == np.array(single).tobytes()
 
 
 def test_determinant_vanishes(rng):
@@ -83,6 +116,21 @@ def test_kernel_input_rejected(rng):
         pytest.skip("kernel vector not regular for this draw")
     with pytest.raises(ValueError, match="kernel"):
         classmap.map_to_class4(m, phi)
+
+
+@given(st.lists(PARTS, min_size=8, max_size=8), st.floats(-300.0, 150.0), st.integers(0, 2 ** 32 - 1))
+def test_map_to_class4_alike_at_every_scale(parts, exponent, seed):
+    """A regular spinor scaled by 10^U(-300, 150) maps to the class and
+    degeneracy flags of the unscaled one, though its norm underflows below
+    about 1e-162: the kernel is tested on its ray."""
+    phi = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    assume(np.abs(phi).max() >= 1e-3)
+    assume(classify(ClassicalSpinor(phi, cl.WEYL)).lounesto_class.is_regular)
+    m = classmap.build_M(classmap.random_params(np.random.default_rng(seed)))
+    at_one = classmap.map_to_class4(m, ClassicalSpinor(phi, cl.WEYL))
+    scaled = classmap.map_to_class4(m, ClassicalSpinor(phi * 10.0 ** exponent, cl.WEYL))
+    assert scaled.report.lounesto_class is at_one.report.lounesto_class
+    assert scaled.degenerate == at_one.degenerate
 
 
 def test_non_regular_input_rejected(rng):

@@ -233,11 +233,13 @@ TOL_COMMANDS = {
 BAD_VALUES = {f"{name}-{tol}": (argv, "--tol", tol) for name, argv in TOL_COMMANDS.items()
               for tol in ("-1", "nan", "inf")}
 BAD_VALUES["generate-seed--1"] = (TOL_COMMANDS["generate"], "--seed", "-1")
+BAD_VALUES.update({f"generate-count-{count}": (TOL_COMMANDS["generate"], "--count", count) for count in ("0", "-1")})
 
 
 @pytest.mark.parametrize("argv, option, value", BAD_VALUES.values(), ids=BAD_VALUES.keys())
 def test_tol_must_be_finite_and_nonnegative(capsys, argv, option, value):
-    """And --seed non-negative: a usage error that names the option."""
+    """And --seed non-negative and --count at least 1: a usage error that
+    names the option."""
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv + [option, value])
     assert excinfo.value.code == 2
@@ -614,6 +616,20 @@ def test_map4_error_rows(tmp_path, capsys, rng):
     }
     assert doc["class_histogram"] == {"4": 2}
     assert run_cli.err == ""
+
+
+def test_map4_at_tiny_scale_gives_class_four_rows(tmp_path, capsys, rng):
+    """Regular spinors scaled by 1e-200, whose norms underflow to 0, map to
+    class 4 as the unscaled ones do: the kernel is tested on each ray."""
+    pf = params_file(tmp_path / "p.json", rng)
+    regular = [[1, 0, 1, 0], [1, 2, 3j, 4], [0.5, 1j, 0.2, 1 + 1j]]
+    f = spinor_file(tmp_path / "in.json", [entry(f"s{i}", np.array(c) * 1e-200) for i, c in enumerate(regular)])
+    code, out = run_without_warnings(["map4", f, "--params", pf], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert [(r["id"], r["class"], r["degenerate"]) for r in doc["results"]] == [
+        ("s0", "4", []), ("s1", "4", []), ("s2", "4", [])]
+    assert doc["class_histogram"] == {"4": 3}
 
 
 @pytest.mark.parametrize("value", [[float("nan"), 0], [0, float("inf")], [HUGE, 0], [True, 0]],

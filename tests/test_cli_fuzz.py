@@ -97,10 +97,10 @@ def text_of(doc, depth):
 
 def generate_argv(data):
     """generate reads no document: its options are drawn instead, each one
-    a value argparse takes (a negative --seed is a usage error, tested in
-    test_cli.py)."""
+    a value argparse takes (a negative --seed and a --count below 1 are
+    usage errors, tested in test_cli.py)."""
     return ["generate", "--class", data.draw(st.sampled_from("123456")),
-            "--count", str(data.draw(st.integers(-1, 3))),
+            "--count", str(data.draw(st.integers(1, 3))),
             "--seed", str(data.draw(st.one_of(st.integers(0, 10 ** 30), st.just(10 ** 400)))),
             "--rep", data.draw(st.sampled_from(["weyl", "dirac"])),
             "--tol", data.draw(st.sampled_from(["0", "1e-310", "1e-300", "1e-08", "0.5", "10", "1e300"]))]

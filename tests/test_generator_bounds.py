@@ -5,9 +5,12 @@ For every nonzero spinor J.J = sigma^2 + omega^2 and J_0 = |psi|^2 with J
 causal.  So |sigma| and |omega| are at most |psi|^2 (what classes 2 and 3
 keep), the smaller of the two at most |psi|^2 / sqrt(2) (class 1 keeps
 both), and J has Euclidean norm between |psi|^2 and sqrt(2) |psi|^2
-(classes 4-6 keep it).  classify keeps a group only above tol |psi|^2, so
-lounesto.generate refuses a tolerance at or above the target's bound before
-its first draw.
+(classes 4-6 keep it), as |J|^2 = 2 |psi|^4 - sigma^2 - omega^2.  Fierz
+completeness gives component_norm()^2 = 4 |psi|^4, so |K|^2 + |S|^2 =
+2 |psi|^4 for every spinor: class 4, which keeps J, K and S, keeps the
+smallest at most |psi|^2.  classify keeps a group only above tol |psi|^2,
+so lounesto.generate refuses a tolerance at or above the target's bound
+before its first draw.
 """
 
 import numpy as np
@@ -26,12 +29,14 @@ UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
 
 
 def kept_ratios(psi: ClassicalSpinor) -> dict:
-    """The norm of what each class must keep relative to |psi|^2."""
+    """The norm of what each class must keep relative to |psi|^2, and under
+    the key "J" the Euclidean norm of J."""
     b = bilinear_covariants(psi)
     norm2 = psi.norm() ** 2
     sigma, omega, j = abs(b.sigma) / norm2, abs(b.omega) / norm2, np.linalg.norm(b.J / norm2)
+    k, s = np.linalg.norm(b.K / norm2), np.linalg.norm(b.S / norm2)
     return {LounestoClass.C1: min(sigma, omega), LounestoClass.C2: sigma, LounestoClass.C3: omega,
-            LounestoClass.C4: j, LounestoClass.C5: j, LounestoClass.C6: j}
+            LounestoClass.C4: min(j, k, s), LounestoClass.C5: j, LounestoClass.C6: j, "J": j}
 
 
 def rotated(psi: ClassicalSpinor, theta: float) -> ClassicalSpinor:
@@ -43,7 +48,7 @@ def rotated(psi: ClassicalSpinor, theta: float) -> ClassicalSpinor:
 
 def test_bounds_are_the_derived_ones():
     assert lounesto._REACH == {LounestoClass.C1: 0.5 ** 0.5, LounestoClass.C2: 1.0, LounestoClass.C3: 1.0,
-                               LounestoClass.C4: 2.0 ** 0.5, LounestoClass.C5: 2.0 ** 0.5, LounestoClass.C6: 2.0 ** 0.5}
+                               LounestoClass.C4: 1.0, LounestoClass.C5: 2.0 ** 0.5, LounestoClass.C6: 2.0 ** 0.5}
 
 
 @given(st.lists(UNIT, min_size=8, max_size=8), st.floats(-100.0, 100.0), st.sampled_from([WEYL, DIRAC]))
@@ -54,13 +59,14 @@ def test_no_spinor_exceeds_a_bound(parts, exponent, rep):
     ratios = kept_ratios(psi)
     for cls in CLASSES:
         assert ratios[cls] <= lounesto._REACH[cls] * (1 + 1e-12)
-    assert ratios[LounestoClass.C4] >= 1 - 1e-12
+    assert ratios["J"] >= 1 - 1e-12
 
 
 def test_built_spinors_reach_each_bound():
-    rest = ClassicalSpinor([1, 0, 0, 0], DIRAC)   # J = (|psi|^2, 0, 0, 0), omega = 0
+    rest = ClassicalSpinor([1, 0, 0, 0], DIRAC)   # J = (|psi|^2, 0, 0, 0), omega = 0, |K| = |S| = |psi|^2
     assert abs(kept_ratios(rest)[LounestoClass.C2] - 1.0) <= 1e-12
     assert abs(kept_ratios(rest)[LounestoClass.C4] - 1.0) <= 1e-12
+    assert abs(kept_ratios(rest)["J"] - 1.0) <= 1e-12
     assert abs(kept_ratios(rotated(rest, -np.pi / 4))[LounestoClass.C3] - 1.0) <= 1e-12
     assert abs(kept_ratios(rotated(rest, np.pi / 8))[LounestoClass.C1] - 0.5 ** 0.5) <= 1e-12
     weyl = ClassicalSpinor([1, 0, 0, 0], WEYL)   # class 6, J lightlike
@@ -88,13 +94,14 @@ def test_generate_refuses_a_tolerance_at_or_above_the_bound(monkeypatch, cls):
 
 
 def test_a_tolerance_just_below_the_bound_is_reachable():
-    for psi in lounesto.generate(LounestoClass.C6, seed=0, count=3, tol=1.4):
-        assert lounesto.classify(psi, 1.4).lounesto_class is LounestoClass.C6
+    for cls, tol in ((LounestoClass.C6, 1.4), (LounestoClass.C4, 0.99)):
+        for psi in lounesto.generate(cls, seed=0, count=3, tol=tol):
+            assert lounesto.classify(psi, tol).lounesto_class is cls
     with pytest.raises(ValueError, match="classification tolerance must be positive and finite"):
         lounesto.generate(LounestoClass.C6, seed=0, count=1, tol=np.inf)
 
 
-@pytest.mark.parametrize("cls, tol", [("4", "10"), ("2", "1"), ("1", "0.71")])
+@pytest.mark.parametrize("cls, tol", [("4", "10"), ("4", "1"), ("2", "1"), ("1", "0.71")])
 def test_cli_fails_before_the_first_draw(monkeypatch, capsys, cls, tol):
     no_draws(monkeypatch)
     assert cli.main(["generate", "--class", cls, "--tol", tol, "--count", "100000"]) == 2

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_spinor
+from spinorspace import classmap
 from spinorspace import clifford as cl
 from spinorspace import lounesto
 from spinorspace.bilinears import BilinearSet, bilinear_covariants
@@ -124,8 +125,9 @@ def test_generate_rejects_nonspinor_classes():
 
 
 def generate_one_at_a_time(target, seed, count, rep=cl.WEYL, tol=lounesto.DEFAULT_TOL):
-    """Reference generator classifying each candidate on its own as it is
-    drawn; generate must return exactly its spinors and fail where it does."""
+    """Reference generator mapping (class 4) and classifying each candidate
+    on its own as it is drawn; generate must return exactly its spinors and
+    fail where it does."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     draw = lounesto._DRAWERS[target]
     out = []
@@ -134,7 +136,10 @@ def generate_one_at_a_time(target, seed, count, rep=cl.WEYL, tol=lounesto.DEFAUL
         attempts += 1
         if attempts > lounesto._MAX_ATTEMPTS * count:
             raise ValueError(f"generator for class {target.value} failed to converge")
-        candidate = ClassicalSpinor(draw(rng), cl.WEYL)
+        values = draw(rng)
+        if target is LounestoClass.C4:
+            values = classmap.build_M(classmap.MappingParams(*values[:9])).matrix @ values[9:]
+        candidate = ClassicalSpinor(values, cl.WEYL)
         if candidate.norm() < 1e-6:
             continue
         if lounesto.classify(candidate, tol).lounesto_class is target:
@@ -182,6 +187,27 @@ def test_generate_fails_where_one_at_a_time_fails(monkeypatch):
     assert got[0] == "error" and "cannot reach tol 10.0" in got[1]
     assert outcome(generate_one_at_a_time, LounestoClass.C4, 0, 1, tol=10.0) == (
         "error", "generator for class 4 failed to converge")
+
+
+def test_class_four_maps_each_round_at_once(monkeypatch):
+    """One build_M per round of class-4 draws, as many as classify calls,
+    not one per draw; the draw itself builds no record."""
+    calls = {"build_M": 0, "classify": 0, "draw": 0}
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(classmap, "build_M", counted("build_M", classmap.build_M))
+    monkeypatch.setattr(lounesto, "classify", counted("classify", lounesto.classify))
+    monkeypatch.setitem(lounesto._DRAWERS, LounestoClass.C4, counted("draw", lounesto._draw_c4))
+    values = lounesto._draw_c4(np.random.default_rng(0))
+    assert type(values) is np.ndarray and values.shape == (13,) and calls["build_M"] == 0
+    # at tol 0.5 some draws lose K or S, so the generator runs several rounds
+    assert len(lounesto.generate(LounestoClass.C4, seed=3, count=20, tol=0.5)) == 20
+    assert 1 < calls["build_M"] == calls["classify"] < calls["draw"]
 
 
 def test_generated_currents_never_vanish():

@@ -257,41 +257,54 @@ def test_operator_and_aggregate_params_are_unhashable_and_immutable(rng):
                 setattr(item, name, 0.0)
 
 
-@given(st.data())
-def test_mapping_matrix(data):
-    m = data.draw(complexes((4, 4)))
+@given(st.data(), BATCHES)
+def test_mapping_matrix(data, batch):
+    m = data.draw(complexes(batch + (4, 4)))
     mm = MappingMatrix(data.draw(given_as(m)), PARAMS)
     assert_kept(mm.matrix, m, np.complex128)
     assert mm.params is PARAMS
-    shape = data.draw(st.sampled_from([(4,), (2, 4, 4), (4, 3), (3, 4), ()]))
+    assert_rows(mm.matrix, lambda i: MappingMatrix(m[i], PARAMS).matrix, batch)
+    shape = data.draw(st.sampled_from([(4,), (4, 3), (3, 4), (), (2, 4), (2, 4, 3), (2, 3, 4)]))
     with pytest.raises(ValueError, match=message("mapping matrix must be 4x4")):
         MappingMatrix(np.zeros(shape), PARAMS)
 
 
-@given(st.data())
-def test_mapping_params(data):
-    """Nine complex entries, positional or by name, each view a complex; m12
-    nonzero and every entry finite."""
-    values = data.draw(complexes((9,)))
-    values[1] = values[1] or 1.0
-    p = MappingParams(*data.draw(given_as(values)))
+@given(st.data(), BATCHES)
+def test_mapping_params(data, batch):
+    """Nine complex entries, positional or by name, or nine arrays of one
+    batch shape, each view of a single set a complex; m12 nonzero and every
+    entry finite."""
+    values = data.draw(complexes(batch + (9,)))
+    values[..., 1][values[..., 1] == 0] = 1.0
+    columns = np.moveaxis(values, -1, 0)
+    p = MappingParams(*data.draw(given_as(columns)))
     assert_kept(p.stack(), values, np.complex128)
-    for name, value in zip(PARAM_NAMES, values):
-        assert type(getattr(p, name)) is complex
-        assert np.complex128(getattr(p, name)).tobytes() == value.tobytes()
-    assert MappingParams(**dict(zip(PARAM_NAMES, values))) == p
-    assert p.as_dict() == dict(zip(PARAM_NAMES, values.tolist()))
-    values.view(np.float64)[data.draw(st.integers(0, 17))] = data.draw(NON_FINITE)
+    assert_rows(p.stack(), lambda i: MappingParams(*values[i]).stack(), batch)
+    for name, column in zip(PARAM_NAMES, columns):
+        assert np.asarray(getattr(p, name)).tobytes() == column.tobytes()
+        if not batch:
+            assert type(getattr(p, name)) is complex
+    assert MappingParams(**dict(zip(PARAM_NAMES, columns))) == p
+    if not batch:
+        assert p.as_dict() == dict(zip(PARAM_NAMES, values.tolist()))
+    parts = values.view(np.float64).reshape(-1)
+    parts[data.draw(st.integers(0, parts.size - 1))] = data.draw(NON_FINITE)
     with pytest.raises(ValueError, match=message("mapping parameters must be finite")):
-        MappingParams(*values)
+        MappingParams(*np.moveaxis(values, -1, 0))
 
 
 def test_mapping_params_shape_and_m12():
-    for shape in [(1,), (2,), (4, 4)]:
-        with pytest.raises(ValueError, match=message(f"expected 9 mapping parameters, got shape {(9,) + shape}")):
-            MappingParams(*[np.ones(shape)] * 9)
-    with pytest.raises(ValueError, match=message("m12 must be nonzero")):
+    """The nine arguments broadcast together; m12 = 0 raises RowError
+    marking only its rows."""
+    p = MappingParams(1, [2, 3j], 3, 4, 5, 6, 7, 8, [[9], [10]])
+    assert p.stack().shape == (2, 2, 9)
+    assert p.stack()[1, 0].tobytes() == MappingParams(1, 2, 3, 4, 5, 6, 7, 8, 10).stack().tobytes()
+    with pytest.raises(cl.RowError, match=message("m12 must be nonzero")) as excinfo:
         MappingParams(1, 0, 3, 4, 5, 6, 7, 8, 9)
+    assert excinfo.value.rows.shape == () and excinfo.value.rows
+    with pytest.raises(cl.RowError, match=message("m12 must be nonzero")) as excinfo:
+        MappingParams(1, [[2, 0, 1j], [1, 1, 0]], 3, 4, 5, 6, 7, 8, 9)
+    assert excinfo.value.rows.tolist() == [[False, True, False], [False, False, True]]
     assert MappingParams(1, 2, 3, 4, 5, 6, 7, 8, 9) == PARAMS
     assert MappingParams(1, 2, 3, 4, 5, 6, 7, 8, 10) != PARAMS
     with pytest.raises(TypeError):
