@@ -28,7 +28,7 @@ def census(rng, draws, hermitian):
             m = classmap.hermitian_constrain(classmap.random_hermitian_params(rng))
         else:
             m = classmap.build_M(classmap.random_params(rng))
-        worst_det = max(worst_det, classmap.no_inverse_witness(m) / m.frobenius() ** 4)
+        worst_det = max(worst_det, classmap.no_inverse_witness(m.matrix) / m.frobenius() ** 4)
         worst_con = max(worst_con,
                         max(classmap.constraint_residuals(m.matrix)) / m.frobenius() ** 2)
         phi = generate(REGULAR[i % 3], seed=i, count=1)[0]

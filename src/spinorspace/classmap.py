@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import _forms
-from .clifford import WEYL, Record, RowError, Signature, _fitting, _frozen, _quiet
+from .clifford import WEYL, Record, RowError, Signature, _fitting, _frozen, _quiet, _row_norm, _unbox
 from .lounesto import _PATTERN_BITS, DEFAULT_TOL, ClassificationReport, classify
 from .spinor_forms import ClassicalSpinor
 
@@ -68,8 +68,8 @@ class MappingMatrix(Record):
             raise ValueError("mapping matrix must be 4x4")
 
     def frobenius(self) -> float:
-        """Frobenius norm of one matrix."""
-        return float(np.linalg.norm(self.matrix))
+        """Frobenius norm of each matrix: the row norm over both matrix axes."""
+        return _row_norm(self, (-2, -1))
 
 
 @_quiet
@@ -84,20 +84,21 @@ def build_M(p: MappingParams) -> MappingMatrix:
     return MappingMatrix(_fitting(m, "mapping matrix does not fit in float64", (-2, -1)), p)
 
 
+@_quiet
 def constraint_residuals(m: np.ndarray) -> tuple[float, float]:
     """Max-norms of M^dag g0 M and M^dag g1 g2 g3 M in the chiral
     representation (the sigma and omega forms of bilinears pulled back by
-    M) for one matrix; both vanish for matrices with the dependent-row
-    structure."""
-    mat = np.asarray(m, dtype=np.complex128)
-    r0, r123 = np.abs(mat.conj().T @ _forms(Signature.MINKOWSKI, WEYL)[:2] @ mat).max(axis=(-2, -1))
-    return float(r0), float(r123)
+    M), per matrix of a (..., 4, 4) batch; both vanish for matrices with the
+    dependent-row structure."""
+    mat = np.asarray(m, dtype=np.complex128)[..., None, :, :]
+    r = np.abs(mat.conj().mT @ _forms(Signature.MINKOWSKI, WEYL)[:2] @ mat).max(axis=(-2, -1))
+    return _unbox(r[..., 0]), _unbox(r[..., 1])
 
 
-def no_inverse_witness(m: MappingMatrix | np.ndarray) -> float:
-    """|det M| of one matrix; vanishes for every assembled mapping matrix."""
-    mat = m.matrix if isinstance(m, MappingMatrix) else np.asarray(m, dtype=np.complex128)
-    return float(abs(np.linalg.det(mat)))
+@_quiet
+def no_inverse_witness(m: np.ndarray) -> float:
+    """|det M| per matrix of a (..., 4, 4) batch; vanishes for every assembled mapping matrix."""
+    return _unbox(abs(np.linalg.det(np.asarray(m, dtype=np.complex128))))
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def map_to_class4(
     the flag-dipole outcome is generic but not universal.  Rows that cannot
     be mapped raise RowError naming them: a representation other than the
     chiral one, inputs of one non-regular class at a time, and inputs in
-    the kernel of the mapping.
+    the kernel of the mapping (|M phi| <= tol |phi| times M's largest part).
     """
     batch = phi.components.shape[:-1]
     if phi.rep is not WEYL:
@@ -154,10 +155,11 @@ def map_to_class4(
         first = classes[irregular][0]
         raise RowError(f"input must be a regular spinor (class 1-3), got {first.value}", classes == first)
     ray, _ = phi._on_ray()
-    image, ray_image = (np.matmul(m.matrix, psi.components[..., None])[..., 0] for psi in (phi, ray))
+    m_ray, _ = m._on_ray((-2, -1))
+    image, ray_image = (np.matmul(a.matrix, psi.components[..., None])[..., 0] for a, psi in ((m, phi), (m_ray, ray)))
     out = ClassicalSpinor(image, WEYL)
-    # M is linear, so phi lies in the kernel where its ray does, whose norms do not
-    # underflow; an image too large to square has norm inf: no kernel vector
+    # phi lies in the kernel where its ray does under M's ray, which judges it relative
+    # to M's largest part; both rays are of order 1, so no norm underflows or overflows
     kernel = ray._like(ray_image).norm() <= tol * ray.norm()
     if np.any(kernel):
         raise RowError(

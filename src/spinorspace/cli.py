@@ -60,7 +60,7 @@ import numpy as np
 
 from . import classmap, fierz, lounesto
 from .bilinears import _COVARIANT_FIELDS, BilinearSet, _covariants_on_ray
-from .clifford import InternalError, RowError, Signature, _fitting, _ldexp_quiet, _quiet, rep_by_tag
+from .clifford import InternalError, RowError, Signature, _fitting, _ldexp_quiet, rep_by_tag
 from .jsonio import Rows, dumps, floats
 from .spinor_forms import ClassicalSpinor
 from .topology import winding_report
@@ -451,8 +451,8 @@ def cmd_map4(args) -> int:
     spinors = load_spinor_file(args.input)
     try:
         m = classmap.build_M(params)
-        r0, r123 = _quiet(classmap.constraint_residuals)(m.matrix)
-        abs_det = _quiet(classmap.no_inverse_witness)(m)
+        r0, r123 = classmap.constraint_residuals(m.matrix)
+        abs_det = classmap.no_inverse_witness(m.matrix)
         _fitting(np.array([r0, r123, abs_det]), "constraint residuals of the mapping matrix do not fit in float64")
     except ValueError as exc:
         raise SchemaError(f"{args.params}: {exc}") from exc

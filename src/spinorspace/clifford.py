@@ -108,10 +108,10 @@ def _unbox(x):
 
 
 @_quiet
-def _row_norm(record) -> float:
-    """Euclidean 2-norm of each row of a record's array, bound as norm();
-    inf where the squares overflow."""
-    return _unbox(np.sqrt((record._array.conj() * record._array).real.sum(axis=-1)))
+def _row_norm(record, axis=-1) -> float:
+    """Euclidean 2-norm of each row (over axis) of a record's array, bound as
+    norm(); inf where the squares overflow."""
+    return _unbox(np.sqrt((record._array.conj() * record._array).real.sum(axis=axis)))
 
 
 def _row_max_abs(record) -> float:
@@ -214,9 +214,9 @@ class Record:
         """The read-only array that holds the record."""
         return self._array
 
-    def _on_ray(self):
-        """(ray, e): the record on its power-of-two ray (_ray) with its tags, record = ray 2^e."""
-        array, e = _ray(self._array)
+    def _on_ray(self, axis=-1):
+        """(ray, e): the record on its power-of-two ray (_ray over axis) with its tags, record = ray 2^e."""
+        array, e = _ray(self._array, axis)
         return self._like(array), e
 
     def _operand(self, other) -> np.ndarray:

@@ -166,12 +166,14 @@ def classify(psi: ClassicalSpinor, tol: float = DEFAULT_TOL) -> ClassificationRe
 
 def classify_bilinears(b: BilinearSet, tol: float = DEFAULT_TOL) -> LounestoClass:
     """Classify a raw covariant set, or a batch of them (an object array of
-    classes), on its ray, so alike at every scale.  The zero set (by its
+    classes), on its ray, so alike at every scale.  Thresholds are
+    tol * component_norm() / 2, which is tol * |psi|^2 for a spinor's
+    covariants (Fierz completeness), as in classify.  The zero set (by its
     pattern) and sets breaking the quadratic identities are anomalous."""
     if b.signature is not Signature.MINKOWSKI:
         raise ValueError("classification applies to time-minus covariants")
     ray, _ = b._on_ray()
-    cls, _, _ = _pattern(ray.stack(), ray.component_norm(), tol)
+    cls, _, _ = _pattern(ray.stack(), ray.component_norm() / 2, tol)
     return _unbox(np.where(_fpk_check(ray, tol)[1].all(axis=-1), cls, LounestoClass.ANOMALOUS))
 
 

@@ -175,7 +175,7 @@ def test_criterion_07_mapping_matrix():
     worst_con = 0.0
     for _ in range(1000):
         m = classmap.build_M(classmap.random_params(rng))
-        worst_det = max(worst_det, classmap.no_inverse_witness(m) / m.frobenius() ** 4)
+        worst_det = max(worst_det, classmap.no_inverse_witness(m.matrix) / m.frobenius() ** 4)
         r0, r123 = classmap.constraint_residuals(m.matrix)
         worst_con = max(worst_con, max(r0, r123) / m.frobenius() ** 2)
     assert worst_det < 1e-12

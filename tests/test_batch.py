@@ -175,6 +175,37 @@ def test_map_to_class4_row_errors(rng):
     assert excinfo.value.rows.tolist() == [True, True]
 
 
+def test_mapping_diagnostics_batch_matches_rows(rng):
+    """frobenius and constraint_residuals of a (4, 10, 4, 4) batch equal the
+    single calls bit for bit, which give floats.  LAPACK's determinant of a
+    stack may round apart from the 2-d one, so each |det M| row is held to
+    criterion 07's bound 1e-12 frobenius^4 of the single call."""
+    params = [classmap.random_params(rng) for _ in range(ROWS)]
+    v = np.array([p.stack() for p in params]).reshape(4, ROWS // 4, 9) * np.exp(rng.uniform(-3, 3, (4, ROWS // 4, 1)))
+    batch = classmap.build_M(classmap.MappingParams(*np.moveaxis(v, -1, 0)))
+    rows = [classmap.build_M(classmap.MappingParams(*row)) for row in v.reshape(ROWS, 9)]
+    frobenius = [r.frobenius() for r in rows]
+    assert isinstance(frobenius[0], float)
+    assert batch.frobenius().tobytes() == np.reshape(frobenius, (4, -1)).tobytes()
+    single = [classmap.constraint_residuals(r.matrix) for r in rows]
+    assert isinstance(single[0][0], float) and isinstance(single[0][1], float)
+    for got, want in zip(classmap.constraint_residuals(batch.matrix), zip(*single)):
+        assert got.tobytes() == np.reshape(want, (4, -1)).tobytes()
+    det = [classmap.no_inverse_witness(r.matrix) for r in rows]
+    assert isinstance(det[0], float)
+    gap = np.abs(classmap.no_inverse_witness(batch.matrix) - np.reshape(det, (4, -1)))
+    assert np.all(gap <= 1e-12 * np.reshape(frobenius, (4, -1)) ** 4)
+    assert classmap.no_inverse_witness(np.stack([np.eye(4), 2 * np.eye(4)])) == pytest.approx([1.0, 16.0], rel=1e-15)
+
+
+def test_mapping_diagnostics_overflow_quietly():
+    """Entries near 1e200 give a non-finite value per matrix with no warning."""
+    m = classmap.build_M(classmap.MappingParams(*np.full((9, 2), 1e200 + 1e200j)))
+    assert np.isinf(m.frobenius()).all()
+    assert not np.isfinite(classmap.constraint_residuals(m.matrix)).any()
+    assert classmap.no_inverse_witness(m.matrix).shape == (2,)
+
+
 def test_bilinear_set_batch_shapes_must_agree():
     with pytest.raises(ValueError, match="4 components"):
         BilinearSet(np.zeros(3), np.zeros(3), np.zeros((2, 4)), np.zeros((3, 4)), np.zeros((3, 6)))

@@ -59,7 +59,7 @@ def test_batch_build_M_equals_its_rows(drawn):
 def test_determinant_vanishes(rng):
     for _ in range(300):
         m = classmap.build_M(classmap.random_params(rng))
-        assert classmap.no_inverse_witness(m) < 1e-12 * m.frobenius() ** 4
+        assert classmap.no_inverse_witness(m.matrix) < 1e-12 * m.frobenius() ** 4
 
 
 def test_constraint_residuals(rng):
@@ -118,16 +118,23 @@ def test_kernel_input_rejected(rng):
         classmap.map_to_class4(m, phi)
 
 
-@given(st.lists(PARTS, min_size=8, max_size=8), st.floats(-300.0, 150.0), st.integers(0, 2 ** 32 - 1))
-def test_map_to_class4_alike_at_every_scale(parts, exponent, seed):
-    """A regular spinor scaled by 10^U(-300, 150) maps to the class and
-    degeneracy flags of the unscaled one, though its norm underflows below
-    about 1e-162: the kernel is tested on its ray."""
+@given(st.lists(PARTS, min_size=8, max_size=8), st.floats(-300.0, 150.0), st.floats(-200.0, 150.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_map_to_class4_alike_at_every_scale(parts, exponent, param_exponent, seed):
+    """A regular spinor scaled by 10^U(-300, 150), mapped with parameters
+    scaled by 10^U(-200, 150), maps to the class and degeneracy flags of the
+    unscaled ones, though a norm underflows below about 1e-162: the kernel
+    is tested on the rays of both.  The image itself, of order
+    10^(exponent + param_exponent), must be a normal float64 whose
+    covariants fit, as classify asks of every spinor."""
+    assume(-290 <= exponent + param_exponent <= 150)
     phi = np.array(parts[:4]) + 1j * np.array(parts[4:])
     assume(np.abs(phi).max() >= 1e-3)
     assume(classify(ClassicalSpinor(phi, cl.WEYL)).lounesto_class.is_regular)
-    m = classmap.build_M(classmap.random_params(np.random.default_rng(seed)))
+    params = classmap.random_params(np.random.default_rng(seed))
+    m = classmap.build_M(params)
     at_one = classmap.map_to_class4(m, ClassicalSpinor(phi, cl.WEYL))
+    m = classmap.build_M(classmap.MappingParams(*params.stack() * 10.0 ** param_exponent))
     scaled = classmap.map_to_class4(m, ClassicalSpinor(phi * 10.0 ** exponent, cl.WEYL))
     assert scaled.report.lounesto_class is at_one.report.lounesto_class
     assert scaled.degenerate == at_one.degenerate

@@ -618,13 +618,18 @@ def test_map4_error_rows(tmp_path, capsys, rng):
     assert run_cli.err == ""
 
 
-def test_map4_at_tiny_scale_gives_class_four_rows(tmp_path, capsys, rng):
-    """Regular spinors scaled by 1e-200, whose norms underflow to 0, map to
-    class 4 as the unscaled ones do: the kernel is tested on each ray."""
-    pf = params_file(tmp_path / "p.json", rng)
+@pytest.mark.parametrize("spinor_scale, param_scale", [(1e-200, 1.0), (1.0, 1e-200)], ids=["spinors", "parameters"])
+def test_map4_at_tiny_scale_gives_class_four_rows(tmp_path, capsys, rng, spinor_scale, param_scale):
+    """Regular spinors scaled by 1e-200, whose norms underflow to 0, or
+    mapped with the nine parameters scaled by 1e-200, map to class 4 as the
+    unscaled ones do: the kernel is tested on the rays of the spinor and of
+    the mapping, relative to the mapping's largest part."""
+    pf = tmp_path / "p.json"
+    params = json.loads(Path(params_file(pf, rng)).read_text())
+    pf.write_text(json.dumps({name: [x * param_scale for x in pair] for name, pair in params.items()}))
     regular = [[1, 0, 1, 0], [1, 2, 3j, 4], [0.5, 1j, 0.2, 1 + 1j]]
-    f = spinor_file(tmp_path / "in.json", [entry(f"s{i}", np.array(c) * 1e-200) for i, c in enumerate(regular)])
-    code, out = run_without_warnings(["map4", f, "--params", pf], capsys)
+    f = spinor_file(tmp_path / "in.json", [entry(f"s{i}", np.array(c) * spinor_scale) for i, c in enumerate(regular)])
+    code, out = run_without_warnings(["map4", f, "--params", str(pf)], capsys)
     assert code == 0
     doc = json.loads(out)
     assert [(r["id"], r["class"], r["degenerate"]) for r in doc["results"]] == [

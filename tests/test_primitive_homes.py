@@ -134,6 +134,15 @@ def test_every_binary_operation_reads_its_operand_through_one_step():
     }
 
 
+def test_quiet_is_only_a_decorator():
+    """_quiet decorates the functions that compute quietly, and is called
+    only at module level, to make _ldexp_quiet: no function body wraps a
+    callee in it at its call site.  The mapping diagnostics take arrays,
+    with no record-or-array branch."""
+    assert scopes_naming("_quiet", calls_only=True) == {"clifford:"}
+    assert "classmap:no_inverse_witness" not in scopes_naming("isinstance", calls_only=True)
+
+
 def test_quaternion_norm_is_the_root_of_its_dot():
     q = spinor_forms.Quaternion(*np.random.default_rng(20).standard_normal((4, 7)) * 1e100)
     assert q.norm().tobytes() == np.sqrt(q.dot(q)).tobytes()
