@@ -9,37 +9,37 @@ Run:  python3 scripts/mapping_census.py [--draws N] [--seed S]
 """
 
 import argparse
+from collections import Counter
 
 import numpy as np
 
 from spinorspace import classmap
-from spinorspace.bilinears import bilinear_covariants
-from spinorspace.lounesto import LounestoClass, classify, generate
+from spinorspace.clifford import WEYL
+from spinorspace.lounesto import LounestoClass, generate
+from spinorspace.spinor_forms import ClassicalSpinor
 
 REGULAR = (LounestoClass.C1, LounestoClass.C2, LounestoClass.C3)
 
 
 def census(rng, draws, hermitian):
-    histogram = {}
-    worst_det = worst_con = worst_scalar = 0.0
-    k_norms, s_norms = [], []
-    for i in range(draws):
-        if hermitian:
-            m = classmap.hermitian_constrain(classmap.random_hermitian_params(rng))
-        else:
-            m = classmap.build_M(classmap.random_params(rng))
-        worst_det = max(worst_det, classmap.no_inverse_witness(m.matrix) / m.frobenius() ** 4)
-        worst_con = max(worst_con,
-                        max(classmap.constraint_residuals(m.matrix)) / m.frobenius() ** 2)
-        phi = generate(REGULAR[i % 3], seed=i, count=1)[0]
-        mapped = classmap.map_to_class4(m, phi)
-        b = bilinear_covariants(mapped.spinor)
-        n2 = mapped.spinor.norm() ** 2
-        worst_scalar = max(worst_scalar, abs(b.sigma) / n2, abs(b.omega) / n2)
-        k_norms.append(np.linalg.norm(b.K) / n2)
-        s_norms.append(np.linalg.norm(b.S) / n2)
-        label = classify(mapped.spinor).lounesto_class.value
-        histogram[label] = histogram.get(label, 0) + 1
+    """The statistics of draws parameter sets, drawn from rng in turn and
+    mapped as one batch, draw i mapping a regular spinor of seed i."""
+    if hermitian:
+        params = [classmap.hermitian_constrain(classmap.random_hermitian_params(rng)).params for _ in range(draws)]
+    else:
+        params = [classmap.random_params(rng) for _ in range(draws)]
+    m = classmap.build_M(classmap.MappingParams(*np.array([p.stack() for p in params]).T))
+    frobenius = m.frobenius()
+    worst_det = np.max(classmap.no_inverse_witness(m.matrix) / frobenius ** 4)
+    worst_con = np.max(np.maximum(*classmap.constraint_residuals(m.matrix)) / frobenius ** 2)
+    phi = ClassicalSpinor([generate(REGULAR[i % 3], seed=i, count=1)[0].components for i in range(draws)], WEYL)
+    mapped = classmap.map_to_class4(m, phi)
+    b = mapped.report.bilinears
+    n2 = mapped.spinor.norm() ** 2
+    worst_scalar = np.max(np.abs([b.sigma, b.omega]) / n2)
+    k_norms = np.linalg.norm(b.K, axis=-1) / n2
+    s_norms = np.linalg.norm(b.S, axis=-1) / n2
+    histogram = Counter(cls.value for cls in mapped.report.lounesto_class)
     return histogram, worst_det, worst_con, worst_scalar, k_norms, s_norms
 
 

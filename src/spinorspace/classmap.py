@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import _forms
-from .clifford import WEYL, Record, RowError, Signature, _fitting, _frozen, _quiet, _row_norm, _unbox
-from .lounesto import _PATTERN_BITS, DEFAULT_TOL, ClassificationReport, classify
+from .clifford import WEYL, Record, RowError, Signature, _fitting, _frozen, _ldexp_quiet, _quiet, _row_norm, _unbox
+from .lounesto import _PATTERN_BITS, _TINY, DEFAULT_TOL, ClassificationReport, classify
 from .spinor_forms import ClassicalSpinor
 
 __all__ = [
@@ -97,8 +97,11 @@ def constraint_residuals(m: np.ndarray) -> tuple[float, float]:
 
 @_quiet
 def no_inverse_witness(m: np.ndarray) -> float:
-    """|det M| per matrix of a (..., 4, 4) batch; vanishes for every assembled mapping matrix."""
-    return _unbox(abs(np.linalg.det(np.asarray(m, dtype=np.complex128))))
+    """|det M| per matrix of a (..., 4, 4) batch; vanishes for every assembled
+    mapping matrix.  The modulus is np.hypot of the parts, as Python's abs
+    of a complex takes it, so one matrix and each batch row agree bit for bit."""
+    det = np.linalg.det(np.asarray(m, dtype=np.complex128))
+    return _unbox(np.hypot(det.real, det.imag))
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,9 @@ def map_to_class4(
     falling below threshold is reported rather than silently accepted, since
     the flag-dipole outcome is generic but not universal.  Rows that cannot
     be mapped raise RowError naming them: a representation other than the
-    chiral one, inputs of one non-regular class at a time, and inputs in
-    the kernel of the mapping (|M phi| <= tol |phi| times M's largest part).
+    chiral one, inputs of one non-regular class at a time, inputs in
+    the kernel of the mapping (|M phi| <= tol |phi| times M's largest part),
+    and images whose largest part is not a normal float64.
     """
     batch = phi.components.shape[:-1]
     if phi.rep is not WEYL:
@@ -154,10 +158,9 @@ def map_to_class4(
     if irregular.any():
         first = classes[irregular][0]
         raise RowError(f"input must be a regular spinor (class 1-3), got {first.value}", classes == first)
-    ray, _ = phi._on_ray()
-    m_ray, _ = m._on_ray((-2, -1))
-    image, ray_image = (np.matmul(a.matrix, psi.components[..., None])[..., 0] for a, psi in ((m, phi), (m_ray, ray)))
-    out = ClassicalSpinor(image, WEYL)
+    ray, e_phi = phi._on_ray()
+    m_ray, e_m = m._on_ray((-2, -1))
+    ray_image = np.matmul(m_ray.matrix, ray.components[..., None])[..., 0]
     # phi lies in the kernel where its ray does under M's ray, which judges it relative
     # to M's largest part; both rays are of order 1, so no norm underflows or overflows
     kernel = ray._like(ray_image).norm() <= tol * ray.norm()
@@ -167,6 +170,13 @@ def map_to_class4(
             "guarantees a nontrivial kernel)",
             kernel,
         )
+    # M phi is the rays' image times 2^(e_phi + e_M), exact wherever its largest part is a normal float
+    parts = _ldexp_quiet(ray_image.view(np.float64), e_phi + e_m[..., 0])
+    largest = np.abs(parts).max(axis=-1)
+    outside = ~((_TINY <= largest) & (largest < np.inf))
+    if np.any(outside):
+        raise RowError("image leaves float64's normal range", outside)
+    out = ClassicalSpinor(parts.view(complex), WEYL)
     image_report = classify(out, tol)
     zero = np.stack([image_report.zero_flags[name] for name in _KEPT], axis=-1)
     return MappedSpinor(out, _DEGENERATE[zero @ _PATTERN_BITS[:len(_KEPT)]], image_report)

@@ -44,8 +44,8 @@ there too, and a covariant set's by Record._on_ray.  They print absolute
 values at the entry's own scale by an exact ldexp.  An entry that cannot be
 computed (a zero spinor, covariants that overflow float64 at its own scale,
 for verify also their squared norm or residuals, a map4 input that is not
-a regular Weyl spinor or lies in the kernel) gets an {id, error} row, which
-fails verify and reconstruct.
+a regular Weyl spinor, lies in the kernel or has an image outside float64's
+normal range) gets an {id, error} row, which fails verify and reconstruct.
 """
 
 from __future__ import annotations

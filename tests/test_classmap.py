@@ -118,16 +118,28 @@ def test_kernel_input_rejected(rng):
         classmap.map_to_class4(m, phi)
 
 
+def test_overflowing_image_is_named_with_its_row():
+    """An image past float64's largest float raises the same RowError as an
+    underflowing one, for its row only, with no warning."""
+    params = classmap.random_params(np.random.default_rng(3))
+    m = classmap.build_M(classmap.MappingParams(*params.stack() * 1e200))
+    phi = ClassicalSpinor(np.array([[1, 0, 1, 0], [1e150, 0, 1e150, 0]]), cl.WEYL)
+    with pytest.raises(cl.RowError, match="image leaves float64's normal range") as excinfo:
+        classmap.map_to_class4(m, phi)
+    assert excinfo.value.rows.tolist() == [False, True]
+
+
 @given(st.lists(PARTS, min_size=8, max_size=8), st.floats(-300.0, 150.0), st.floats(-200.0, 150.0),
        st.integers(0, 2 ** 32 - 1))
 def test_map_to_class4_alike_at_every_scale(parts, exponent, param_exponent, seed):
     """A regular spinor scaled by 10^U(-300, 150), mapped with parameters
     scaled by 10^U(-200, 150), maps to the class and degeneracy flags of the
     unscaled ones, though a norm underflows below about 1e-162: the kernel
-    is tested on the rays of both.  The image itself, of order
-    10^(exponent + param_exponent), must be a normal float64 whose
-    covariants fit, as classify asks of every spinor."""
-    assume(-290 <= exponent + param_exponent <= 150)
+    is tested on the rays of both.  The image, of order
+    10^(exponent + param_exponent), is the rays' image scaled back; where
+    its largest part is not a normal float64 it is an error row, never
+    another class, and down to 10^-290 it is always normal."""
+    assume(exponent + param_exponent <= 150)
     phi = np.array(parts[:4]) + 1j * np.array(parts[4:])
     assume(np.abs(phi).max() >= 1e-3)
     assume(classify(ClassicalSpinor(phi, cl.WEYL)).lounesto_class.is_regular)
@@ -135,9 +147,14 @@ def test_map_to_class4_alike_at_every_scale(parts, exponent, param_exponent, see
     m = classmap.build_M(params)
     at_one = classmap.map_to_class4(m, ClassicalSpinor(phi, cl.WEYL))
     m = classmap.build_M(classmap.MappingParams(*params.stack() * 10.0 ** param_exponent))
-    scaled = classmap.map_to_class4(m, ClassicalSpinor(phi * 10.0 ** exponent, cl.WEYL))
-    assert scaled.report.lounesto_class is at_one.report.lounesto_class
-    assert scaled.degenerate == at_one.degenerate
+    try:
+        scaled = classmap.map_to_class4(m, ClassicalSpinor(phi * 10.0 ** exponent, cl.WEYL))
+    except cl.RowError as exc:
+        assert str(exc) == "image leaves float64's normal range"
+        assert exponent + param_exponent < -290
+    else:
+        assert scaled.report.lounesto_class is at_one.report.lounesto_class
+        assert scaled.degenerate == at_one.degenerate
 
 
 def test_non_regular_input_rejected(rng):

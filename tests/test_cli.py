@@ -637,7 +637,26 @@ def test_map4_at_tiny_scale_gives_class_four_rows(tmp_path, capsys, rng, spinor_
     assert doc["class_histogram"] == {"4": 3}
 
 
-@pytest.mark.parametrize("value", [[float("nan"), 0], [0, float("inf")], [HUGE, 0], [True, 0]],
+def test_map4_image_below_normal_floats_is_an_error_row(tmp_path, capsys):
+    """With the parameters scaled by 1e-200, (1, 0, 1, 0) scaled by 1e-100
+    and 1e-105 maps to class 4, but from 1e-110 down its image is subnormal
+    or zero at its own scale: an error row, never class 1 or the zero
+    spinor's error."""
+    params = classmap.random_params(np.random.default_rng(3))
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps({name: [v.real * 1e-200, v.imag * 1e-200] for name, v in params.as_dict().items()}))
+    exponents = [100, 105, 110, 112, 115, 118, 120, 122, 200]
+    f = spinor_file(tmp_path / "in.json", [entry(f"e{k}", np.array([1, 0, 1, 0]) * 10.0 ** -k) for k in exponents])
+    code, out = run_without_warnings(["map4", f, "--params", str(pf)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert [(r["id"], r.get("class"), r.get("error")) for r in doc["results"]] == [
+        ("e100", "4", None), ("e105", "4", None),
+        *[(f"e{k}", None, "image leaves float64's normal range") for k in exponents[2:]]]
+    assert doc["class_histogram"] == {"4": 2}
+
+
+@pytest.mark.parametrize("value",[[float("nan"), 0], [0, float("inf")], [HUGE, 0], [True, 0]],
                          ids=["nan", "inf", "huge-int", "bool"])
 def test_map4_bad_parameter_is_named(tmp_path, capsys, rng, value):
     f = spinor_file(tmp_path / "in.json", [entry("a", [1, 0, 1, 0])])

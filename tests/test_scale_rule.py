@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spinorspace import cli, fierz, lounesto, topology
@@ -45,14 +45,17 @@ def covariant_batches(draw):
 
 
 @given(covariant_batches())
+# K and S at the threshold of 1e-10: C4 against component_norm / 2, C6 against component_norm
+@example(BilinearSet.from_stack([[0, 0, 1, 0, 0, -1, 1, 0, 0, -1, 0, 0, 0, 0, 1e-10, 1e-10]]))
 def test_fpk_decisions_follow_the_rule_on_the_set(b):
     """Bit for bit the rule |r| <= tol * component_norm^2 on the set itself,
-    with the zero pattern against tol * component_norm."""
+    with the zero pattern against tol * component_norm / 2, classify_bilinears'
+    threshold (|psi|^2 for a spinor's covariants)."""
     scale = b.component_norm()
     res = fierz.fpk_residuals(b).stack()
     for tol in TOLS:
         within = np.abs(res) <= tol * scale[:, None] ** 2
-        pattern, _, _ = lounesto._pattern(b.stack(), scale, tol)
+        pattern, _, _ = lounesto._pattern(b.stack(), scale / 2, tol)
         expected = np.where(within.all(axis=-1), pattern, lounesto.LounestoClass.ANOMALOUS)
         assert topology.fpk_membership(b, tol).tolist() == within.all(axis=-1).tolist()
         assert lounesto.classify_bilinears(b, tol).tolist() == expected.tolist()
