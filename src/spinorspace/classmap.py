@@ -148,7 +148,9 @@ def map_to_class4(
     be mapped raise RowError naming them: a representation other than the
     chiral one, inputs of one non-regular class at a time, inputs in
     the kernel of the mapping (|M phi| <= tol |phi| times M's largest part),
-    and images whose largest part is not a normal float64.
+    images whose largest part is not a normal float64, and images whose
+    covariants do not fit in float64 (an input whose own covariants do not
+    fit keeps classify's message).
     """
     batch = phi.components.shape[:-1]
     if phi.rep is not WEYL:
@@ -177,7 +179,11 @@ def map_to_class4(
     if np.any(outside):
         raise RowError("image leaves float64's normal range", outside)
     out = ClassicalSpinor(parts.view(complex), WEYL)
-    image_report = classify(out, tol)
+    try:
+        image_report = classify(out, tol)
+    except RowError as err:
+        # the image is nonzero and tol passed the first classify: only its covariants can fail
+        raise RowError("image covariants do not fit in float64", err.rows) from None
     zero = np.stack([image_report.zero_flags[name] for name in _KEPT], axis=-1)
     return MappedSpinor(out, _DEGENERATE[zero @ _PATTERN_BITS[:len(_KEPT)]], image_report)
 

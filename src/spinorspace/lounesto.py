@@ -192,12 +192,19 @@ def rescale_class_invariance(psi: ClassicalSpinor, c: complex, tol: float = DEFA
 _MAX_ATTEMPTS = 200
 
 
-def _complex_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+def _complex_vector(rng: np.random.Generator, n: int, size: tuple = ()) -> np.ndarray:
+    # each vector's n real parts, then its n imaginary parts: the stream of drawing one at a time
+    parts = rng.standard_normal(size + (2, n))
+    return parts[..., 0, :] + 1j * parts[..., 1, :]
 
 
-def _draw_c1(rng: np.random.Generator) -> np.ndarray:
-    return _complex_vector(rng, 4)
+def _one_at_a_time(draw_one):
+    """The drawer of (size, 4) rounds whose candidates draw_one(rng) draws one at a time."""
+    return lambda rng, size: np.array([draw_one(rng) for _ in range(size)], dtype=complex).reshape(size, 4)
+
+
+def _draw_c1(rng: np.random.Generator, size: int) -> np.ndarray:
+    return _complex_vector(rng, 4, (size,))
 
 
 def _draw_regular(phase: complex, rng: np.random.Generator) -> np.ndarray:
@@ -227,23 +234,25 @@ def _draw_c6(rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([np.zeros(2, dtype=np.complex128), chi])
 
 
-def _draw_c4(rng: np.random.Generator) -> np.ndarray:
-    # the nine parameters of a singular class-4 mapping, then the generic
-    # regular spinor it pushes through: generate maps a round at once
-    while True:
-        values = _complex_vector(rng, 9)
-        if abs(values[1]) > 0.2:
-            break
-    return np.concatenate([values, _draw_c1(rng)])
+def _draw_c4(rng: np.random.Generator, size: int) -> np.ndarray:
+    # per candidate the nine parameters of a singular class-4 mapping, redrawn
+    # until |m12| > 0.2 (it starts at 0), then the regular spinor pushed through
+    from .classmap import MappingParams, build_M   # classmap imports this module
+    draws = np.zeros((size, 13), dtype=complex)
+    for row in draws:
+        while abs(row[1]) <= 0.2:
+            row[:9] = _complex_vector(rng, 9)
+        row[9:] = _complex_vector(rng, 4)
+    return np.matmul(build_M(MappingParams(*draws[:, :9].T)).matrix, draws[:, 9:, None])[..., 0]
 
 
 _DRAWERS = {
     LounestoClass.C1: _draw_c1,
-    LounestoClass.C2: functools.partial(_draw_regular, 1),
-    LounestoClass.C3: functools.partial(_draw_regular, 1j),
+    LounestoClass.C2: _one_at_a_time(functools.partial(_draw_regular, 1)),
+    LounestoClass.C3: _one_at_a_time(functools.partial(_draw_regular, 1j)),
     LounestoClass.C4: _draw_c4,
-    LounestoClass.C5: _draw_c5,
-    LounestoClass.C6: _draw_c6,
+    LounestoClass.C5: _one_at_a_time(_draw_c5),
+    LounestoClass.C6: _one_at_a_time(_draw_c6),
 }
 
 # the bound, relative to |psi|^2, that the FPK identities put on the norm of
@@ -280,10 +289,11 @@ def generate(
     before the first draw: classify keeps a group only above tol |psi|^2,
     and no spinor keeps what the target needs there.
 
-    Candidates are drawn one at a time, then mapped (class 4) and
-    classified a round at a time.  A round draws no more candidates than are
-    still needed, so the draws and the spinors kept are those of classifying
-    each draw on its own.  Fewer than `count` accepted within
+    A round is one call draw(rng, size) of the target's drawer, (size, 4)
+    Weyl candidates on the stream of drawing them one at a time (class 4's
+    mapped inside it), then one classify.  A round draws no more candidates
+    than are still needed, so the draws and the spinors kept are those of
+    classifying each draw on its own.  Fewer than `count` accepted within
     _MAX_ATTEMPTS * count draws is a ValueError.
     """
     if target not in _DRAWERS:
@@ -296,21 +306,16 @@ def generate(
                          f"bound what the class must keep by {_REACH[target]!r} |psi|^2")
     rng = np.random.default_rng(np.random.PCG64(seed))
     draw = _DRAWERS[target]
-    accepted: list[np.ndarray] = []
-    attempts_left = _MAX_ATTEMPTS * count
-    while len(accepted) < count:
-        size = min(count - len(accepted), attempts_left)
+    rounds: list[np.ndarray] = []
+    accepted, attempts_left = 0, _MAX_ATTEMPTS * count
+    while accepted < count:
+        size = min(count - accepted, attempts_left)
         if size == 0:
-            raise ValueError(
-                f"generator for class {target.value} failed to converge"
-            )
+            raise ValueError(f"generator for class {target.value} failed to converge")
         attempts_left -= size
-        draws = np.array([draw(rng) for _ in range(size)])
-        if target is LounestoClass.C4:
-            from .classmap import MappingParams, build_M   # classmap imports this module
-            draws = np.matmul(build_M(MappingParams(*draws[:, :9].T)).matrix, draws[:, 9:, None])[..., 0]
-        kept = draws[ClassicalSpinor(draws, WEYL).norm() >= 1e-6]
-        if len(kept):
-            accepted += list(kept[classify(ClassicalSpinor(kept, WEYL), tol).lounesto_class == target])
-    spinors = ClassicalSpinor(np.array(accepted), WEYL).to_rep(rep)
-    return [ClassicalSpinor(c, rep) for c in spinors.components]
+        candidates = ClassicalSpinor(draw(rng, size), WEYL)
+        kept = candidates._like(candidates.components[candidates.norm() >= 1e-6])
+        rounds.append(kept.components[classify(kept, tol).lounesto_class == target])
+        accepted += len(rounds[-1])
+    spinors = ClassicalSpinor._of(np.concatenate(rounds), rep=WEYL).to_rep(rep)
+    return [ClassicalSpinor._of(c, rep=rep) for c in spinors.components]

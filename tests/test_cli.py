@@ -656,6 +656,21 @@ def test_map4_image_below_normal_floats_is_an_error_row(tmp_path, capsys):
     assert doc["class_histogram"] == {"4": 2}
 
 
+def test_map4_names_whose_covariants_overflow(tmp_path, capsys):
+    """With the parameters scaled by 1e60, (1e100, 0, 1e100, 0) has
+    covariants that fit but an image whose covariants do not, while those
+    of (1e160, 0, 1e160, 0) do not fit themselves: each row says which."""
+    params = classmap.random_params(np.random.default_rng(3))
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps({name: [v.real * 1e60, v.imag * 1e60] for name, v in params.as_dict().items()}))
+    f = spinor_file(tmp_path / "in.json", [entry("a", [1e100, 0, 1e100, 0]), entry("b", [1e160, 0, 1e160, 0])])
+    code, out = run_without_warnings(["map4", f, "--params", str(pf)], capsys)
+    assert code == 0
+    assert json.loads(out)["results"] == [
+        {"id": "a", "error": "image covariants do not fit in float64"},
+        {"id": "b", "error": "covariants do not fit in float64"}]
+
+
 @pytest.mark.parametrize("value",[[float("nan"), 0], [0, float("inf")], [HUGE, 0], [True, 0]],
                          ids=["nan", "inf", "huge-int", "bool"])
 def test_map4_bad_parameter_is_named(tmp_path, capsys, rng, value):

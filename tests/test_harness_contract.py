@@ -132,3 +132,20 @@ def test_every_file_command_calls_the_traced_stages(tmp_path, monkeypatch, capsy
         assert json.loads(capsys.readouterr().out)["meta"]["command"] == argv[0]
         for name in ("_load_json", parse, "_dump"):
             assert calls[name] > before[name], (argv, name)
+
+
+def test_generate_command_calls_the_traced_generator_once(tmp_path, monkeypatch):
+    """The tracer's lounesto.generate span, which the per-layer generate
+    metrics read, covers the generate command only while cmd_generate calls
+    the public lounesto.generate, once, through the module."""
+    calls = []
+    generate = lounesto.generate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(lounesto, "generate", counted)
+    out = tmp_path / "gen.json"
+    assert cli.main(["generate", "--class", "4", "--count", "30", "--seed", "2", "--out", str(out)]) == 0
+    assert len(calls) == 1 and len(json.loads(out.read_text())["entries"]) == 30

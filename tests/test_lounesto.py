@@ -125,9 +125,9 @@ def test_generate_rejects_nonspinor_classes():
 
 
 def generate_one_at_a_time(target, seed, count, rep=cl.WEYL, tol=lounesto.DEFAULT_TOL):
-    """Reference generator mapping (class 4) and classifying each candidate
-    on its own as it is drawn; generate must return exactly its spinors and
-    fail where it does."""
+    """Reference generator drawing rounds of one candidate and classifying
+    each on its own; generate must return exactly its spinors and fail
+    where it does."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     draw = lounesto._DRAWERS[target]
     out = []
@@ -136,10 +136,7 @@ def generate_one_at_a_time(target, seed, count, rep=cl.WEYL, tol=lounesto.DEFAUL
         attempts += 1
         if attempts > lounesto._MAX_ATTEMPTS * count:
             raise ValueError(f"generator for class {target.value} failed to converge")
-        values = draw(rng)
-        if target is LounestoClass.C4:
-            values = classmap.build_M(classmap.MappingParams(*values[:9])).matrix @ values[9:]
-        candidate = ClassicalSpinor(values, cl.WEYL)
+        candidate = ClassicalSpinor(draw(rng, 1)[0], cl.WEYL)
         if candidate.norm() < 1e-6:
             continue
         if lounesto.classify(candidate, tol).lounesto_class is target:
@@ -190,8 +187,8 @@ def test_generate_fails_where_one_at_a_time_fails(monkeypatch):
 
 
 def test_class_four_maps_each_round_at_once(monkeypatch):
-    """One build_M per round of class-4 draws, as many as classify calls,
-    not one per draw; the draw itself builds no record."""
+    """The class-4 drawer returns its round mapped, with one build_M per
+    call; generate calls it, build_M and classify once per round."""
     calls = {"build_M": 0, "classify": 0, "draw": 0}
 
     def counted(name, original):
@@ -203,11 +200,31 @@ def test_class_four_maps_each_round_at_once(monkeypatch):
     monkeypatch.setattr(classmap, "build_M", counted("build_M", classmap.build_M))
     monkeypatch.setattr(lounesto, "classify", counted("classify", lounesto.classify))
     monkeypatch.setitem(lounesto._DRAWERS, LounestoClass.C4, counted("draw", lounesto._draw_c4))
-    values = lounesto._draw_c4(np.random.default_rng(0))
-    assert type(values) is np.ndarray and values.shape == (13,) and calls["build_M"] == 0
+    values = lounesto._draw_c4(np.random.default_rng(0), 13)
+    assert type(values) is np.ndarray and values.shape == (13, 4) and calls["build_M"] == 1
+    calls["build_M"] = 0
     # at tol 0.5 some draws lose K or S, so the generator runs several rounds
     assert len(lounesto.generate(LounestoClass.C4, seed=3, count=20, tol=0.5)) == 20
-    assert 1 < calls["build_M"] == calls["classify"] < calls["draw"]
+    assert 1 < calls["build_M"] == calls["classify"] == calls["draw"]
+
+
+@given(st.sampled_from(ALL_SIX), st.integers(0, 12), st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
+def test_a_round_equals_its_parts_drawn_in_turn(target, a, b, seed):
+    """A round of a + b candidates is a round of a followed by a round of
+    b, row for row, and leaves the generator in the same state."""
+    draw = lounesto._DRAWERS[target]
+    whole, parts = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = draw(whole, a + b)
+    assert got.shape == (a + b, 4)
+    assert np.concatenate([draw(parts, a), draw(parts, b)]).tobytes() == got.tobytes()
+    assert whole.bit_generator.state == parts.bit_generator.state
+
+
+def test_class_one_round_is_one_candidate_at_a_time():
+    rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+    expected = [reference.standard_normal(4) + 1j * reference.standard_normal(4) for _ in range(500)]
+    assert lounesto._draw_c1(rng, 500).tobytes() == np.array(expected).tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_generated_currents_never_vanish():
