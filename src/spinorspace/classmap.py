@@ -32,6 +32,8 @@ __all__ = [
     "map_to_class4",
     "hermitian_constrain",
     "no_inverse_witness",
+    "random_params",
+    "random_hermitian_params",
 ]
 
 PARAM_NAMES = ("m11", "m12", "m13", "m14", "m22", "m41", "m42", "m43", "m44")

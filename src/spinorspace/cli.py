@@ -60,7 +60,7 @@ import numpy as np
 
 from . import classmap, fierz, lounesto
 from .bilinears import _COVARIANT_FIELDS, BilinearSet, _covariants_on_ray
-from .clifford import InternalError, RowError, Signature, _fitting, _ldexp_quiet, rep_by_tag
+from .clifford import _REP_BY_TAG, InternalError, RowError, Signature, _fitting, _ldexp_quiet, rep_by_tag
 from .jsonio import Rows, dumps, floats
 from .spinor_forms import ClassicalSpinor
 from .topology import winding_report
@@ -71,7 +71,7 @@ SCHEMA_VERSION = 1
 # bounding the (BLOCK, 16, 16) temporaries of verify --mode aggregate
 BLOCK = 64
 
-_REPS = ("weyl", "dirac")
+_REPS = tuple(_REP_BY_TAG)
 _PAIR = "a [re, im] pair of finite numbers"
 # generate --count beyond this is a usage error: the report is built in memory
 MAX_COUNT = 100_000
@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("generate", cmd_generate, "emit seeded spinors of one class")
     p.add_argument("--class", dest="lounesto_class", required=True,
-                   choices=["1", "2", "3", "4", "5", "6"])
+                   choices=[c.value for c in lounesto._DRAWERS])
     p.add_argument("--count", type=_count, default=1, help=f"spinors to emit, at most {MAX_COUNT}")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--rep", choices=_REPS, default="weyl")

@@ -33,6 +33,7 @@ __all__ = [
     "BLADE_INDEX",
     "BLADE_NAMES",
     "BLADE_GRADES",
+    "Record",
     "Signature",
     "Multivector",
     "GammaRep",
@@ -45,9 +46,12 @@ __all__ = [
     "pseudoscalar",
     "from_blade_dict",
     "geometric_product",
+    "left_mul_matrix",
+    "right_mul_matrix",
     "reversion",
     "grade_projection",
     "adjoint_dagger",
+    "rep_by_tag",
     "rep_matrix",
     "idempotent_f",
     "weyl_to_dirac_matrix",

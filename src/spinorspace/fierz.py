@@ -47,6 +47,7 @@ __all__ = [
     "default_probe_spinor",
     "vector_multivector",
     "bivector_multivector",
+    "euclidean_fierz_residuals",
 ]
 
 

@@ -42,6 +42,8 @@ __all__ = [
     "classical_from_algebraic",
     "ideal_element_H2",
     "operator_to_quat_matrix",
+    "quat_matrix",
+    "ideal_projector_matrix",
 ]
 
 # (q1, q2) of an even multivector are these signs times the coefficients of

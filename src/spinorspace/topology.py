@@ -31,6 +31,8 @@ __all__ = [
 
 MAX_SEGMENT_ANGLE = np.pi / 2
 ROUNDING_RESIDUE_LIMIT = 0.01
+# a path is closed when |last - first| <= CLOSURE_GAP_LIMIT |first|
+CLOSURE_GAP_LIMIT = 1e-12
 
 
 def project_regular(p: BilinearSet) -> BilinearSet:
@@ -54,7 +56,9 @@ def _validate_path(path) -> np.ndarray:
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         raise ValueError(f"path vertex {int(np.argmin(finite))} is not a finite (sigma, omega) pair")
-    if not np.allclose(pts[0], pts[-1], atol=0.0):
+    # a quarter of each endpoint, whose norm and gap cannot overflow
+    first, last = pts[[0, -1]] / 4
+    if np.hypot(*(last - first)) > CLOSURE_GAP_LIMIT * np.hypot(*first):
         raise ValueError("path must be closed: first and last vertex must coincide")
     radii = np.hypot(pts[:, 0], pts[:, 1])
     if np.any(radii == 0.0):
@@ -64,6 +68,10 @@ def _validate_path(path) -> np.ndarray:
 
 def winding_report(path) -> WindingReport:
     """Winding number of a closed polyline around the plane origin.
+
+    The path is closed when its last vertex is within CLOSURE_GAP_LIMIT
+    (1e-12) of its first, relative to |first| in the Euclidean norm; an
+    open path raises.
 
     Per-segment angle increments must stay below pi/2; a coarser path risks
     a silent miscount (and a segment through the origin shows up as an

@@ -87,6 +87,35 @@ def test_winding_rejects_open_path():
         tp.winding_number(pts)
 
 
+def linspace_circle():
+    """The unit circle from linspace(0, 2 pi): its last vertex misses the
+    first by a rounding residue, (1, -2.4e-16) against (1, 0)."""
+    t = np.linspace(0.0, 2.0 * np.pi, 200)
+    return np.stack([np.cos(t), np.sin(t)], axis=1)
+
+
+def test_winding_accepts_a_path_closed_within_rounding():
+    pts = linspace_circle()
+    assert pts[-1, 1] != 0.0
+    assert tp.winding_number(pts) == 1
+
+
+def test_winding_rejects_a_path_open_by_a_relative_gap():
+    """A gap of 9e-6 |first| is open, though each component is within the
+    1e-5 relative tolerance of np.allclose."""
+    pts = linspace_circle()
+    pts[-1] = pts[0] * (1.0 + 9e-6)
+    with pytest.raises(ValueError, match="closed"):
+        tp.winding_number(pts)
+
+
+def test_winding_rejects_endpoints_whose_gap_overflows():
+    """The same error, with no overflow warning (the suite makes warnings errors)."""
+    pts = [[1.7e308, 0.0], [0.0, 1.7e308], [-1.7e308, 0.0]]
+    with pytest.raises(ValueError, match="path must be closed: first and last vertex must coincide"):
+        tp.winding_number(pts)
+
+
 def test_winding_rejects_short_path():
     with pytest.raises(ValueError, match="at least 3"):
         tp.winding_number([[1.0, 0.0], [1.0, 0.0]])
