@@ -32,7 +32,7 @@ import numpy as np
 
 from . import conventions
 from .clifford import (_I2, _O2, PAULI, GammaRep, InternalError, Record, Signature, _blade_matrices, _block,
-                       _fitting, _frozen, _ldexp_quiet, _product_table, _ray, _unbox)
+                       _fitting, _frozen, _ldexp_quiet, _product_table, _ray, _row_norm, _unbox)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor, Quaternion
 
 __all__ = [
@@ -99,13 +99,8 @@ class BilinearSet(Record):
         Record.__init__(b, np.array(v, dtype=float), signature=signature)
         return b
 
-    def component_norm(self) -> float:
-        """2-norm over the 16 stored components; scales like |psi|^2.  A
-        single set runs the batch arithmetic, so it equals its batch row bit
-        for bit, and a norm beyond float64 is inf."""
-        v = np.square(self.stack())
-        return _unbox(np.sqrt(v[..., 0] + v[..., 1] + v[..., 2:6].sum(axis=-1) + v[..., 6:10].sum(axis=-1)
-                              + v[..., 10:].sum(axis=-1)))
+    # 2-norm over the 16 stored components, the package's one row norm; scales like |psi|^2
+    component_norm = _row_norm
 
 
 def minkowski_square(v: np.ndarray) -> float:

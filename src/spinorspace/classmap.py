@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import _forms
-from .clifford import WEYL, Record, RowError, Signature, _fitting, _frozen, _ldexp_quiet, _quiet, _row_norm, _unbox
-from .lounesto import _PATTERN_BITS, _TINY, DEFAULT_TOL, ClassificationReport, classify
+from .clifford import WEYL, Record, RowError, Signature, _fitting, _ldexp_quiet, _quiet, _row_norm, _unbox
+from .lounesto import _PATTERN_BITS, _TINY, DEFAULT_TOL, ClassificationReport, _code_table, _complex_vector, classify
 from .spinor_forms import ClassicalSpinor
 
 __all__ = [
@@ -122,18 +122,8 @@ class MappedSpinor:
 
 
 _KEPT = ("J", "K", "S")
-
-
-def _degenerate_table() -> np.ndarray:
-    """The names in _KEPT whose zero flags are set, indexed by those flags
-    read as little-endian bits, as lounesto reads its pattern codes."""
-    table = np.empty(2 ** len(_KEPT), dtype=object)
-    for code in range(len(table)):
-        table[code] = tuple(name for i, name in enumerate(_KEPT) if code >> i & 1)
-    return _frozen(table)
-
-
-_DEGENERATE = _degenerate_table()
+# the names in _KEPT whose zero flags are set, indexed by those flags
+_DEGENERATE = _code_table(_KEPT, lambda zero: tuple(name for name in _KEPT if zero[name]))
 
 
 def map_to_class4(
@@ -228,9 +218,9 @@ def hermitian_constrain(p: MappingParams, tol: float = 1e-12) -> MappingMatrix:
 
 def random_params(rng: np.random.Generator) -> MappingParams:
     """Draw generic parameters, redrawing m12 until |m12| >= 0.2."""
-    values = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    values = _complex_vector(rng, 9)
     while abs(values[1]) < 0.2:
-        values[1] = complex(rng.standard_normal(), rng.standard_normal())
+        values[1] = _complex_vector(rng, 1).item()
     return MappingParams(*values)
 
 
@@ -243,7 +233,8 @@ def random_hermitian_params(rng: np.random.Generator) -> MappingParams:
     while abs(m12) < 0.2:
         m12 = rng.standard_normal()
     m22 = m12 ** 2 / m11
-    m14 = complex(rng.standard_normal(), rng.standard_normal())
+    # a Python complex, divided below as CPython divides, not in numpy's last bit
+    m14 = _complex_vector(rng, 1).item()
     m41 = np.conj(m14)
     m13 = -m22 * m14 / m12
     m42 = -np.conj(m13)

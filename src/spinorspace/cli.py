@@ -222,14 +222,17 @@ def _read_items(items: list, fields, check, at: str, unreadable: str, admit=None
 
 
 def _ids(entries: list) -> np.ndarray:
-    return np.array([str(entry.get("id", f"entry-{pos}")) for pos, entry in enumerate(entries)], dtype=object)
+    """Each entry's id as text: a string as given, any other JSON value as
+    its json.dumps text, entry-<position> for an entry without one."""
+    ids = (entry.get("id", f"entry-{pos}") for pos, entry in enumerate(entries))
+    return np.array([i if isinstance(i, str) else json.dumps(i) for i in ids], dtype=object)
 
 
 def _check_spinor_entry(entry, here: str) -> None:
     if not isinstance(entry, dict):
         raise SchemaError(f"{here}: expected an object")
     if entry.get("rep", "weyl") not in _REPS:
-        raise SchemaError(f"{here}: rep must be 'weyl' or 'dirac'")
+        raise SchemaError(f"{here}: rep must be {' or '.join(map(repr, _REPS))}")
     comps = entry.get("components")
     if not isinstance(comps, list) or len(comps) != 4:
         raise SchemaError(f"{here}: components must be 4 [re, im] pairs")
@@ -303,21 +306,20 @@ def load_mapping_params(path: str) -> classmap.MappingParams:
 # -- commands ------------------------------------------------------------------
 
 
-def _rows(ids: np.ndarray, tags: np.ndarray, compute, errors=()) -> Rows:
+def _rows(ids: np.ndarray, tags: np.ndarray, compute) -> Rows:
     """The report rows of a file's entries, computed BLOCK entries at a time.
 
     The entries of a block with the same tag are computed together:
     compute(pos) returns the columns of the entries at positions pos.
     Entries it rejects with RowError get {id, error} rows, and the rest are
-    computed again without them.  errors holds (positions, message) pairs
-    of entries whose error row is known already; their tag is None.
+    computed again without them.
     """
-    done, errors = [], list(errors)
+    done, errors = [], []
     for start in range(0, len(ids), BLOCK):
         block = tags[start:start + BLOCK]
         for tag in dict.fromkeys(block.tolist()):
             pos = start + np.flatnonzero(block == tag)
-            live = np.full(len(pos), tag is not None)
+            live = np.ones(len(pos), dtype=bool)
             while live.any():
                 try:
                     done.append((pos[live], compute(pos[live])))
@@ -332,7 +334,6 @@ def _rows(ids: np.ndarray, tags: np.ndarray, compute, errors=()) -> Rows:
         columns = {name: np.concatenate([c[name] for _, c in done]) if isinstance(value, np.ndarray) else value
                    for name, value in done[0][1].items()}
         groups.append((pos, {"id": ids[pos], **columns}))
-    errors = [(p, message) for p, message in errors if len(p)]
     if errors:
         pos = np.concatenate([p for p, _ in errors])
         messages = np.repeat(np.array([m for _, m in errors], dtype=object), [len(p) for p, _ in errors])
@@ -344,10 +345,12 @@ def _spinor_rows(ids: np.ndarray, reps: np.ndarray, comps: np.ndarray, compute) 
     """The rows of a spinor file's entries, grouped by representation:
     compute(psi) takes a batch of nonzero spinors in one representation and
     returns their columns.  A zero spinor gets an error row."""
-    zero = ~(comps != 0).any(axis=-1)
-    return _rows(ids, np.where(zero, None, reps),
-                 lambda pos: compute(ClassicalSpinor(comps[pos], rep_by_tag(reps[pos[0]]))),
-                 [(np.flatnonzero(zero), "zero spinor")])
+    def block(pos):
+        zero = ~comps[pos].any(axis=-1)
+        if zero.any():
+            raise RowError("zero spinor", zero)
+        return compute(ClassicalSpinor(comps[pos], rep_by_tag(reps[pos[0]])))
+    return _rows(ids, reps, block)
 
 
 def _report(args, rows: Rows, meta: dict | None = None, **fields) -> int:

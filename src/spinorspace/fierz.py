@@ -290,7 +290,7 @@ def reconstruct(
     xc, _ = _even_ray(xi.components)
     zxi = np.matmul(zm, xc[..., None])[..., 0]
     kernel = np.sum(xc.conj() * (zxi @ xi.rep.gammas[0].T), axis=-1)
-    scale = np.max(np.abs(zm), axis=(-2, -1)) * np.sum(np.abs(xc) ** 2, axis=-1)
+    scale = np.max(np.abs(zm), axis=(-2, -1)) * xi._like(xc).norm() ** 2
     degenerate = np.abs(kernel) <= tol * scale
     if degenerate.any():
         raise RowError(
@@ -301,7 +301,7 @@ def reconstruct(
     if psi_ref is not None:
         ref, _ = _even_ray(psi_ref.to_rep(xi.rep).components)
         overlap = np.sum(psi.conj() * ref, axis=-1)
-        bound = np.linalg.norm(psi, axis=-1) * np.linalg.norm(ref, axis=-1)
+        bound = xi._like(psi).norm() * xi._like(ref).norm()
         orthogonal = np.abs(overlap) <= tol * bound
         if orthogonal.any():
             raise RowError("reference spinor is orthogonal to the reconstruction ray", orthogonal)

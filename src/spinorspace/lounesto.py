@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,15 +79,19 @@ _PATTERN_KEYS = tuple(name for name, _ in _COVARIANT_FIELDS)
 _PATTERN_BITS = _frozen(1 << np.arange(len(_PATTERN_KEYS)))
 
 
+def _code_table(keys: tuple, label) -> np.ndarray:
+    """label(flags) for every setting of the flags, a dict over keys, as a
+    read-only table indexed by the flags in keys order read as little-endian bits."""
+    table = np.empty(2 ** len(keys), dtype=object)
+    for code in range(len(table)):
+        table[code] = label({key: bool(code >> i & 1) for i, key in enumerate(keys)})
+    return _frozen(table)
+
+
 @functools.lru_cache(maxsize=None)
 def _pattern_table() -> np.ndarray:
-    """Class of every zero pattern, indexed by the nonzero flags in
-    _PATTERN_KEYS order read as little-endian bits."""
-    table = np.empty(2 ** len(_PATTERN_KEYS), dtype=object)
-    for bits in itertools.product((False, True), repeat=len(_PATTERN_KEYS)):
-        code = sum(bit << i for i, bit in enumerate(bits))
-        table[code] = _pattern_class(dict(zip(_PATTERN_KEYS, bits)))
-    return _frozen(table)
+    """Class of every zero pattern, indexed by its nonzero flags (_code_table)."""
+    return _code_table(_PATTERN_KEYS, _pattern_class)
 
 
 def _pattern_class(nonzero: dict) -> LounestoClass:

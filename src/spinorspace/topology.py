@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 MAX_SEGMENT_ANGLE = np.pi / 2
-ROUNDING_RESIDUE_LIMIT = 0.01
 # a path is closed when |last - first| <= CLOSURE_GAP_LIMIT |first|
 CLOSURE_GAP_LIMIT = 1e-12
 
@@ -75,7 +74,8 @@ def winding_report(path) -> WindingReport:
 
     Per-segment angle increments must stay below pi/2; a coarser path risks
     a silent miscount (and a segment through the origin shows up as an
-    increment of pi), so both cases raise.
+    increment of pi), so both cases raise.  A closed path's angle sum is a
+    whole number of turns up to rounding, which residue reports.
     """
     pts = _validate_path(path)
     angles = np.arctan2(pts[:, 1], pts[:, 0])
@@ -89,12 +89,7 @@ def winding_report(path) -> WindingReport:
     total = float(np.sum(increments))
     turns = total / (2.0 * np.pi)
     nearest = int(np.rint(turns))
-    residue = float(abs(turns - nearest))
-    if residue >= ROUNDING_RESIDUE_LIMIT:
-        raise ValueError(
-            f"angle sum is {residue:.4f} turns away from an integer; path too coarse"
-        )
-    return WindingReport(nearest, total, residue)
+    return WindingReport(nearest, total, float(abs(turns - nearest)))
 
 
 def winding_number(path) -> int:

@@ -1,5 +1,7 @@
 """Covariant computation, both signatures, both routes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -235,6 +237,16 @@ def test_component_norm_beyond_float64_is_inf():
     with np.errstate(all="ignore"):
         assert b.component_norm() == np.inf
         assert bl.BilinearSet.from_stack(np.full((1, 16), 1e200)).component_norm().tolist() == [np.inf]
+
+
+def test_component_norm_is_the_row_norm():
+    """component_norm is clifford's one row norm, so a set far beyond float64
+    has norm inf with no overflow warning, as every norm() does."""
+    assert bl.BilinearSet.component_norm is cl._row_norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bl.BilinearSet.from_stack(np.full(16, 1e200)).component_norm() == np.inf
+        assert bl.BilinearSet.from_stack(np.full((2, 16), 1e200)).component_norm().tolist() == [np.inf, np.inf]
 
 
 @pytest.mark.parametrize("rep", [cl.WEYL, cl.DIRAC], ids=str)

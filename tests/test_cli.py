@@ -1,6 +1,7 @@
 """End-to-end command line behavior over JSON files."""
 
 import contextlib
+import inspect
 import io
 import json
 import subprocess
@@ -75,6 +76,39 @@ def test_classify_zero_spinor_entry_error(tmp_path, capsys):
     code, out = run_cli(["classify", f], capsys=capsys)
     assert code == 0
     assert json.loads(out)["results"][0]["error"] == "zero spinor"
+
+
+def test_ids_echo_as_their_json_text(tmp_path, capsys):
+    """A string id is echoed as it is and any other JSON value as its
+    json.dumps text; finite numbers have the same text under str."""
+    ids = [None, True, {"a": [1, 2]}, [1.5, "x"], 7, 2.5, -0.0, 10 ** 30, "s"]
+    f = spinor_file(tmp_path / "in.json", [entry(i, [1, 0, 0, 0]) for i in ids] + [entry("z", [0, 0, 0, 0])])
+    code, out = run_cli(["classify", f], capsys=capsys)
+    assert code == 0
+    assert [row["id"] for row in json.loads(out)["results"]] == [
+        "null", "true", '{"a": [1, 2]}', '[1.5, "x"]', "7", "2.5", "-0.0", str(10 ** 30), "s", "z"]
+
+
+def test_rows_take_every_error_as_a_row_error():
+    """Zero spinors reach the rows as RowErrors of the block compute, like
+    every other failed row: _rows has no side channel for them."""
+    assert list(inspect.signature(cli._rows).parameters) == ["ids", "tags", "compute"]
+    seen = []
+    rows = cli._spinor_rows(np.array(["a", "z", "b"], dtype=object), np.array(["weyl"] * 3, dtype=object),
+                            np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]], dtype=complex),
+                            lambda psi: seen.append(len(psi.components)) or {"n": np.ones(len(psi.components))})
+    assert seen == [2]
+    assert [(pos.tolist(), columns["id"].tolist()) for pos, columns in rows.groups] == [([0, 2], ["a", "b"]),
+                                                                                         ([1], ["z"])]
+    assert rows.groups[1][1]["error"].tolist() == ["zero spinor"]
+
+
+def test_rep_error_names_the_registered_tags(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_REPS", ("weyl", "dirac", "majorana"))
+    f = spinor_file(tmp_path / "in.json", [entry("a", [1, 0, 0, 0], rep="x")])
+    code, _ = run_cli(["classify", f], capsys=capsys)
+    assert code == 2
+    assert run_cli.err == f"error: {f}: entries[0]: rep must be 'weyl' or 'dirac' or 'majorana'\n"
 
 
 def test_classify_empty_entries(tmp_path, capsys):

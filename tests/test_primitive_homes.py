@@ -177,3 +177,54 @@ def test_no_module_keeps_an_unused_import():
                 imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= read, f"{module} imports {sorted(imported - read)} unused"
+
+
+def scopes_where(predicate) -> set:
+    """module:qualname of every scope in the package, module level included,
+    that holds, outside its nested functions and classes, a node for which
+    predicate is true."""
+    found = set()
+
+    def walk(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, module, scope + [child.name])
+                continue
+            if predicate(child):
+                found.add(f"{module}:{'.'.join(scope)}")
+            walk(child, module, scope)
+
+    for module, tree in modules():
+        walk(tree, module, [])
+    return found
+
+
+def calls(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_no_module_writes_a_norm_of_its_own():
+    """The row norm is clifford._row_norm: no module calls numpy's."""
+    assert not scopes_where(lambda node: isinstance(node, ast.Attribute) and node.attr == "norm"
+                            and getattr(node.value, "attr", None) == "linalg")
+    assert not scopes_where(lambda node: isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""))
+
+
+def test_flag_code_tables_are_built_once():
+    """One builder allocates a table of one entry per flag code, and
+    map_to_class4's degenerate names are one such table."""
+    assert scopes_where(lambda node: calls(node, "empty") and isinstance(node.args[0], ast.BinOp)
+                        and isinstance(node.args[0].op, ast.Pow)
+                        and getattr(node.args[0].left, "value", None) == 2) == {"lounesto:_code_table"}
+    assert classmap._DEGENERATE.tolist() == [(), ("J",), ("K",), ("J", "K"), ("S",), ("J", "S"), ("K", "S"),
+                                             ("J", "K", "S")]
+    assert not classmap._DEGENERATE.flags.writeable
+
+
+def test_one_scope_spells_a_complex_normal():
+    """The scopes that draw normals and build complex numbers: only
+    lounesto._complex_vector, through which every complex normal is drawn."""
+    normals = scopes_where(lambda node: calls(node, "standard_normal"))
+    complexes = scopes_where(lambda node: calls(node, "complex")
+                             or isinstance(node, ast.Constant) and isinstance(node.value, complex))
+    assert normals & complexes == {"lounesto:_complex_vector"}

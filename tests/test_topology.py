@@ -260,3 +260,18 @@ def test_projection_equals_the_zeroed_stack(rng):
     v[:, 6:] = 0.0
     assert tp.project_regular(b) == BilinearSet.from_stack(v)
     assert tp.project_regular(tp.project_regular(b)) == tp.project_regular(b)
+
+
+def test_large_closed_path_residue_stays_at_rounding_level():
+    """A closed path's angle sum is a whole number of turns up to rounding:
+    400002 vertices, each step just under pi/2 (m turns in 4m + 1 steps),
+    radii from 1e-300 to 1e300."""
+    m = 100_000
+    rng = np.random.default_rng(31)
+    theta = 2.0 * np.pi * m * np.arange(4 * m + 2) / (4 * m + 1)
+    radius = 10.0 ** rng.uniform(-300, 300, theta.shape)
+    pts = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
+    pts[-1] = pts[0]
+    report = tp.winding_report(pts)
+    assert report.winding == m
+    assert report.residue < 1e-9
