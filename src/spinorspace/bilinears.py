@@ -32,7 +32,7 @@ import numpy as np
 
 from . import conventions
 from .clifford import (_I2, _O2, PAULI, GammaRep, InternalError, Record, Signature, _blade_matrices, _block,
-                       _fitting, _frozen, _ldexp_quiet, _product_table, _ray, _row_norm, _unbox)
+                       _fitting, _frozen, _ldexp_quiet, _numbers, _product_table, _quiet, _ray, _row_norm, _unbox)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor, Quaternion
 
 __all__ = [
@@ -74,11 +74,7 @@ class BilinearSet(Record):
     _holds = "covariants"
 
     def __init__(self, sigma, omega, J, K, S, signature: Signature = Signature.MINKOWSKI) -> None:
-        sigma = np.asarray(sigma, dtype=float)
-        omega = np.asarray(omega, dtype=float)
-        j = np.asarray(J, dtype=float)
-        k = np.asarray(K, dtype=float)
-        s = np.asarray(S, dtype=float)
+        sigma, omega, j, k, s = (_numbers(field, np.float64, self._holds) for field in (sigma, omega, J, K, S))
         batch = sigma.shape
         if j.shape != batch + (4,) or k.shape != batch + (4,):
             raise ValueError("J and K must have 4 components")
@@ -96,19 +92,24 @@ class BilinearSet(Record):
     def from_stack(cls, v: np.ndarray, signature: Signature = Signature.MINKOWSKI) -> "BilinearSet":
         """The set whose stack() is v, a (..., 16) array (copied)."""
         b = object.__new__(cls)
-        Record.__init__(b, np.array(v, dtype=float), signature=signature)
+        Record.__init__(b, _numbers(v, np.float64, cls._holds), signature=signature)
         return b
 
     # 2-norm over the 16 stored components, the package's one row norm; scales like |psi|^2
     component_norm = _row_norm
 
 
+@_quiet
 def minkowski_square(v: np.ndarray) -> float:
-    """v^mu v_mu with the (+, -, -, -) contraction."""
+    """v^mu v_mu with the (+, -, -, -) contraction; inf or nan, with no
+    warning, where the squares overflow."""
     return float(v[0] ** 2 - v[1] ** 2 - v[2] ** 2 - v[3] ** 2)
 
 
+@_quiet
 def minkowski_dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u^mu v_mu with the (+, -, -, -) contraction; inf or nan, with no
+    warning, where the products overflow."""
     return float(u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3])
 
 
@@ -208,7 +209,7 @@ def _covariants(comps: np.ndarray, signature: Signature, rep: GammaRep | None = 
     moduli = np.abs(values.view(np.float64))   # |real part|, |imaginary part| in turn
     scale = np.maximum.reduce(moduli[..., ::2], axis=-1, keepdims=True)
     real = moduli[..., 1::2] <= REALITY_TOL * np.maximum(scale, 1e-300)
-    if not real.all():
+    if not np.logical_and.reduce(real, axis=None):
         # a row that does not fit fails the comparison too: it is the input's fault
         _fitting(values, _UNFIT)
         k = int(np.argmin(real.reshape(-1, len(_LABELS)).all(axis=0)))
@@ -255,9 +256,11 @@ def euclidean_bilinears(psi) -> BilinearSet:
     return BilinearSet._of(_fitting(_covariants(comps, Signature.EUCLIDEAN), _UNFIT), signature=Signature.EUCLIDEAN)
 
 
+@_quiet
 def euclidean_components_closed_form(psi):
     """Closed-form (sigma, omega, J) of psi in C^4, no matrices involved; a
-    (..., 4) batch gives arrays of the batch shape and J of shape (..., 4)."""
+    (..., 4) batch gives arrays of the batch shape and J of shape (..., 4).
+    Components whose squares overflow give inf (or nan) with no warning."""
     comps = np.asarray(psi, dtype=np.complex128)
     if comps.shape[-1:] != (4,):
         raise ValueError(f"expected 4 components, got shape {comps.shape}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import _forms
-from .clifford import WEYL, Record, RowError, Signature, _fitting, _ldexp_quiet, _quiet, _row_norm, _unbox
+from .clifford import WEYL, Record, RowError, Signature, _fitting, _ldexp_quiet, _numbers, _quiet, _row_norm, _unbox
 from .lounesto import _PATTERN_BITS, _TINY, DEFAULT_TOL, ClassificationReport, _code_table, _complex_vector, classify
 from .spinor_forms import ClassicalSpinor
 
@@ -47,7 +47,8 @@ class MappingParams(Record):
     _holds = "mapping parameters"
 
     def __init__(self, m11, m12, m13, m14, m22, m41, m42, m43, m44) -> None:
-        super().__init__(np.stack(np.broadcast_arrays(m11, m12, m13, m14, m22, m41, m42, m43, m44), -1).astype(complex))
+        super().__init__(np.stack(np.broadcast_arrays(*(_numbers(m, np.complex128, self._holds)
+                                                        for m in (m11, m12, m13, m14, m22, m41, m42, m43, m44))), -1))
 
     def __post_init__(self, p: np.ndarray) -> None:
         if not p[..., 1].all():
@@ -63,7 +64,7 @@ class MappingMatrix(Record):
     _holds = "mapping matrix entries"
 
     def __init__(self, matrix, params: MappingParams) -> None:
-        super().__init__(np.array(matrix, dtype=np.complex128), params=params)
+        super().__init__(_numbers(matrix, np.complex128, self._holds), params=params)
 
     def __post_init__(self, m: np.ndarray) -> None:
         if m.shape[-2:] != (4, 4):

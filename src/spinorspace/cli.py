@@ -19,13 +19,14 @@ before the exit, so shutdown skips collecting numpy's object graph.
 main(argv) itself leaves the collector as it found it.
 Complex numbers are [re, im] pairs.  Every number read from a spinor,
 covariant, mapping parameter or winding path file must be an int or float
-(not a bool) that is finite in float64; anything else, such as true, "1",
-NaN or an integer beyond float range, is a schema error naming the field,
-as is a path vertex that is not a [sigma, omega] pair; the error line
-echoes at most ECHO_CHARS characters of the value.  One reader,
-_read_items, reads a spinor, covariant or path file after its envelope:
-each field of the whole file as one array, and only when that fails a walk
-of the entries in file order, so that the error names the first bad one.
+under the number rule, clifford._numbers, and finite in float64; anything
+else, such as true, "1", NaN or an integer beyond float range, is a schema
+error naming the field, as is a path vertex that is not a [sigma, omega]
+pair; the error line echoes at most ECHO_CHARS characters of the value.
+One reader, _read_items, reads a spinor, covariant or path file after its
+envelope: each field of the whole file as one array, and only when that
+fails a walk of the entries in file order, so that the error names the
+first bad one.
 Mapping parameters whose matrix, or its constraint residuals, overflow
 float64 are a schema error naming the parameter file, and generate --count
 above MAX_COUNT or a negative --seed is a usage error.  A path that is

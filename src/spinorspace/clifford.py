@@ -100,9 +100,38 @@ _quiet = np.errstate(all="ignore")
 
 def _fitting(values: np.ndarray, message: str, axis=-1) -> np.ndarray:
     """values itself; rows (over axis) holding a non-finite entry raise RowError(message)."""
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
         raise RowError(message, ~np.isfinite(values).all(axis=axis))
     return values
+
+
+# the number rule: for each dtype, the array kinds it takes, the scalar types
+# of those kinds (Python's and numpy's), and how its message names them
+_SCALAR_TYPES = {int, float, complex, *np.sctypeDict.values()}
+_NUMBER_RULE = {dtype: (kinds, {t for t in _SCALAR_TYPES if np.dtype(t).kind in kinds}, words)
+                for dtype, kinds, words in ((np.float64, "iuf", "ints or floats"),
+                                            (np.complex128, "iufc", "ints, floats or complex numbers"))}
+
+
+def _numbers(value, dtype, holds: str) -> np.ndarray:
+    """value, an array or nested lists of numbers, as a fresh array of dtype
+    (np.float64 or np.complex128), the package's one number rule.  Ints and
+    floats, Python's or numpy's, pass, and complex numbers for complex128;
+    a bool, a string, None, any other object, or an int beyond float range
+    raises ValueError("<holds> must be ints or floats"), or "... ints,
+    floats or complex numbers".  A numeric ndarray pays a dtype-kind test
+    and the copy, a single number a type test and the conversion, anything
+    else (ndarray subclasses too) one object array and one type-set test."""
+    kinds, types, words = _NUMBER_RULE[dtype]
+    try:
+        if type(value) is np.ndarray and value.dtype.kind in kinds or type(value) in types:
+            return np.array(value, dtype)
+        items = np.array(value, dtype=object)
+        if set(map(type, items.ravel().tolist())) <= types:
+            return items.astype(dtype)
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"{holds} must be {words}")
 
 
 def _unbox(x):
@@ -165,14 +194,15 @@ class Record:
     A subclass names its tags (signature, rep, params) in _tags, its views
     in _views as (name, index) pairs, each a property read as
     array[..., index] (_view) with the index ... naming the whole array,
-    and what its array holds in _holds.  Its public constructor builds a
-    fresh array and hands it to Record.__init__, which runs the subclass's
-    check hook __post_init__ on it, rejects it unless every entry is finite
-    and adopts it; kernels adopt their fresh results with _of, with no copy
-    and no check, or with _like, keeping a record's tags.  Only those three
-    write a record's __dict__.  A binary operation reads its operand through
-    _operand.  Two records are equal when their type, tags and array are;
-    records are immutable and unhashable.
+    and what its array holds in _holds.  Its public constructor reads its
+    input through the number rule (_numbers) into a fresh array and hands it
+    to Record.__init__, which runs the subclass's check hook __post_init__
+    on it, rejects it unless every entry is finite and adopts it; kernels
+    adopt their fresh results with _of, with no copy and no check, or with
+    _like, keeping a record's tags.  Only those three write a record's
+    __dict__.  A binary operation reads its operand through _operand.  Two
+    records are equal when their type, tags and array are; records are
+    immutable and unhashable.
 
     The hook keeps the name of the dataclass hook it replaced because the
     benchmark's tracer (perfbench/tracer.py) times spinor construction by
@@ -190,7 +220,7 @@ class Record:
 
     def __init__(self, array: np.ndarray, **tags) -> None:
         self.__post_init__(array)
-        if not np.isfinite(array).all():
+        if not np.logical_and.reduce(np.isfinite(array), axis=None):
             raise ValueError(f"{self._holds} must be finite")
         array.setflags(write=False)
         self.__dict__.update(tags, _array=array)
@@ -282,14 +312,14 @@ class _Linear:
 
     @_quiet
     def _scale(self, factor):
-        """Scale by a number, or row by row by an array of the batch shape, of
-        a dtype (not bool) that casts to the array's within its kind, else
+        """Scale by a number, or row by row by an array of the batch shape,
+        that the number rule (_numbers) takes for the record's dtype, else
         TypeError.  Rows whose factor is not finite raise RowError("scale
         factor must be finite"); it is looked at only when the product fails."""
-        f = np.asarray(factor)
-        if f.dtype == bool or not np.can_cast(f, self._array.dtype, "same_kind"):
-            raise TypeError(f"cannot scale a {self._noun} by {type(factor).__name__}")
-        f = f.astype(self._array.dtype, copy=False)[(...,) + (None,) * self._rank]
+        try:
+            f = _numbers(factor, self._array.dtype.type, "scale factors")[(...,) + (None,) * self._rank]
+        except ValueError:
+            raise TypeError(f"cannot scale a {self._noun} by {type(factor).__name__}") from None
         product = self._array * f
         try:
             return self._like(self._fit(product, "product"))
@@ -368,7 +398,7 @@ class Multivector(_Linear, Record):
     _noun = "multivector"
 
     def __init__(self, signature: Signature, coeffs) -> None:
-        super().__init__(np.array(coeffs, dtype=np.complex128), signature=signature)
+        super().__init__(_numbers(coeffs, np.complex128, self._holds), signature=signature)
 
     def __post_init__(self, c: np.ndarray) -> None:
         if c.shape[-1:] != (DIM,):

@@ -30,7 +30,7 @@ import numpy as np
 from . import conventions
 from .bilinears import (_GROUP_STARTS, ORIENTATION, BilinearSet, _by_group, _covariant_basis, _covariant_blades,
                         _s_weights, minkowski_dot, minkowski_square)
-from .clifford import (Multivector, Record, RowError, Signature, _from_slots, _frozen, _mul_gather, _ray,
+from .clifford import (Multivector, Record, RowError, Signature, _from_slots, _frozen, _mul_gather, _numbers, _ray,
                        _row_max_abs, _unbox, left_mul_matrix, pseudoscalar, rep_matrix, scalar)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
 
@@ -76,7 +76,8 @@ class FpkResiduals(Record):
     _holds = "residuals"
 
     def __init__(self, r1: float, r2: float, r3: float, r4: float) -> None:
-        super().__init__(np.stack(np.broadcast_arrays(r1, r2, r3, r4), axis=-1).astype(float))
+        super().__init__(np.stack(np.broadcast_arrays(*(_numbers(r, np.float64, self._holds)
+                                                        for r in (r1, r2, r3, r4))), axis=-1))
 
     max_abs = _row_max_abs
 
@@ -234,10 +235,12 @@ class SingularAggregateParams(Record):
     _holds = "aggregate parameters"
 
     def __init__(self, J, s, h: float) -> None:
-        j, s = np.array(J, dtype=float), np.array(s, dtype=float)
+        j, s, h = (_numbers(field, np.float64, self._holds) for field in (J, s, h))
         if j.shape != (4,) or s.shape != (4,):
             raise ValueError("J and s must have 4 components")
-        super().__init__(np.concatenate([j, s, [float(h)]]))
+        if h.shape != ():
+            raise ValueError("h must be one number")
+        super().__init__(np.concatenate([j, s, [h]]))
 
 
 def build_singular_aggregate(p: SingularAggregateParams, tol: float = 1e-9) -> Multivector:

@@ -1,7 +1,8 @@
 """JSON text to and from float arrays, for files of many entries.
 
 floats reads nested lists of JSON numbers as one float64 array and rejects
-anything that is not an int or float (true and false included) or not
+anything that the package's one number rule, clifford._numbers, refuses
+(true, false, strings, null, an integer beyond float range) or that is not
 finite in float64.  dumps writes a report whose row lists are held as
 columns, Rows, with the exact bytes of
 
@@ -22,24 +23,20 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .clifford import _numbers
+
 __all__ = ["Rows", "dumps", "floats"]
 
 
 def floats(value, shape: tuple) -> np.ndarray | None:
     """value, nested lists of numbers, as a float64 array of the given shape;
-    None unless every number is an int or float, not a bool, that is finite
-    in float64."""
+    None unless the number rule (clifford._numbers) takes it as ints or
+    floats and every number is finite in float64."""
     try:
-        items = np.array(value, dtype=object)
+        out = _numbers(value, np.float64, "numbers")
     except ValueError:
         return None
-    if items.shape != shape or not set(map(type, items.ravel().tolist())) <= {int, float}:
-        return None
-    try:
-        out = items.astype(float)
-    except OverflowError:
-        return None
-    return out if np.isfinite(out).all() else None
+    return out if out.shape == shape and np.isfinite(out).all() else None
 
 
 class Rows:

@@ -161,7 +161,7 @@ def classify(psi: ClassicalSpinor, tol: float = DEFAULT_TOL) -> ClassificationRe
         raise
     # J_0 = psi^dag psi, the squared norm of the ray: at least 1/4 unless psi is zero
     norm2 = v[..., 2]
-    if not norm2.all():
+    if not np.logical_and.reduce(norm2, axis=None):
         raise RowError("zero spinor cannot be classified", norm2 == 0.0)
     cls, zero_flags, margin = _pattern(v, norm2, tol)
     return ClassificationReport(cls, BilinearSet._of(b, signature=Signature.MINKOWSKI), zero_flags, tol, margin)

@@ -23,7 +23,7 @@ import functools
 import numpy as np
 
 from .clifford import (_I2, BLADES, DIRAC, PAULI, GammaRep, Multivector, Record, Signature, _fitting, _frozen,
-                       _from_slots, _ldexp_quiet, _Linear, _product_table, _quiet, _ray, _row_norm, _unbox,
+                       _from_slots, _ldexp_quiet, _Linear, _numbers, _product_table, _quiet, _ray, _row_norm, _unbox,
                        idempotent_f, rep_matrix, weyl_to_dirac_matrix)
 
 __all__ = [
@@ -88,7 +88,8 @@ class Quaternion(_Linear, Record):
     _noun = "quaternion"
 
     def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> None:
-        super().__init__(np.stack(np.broadcast_arrays(w, x, y, z), axis=-1).astype(float))
+        super().__init__(np.stack(np.broadcast_arrays(*(_numbers(v, np.float64, self._holds)
+                                                        for v in (w, x, y, z))), axis=-1))
 
     @_quiet
     def __mul__(self, other):
@@ -184,7 +185,7 @@ class ClassicalSpinor(Record):
     _holds = "spinor components"
 
     def __init__(self, components, rep: GammaRep = DIRAC) -> None:
-        super().__init__(np.array(components, dtype=np.complex128), rep=rep)
+        super().__init__(_numbers(components, np.complex128, self._holds), rep=rep)
 
     def __post_init__(self, c: np.ndarray) -> None:
         if c.shape[-1:] != (4,):
@@ -228,7 +229,7 @@ class AlgebraicSpinor(Record):
     _holds = "ideal element entries"
 
     def __init__(self, matrix) -> None:
-        super().__init__(np.array(matrix, dtype=np.complex128))
+        super().__init__(_numbers(matrix, np.complex128, self._holds))
 
     def __post_init__(self, m: np.ndarray) -> None:
         if m.shape[-2:] != (4, 4):
@@ -238,7 +239,7 @@ class AlgebraicSpinor(Record):
         ray, e = _ray(m, axis=(-2, -1))
         moduli = np.abs(ray)
         threshold = 1e-12 * np.maximum(_ldexp_quiet(1.0, -e), moduli.max(axis=(-2, -1), keepdims=True))
-        if (moduli[..., 1:] > threshold).any():
+        if np.logical_or.reduce(moduli[..., 1:] > threshold, axis=None):
             raise ValueError("ideal element must have nonzero entries in the first column only")
 
 

@@ -6,7 +6,9 @@ through clifford._fitting.  The covariant kernel takes no tensor scale of
 its own, only the frozen one of its signature, so it has no path that can
 overflow after its sandwiches.  These tests read the package's syntax
 trees and pin that no other np.errstate, and no with block entering one,
-comes back, and that a norm beyond float64 is inf without a warning.  A
+comes back, and that a norm beyond float64 is inf without a warning, as
+are the closed-form Euclidean components and the Minkowski square and dot
+of inputs whose squares overflow; the sphere check then names the rows.  A
 non-finite scale factor is no overflow: it raises its own RowError for the
 rows it scales, and finite factors keep the overflow message.
 """
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinorspace import bilinears, clifford, spinor_forms
+from spinorspace import bilinears, clifford, spinor_forms, topology
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spinorspace"
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
@@ -103,3 +105,36 @@ def test_overflow_from_finite_factors_keeps_its_message(scale):
     with pytest.raises(clifford.RowError, match="product does not fit in float64$") as excinfo:
         scale(np.array([2.0, 1e300]), np.array([1.0, 1e10]))
     assert excinfo.value.rows.tolist() == [False, True]
+
+
+# a class-1 spinor whose squares, and so its covariants, overflow float64
+HUGE = np.array([1, 2j, 0.5, 1 + 1j]) * 1e200
+
+
+def test_closed_form_components_beyond_float64_are_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma, omega, j = bilinears.euclidean_components_closed_form(HUGE)
+        assert sigma == np.inf and not np.isfinite(j).all()
+        sigmas, _, _ = bilinears.euclidean_components_closed_form(np.stack([HUGE, HUGE / 1e200]))
+        assert sigmas[0] == np.inf and np.isfinite(sigmas[1])
+
+
+def test_sphere_check_names_a_spinor_whose_norm_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(clifford.RowError, match="^sigma = inf; normalize the spinor to unit norm first$") as e:
+            topology.regular_sphere_check(HUGE)
+        assert e.value.rows.shape == () and e.value.rows
+        with pytest.raises(clifford.RowError, match="^sigma = inf; normalize") as e:
+            topology.regular_sphere_check(np.stack([np.array([1.0, 0, 0, 0]), HUGE]))
+        assert e.value.rows.tolist() == [False, True]
+
+
+@pytest.mark.parametrize("form", [lambda v: bilinears.minkowski_square(v), lambda v: bilinears.minkowski_dot(v, v)],
+                         ids=["square", "dot"])
+def test_minkowski_forms_beyond_float64_are_inf_without_a_warning(form):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert form(np.array([1e200, 0.0, 0.0, 0.0])) == np.inf
+        assert form(np.array([0.0, 1e200, 0.0, 0.0])) == -np.inf

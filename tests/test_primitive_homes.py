@@ -6,11 +6,13 @@ rows holding a non-finite entry; the row norm and the row max-abs, bound as
 the norm and max_abs methods of the record types that have them; the
 vector-space arithmetic _Linear (+, -, unary - and scaling) of the three
 algebra records; the operand step Record._operand, through which every
-binary operation reads its operand; and the blade-slot constructor
-_from_slots, from which every multivector constructor builds.  The bit code of a set of flags and the default
-classification tolerance live in lounesto.  These tests read the package's
-syntax trees and pin that no module writes one of them out again, and that
-no module keeps an import it does not use.
+binary operation reads its operand; the blade-slot constructor
+_from_slots, from which every multivector constructor builds; and the
+number rule _numbers, through which every public record constructor, every
+scale factor and every input file reads its numbers.  The bit code of a
+set of flags and the default classification tolerance live in lounesto.
+These tests read the package's syntax trees and pin that no module writes
+one of them out again, and that no module keeps an import it does not use.
 """
 
 import ast
@@ -228,3 +230,32 @@ def test_one_scope_spells_a_complex_normal():
     complexes = scopes_where(lambda node: calls(node, "complex")
                              or isinstance(node, ast.Constant) and isinstance(node.value, complex))
     assert normals & complexes == {"lounesto:_complex_vector"}
+
+
+# the public record constructors: each reads the numbers it is given through
+# the number rule, clifford._numbers, as the scale factors and the command
+# line's files (jsonio.floats) do
+NUMBER_READERS = {
+    "clifford:Multivector.__init__", "spinor_forms:Quaternion.__init__", "spinor_forms:ClassicalSpinor.__init__",
+    "spinor_forms:AlgebraicSpinor.__init__", "bilinears:BilinearSet.__init__", "bilinears:BilinearSet.from_stack",
+    "fierz:FpkResiduals.__init__", "fierz:SingularAggregateParams.__init__", "classmap:MappingParams.__init__",
+    "classmap:MappingMatrix.__init__",
+}
+
+
+def coerces(node) -> bool:
+    """Whether node converts numbers on its own: np.array or np.asarray with
+    a dtype, or an astype call."""
+    return calls(node, "astype") or ((calls(node, "array") or calls(node, "asarray"))
+                                     and any(k.arg == "dtype" for k in node.keywords))
+
+
+def test_constructors_coerce_only_through_the_number_rule():
+    """No constructor of a record type, nor the scaling, converts its input
+    but through _numbers, and every number they read goes through it."""
+    records = {f"{module}:{node.name}" for module, tree in modules() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) == "Record" for b in node.bases)}
+    assert len(records) == 11
+    constructors = {f"{scope}.{name}" for scope in records for name in ("__init__", "from_stack")}
+    assert not (constructors | {"clifford:_Linear._scale"}) & scopes_where(coerces)
+    assert scopes_naming("_numbers", calls_only=True) == NUMBER_READERS | {"clifford:_Linear._scale", "jsonio:floats"}
