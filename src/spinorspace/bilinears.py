@@ -103,6 +103,7 @@ class BilinearSet(Record):
 def minkowski_square(v: np.ndarray) -> float:
     """v^mu v_mu with the (+, -, -, -) contraction; inf or nan, with no
     warning, where the squares overflow."""
+    v = _numbers(v, np.float64, BilinearSet._holds)
     return float(v[0] ** 2 - v[1] ** 2 - v[2] ** 2 - v[3] ** 2)
 
 
@@ -110,6 +111,7 @@ def minkowski_square(v: np.ndarray) -> float:
 def minkowski_dot(u: np.ndarray, v: np.ndarray) -> float:
     """u^mu v_mu with the (+, -, -, -) contraction; inf or nan, with no
     warning, where the products overflow."""
+    u, v = (_numbers(x, np.float64, BilinearSet._holds) for x in (u, v))
     return float(u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3])
 
 
@@ -250,7 +252,8 @@ def euclidean_bilinears(psi) -> BilinearSet:
     the calibrated conventions.S_SCALE_EUCLIDEAN; psi may be a (..., 4)
     batch, as components or as a ClassicalSpinor, whose representation tag
     the Euclidean forms do not read."""
-    comps = psi.components if isinstance(psi, ClassicalSpinor) else np.asarray(psi, dtype=np.complex128)
+    comps = (psi.components if isinstance(psi, ClassicalSpinor)
+             else _numbers(psi, np.complex128, ClassicalSpinor._holds))
     if comps.shape[-1:] != (4,):
         raise ValueError(f"expected 4 components, got shape {comps.shape}")
     return BilinearSet._of(_fitting(_covariants(comps, Signature.EUCLIDEAN), _UNFIT), signature=Signature.EUCLIDEAN)
@@ -261,7 +264,7 @@ def euclidean_components_closed_form(psi):
     """Closed-form (sigma, omega, J) of psi in C^4, no matrices involved; a
     (..., 4) batch gives arrays of the batch shape and J of shape (..., 4).
     Components whose squares overflow give inf (or nan) with no warning."""
-    comps = np.asarray(psi, dtype=np.complex128)
+    comps = _numbers(psi, np.complex128, ClassicalSpinor._holds)
     if comps.shape[-1:] != (4,):
         raise ValueError(f"expected 4 components, got shape {comps.shape}")
     # one column per component, so a single spinor runs the batch arithmetic

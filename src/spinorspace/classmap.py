@@ -93,7 +93,7 @@ def constraint_residuals(m: np.ndarray) -> tuple[float, float]:
     representation (the sigma and omega forms of bilinears pulled back by
     M), per matrix of a (..., 4, 4) batch; both vanish for matrices with the
     dependent-row structure."""
-    mat = np.asarray(m, dtype=np.complex128)[..., None, :, :]
+    mat = _numbers(m, np.complex128, MappingMatrix._holds)[..., None, :, :]
     r = np.abs(mat.conj().mT @ _forms(Signature.MINKOWSKI, WEYL)[:2] @ mat).max(axis=(-2, -1))
     return _unbox(r[..., 0]), _unbox(r[..., 1])
 
@@ -103,7 +103,7 @@ def no_inverse_witness(m: np.ndarray) -> float:
     """|det M| per matrix of a (..., 4, 4) batch; vanishes for every assembled
     mapping matrix.  The modulus is np.hypot of the parts, as Python's abs
     of a complex takes it, so one matrix and each batch row agree bit for bit."""
-    det = np.linalg.det(np.asarray(m, dtype=np.complex128))
+    det = np.linalg.det(_numbers(m, np.complex128, MappingMatrix._holds))
     return _unbox(np.hypot(det.real, det.imag))
 
 

@@ -264,8 +264,10 @@ class Record:
                 raise ValueError(f"{name} mismatch: {_tag_text(mine)} vs {_tag_text(theirs)}")
         return other._array
 
+    @_quiet
     def isclose(self, other: "Record", tol: float = 1e-12) -> bool:
-        """Whether every entry of every row is within tol of other's (_operand)."""
+        """Whether every entry of every row is within tol of other's (_operand);
+        False, with no warning, where a difference overflows."""
         return bool(np.max(np.abs(self._array - self._operand(other))) <= tol)
 
     def __eq__(self, other) -> bool:
@@ -443,7 +445,7 @@ def zero(signature: Signature = Signature.MINKOWSKI) -> Multivector:
 
 def scalar(value: complex, signature: Signature = Signature.MINKOWSKI) -> Multivector:
     """Scalar multivector; an array of values gives a batch of that shape."""
-    return _from_slots(signature, [0], np.asarray(value, dtype=np.complex128)[..., None])
+    return _from_slots(signature, [0], _numbers(value, np.complex128, Multivector._holds)[..., None])
 
 
 def blade(
@@ -473,7 +475,10 @@ def from_blade_dict(
     slots = [BLADE_INDEX.get(tuple(key)) for key in data]
     if None in slots:
         raise ValueError(f"not a canonical blade index tuple: {list(data)[slots.index(None)]}")
-    return _from_slots(signature, slots, np.fromiter(data.values(), dtype=np.complex128, count=len(data)))
+    values = [_numbers(value, np.complex128, Multivector._holds) for value in data.values()]
+    if any(value.ndim for value in values):
+        raise ValueError("expected one coefficient per blade")
+    return _from_slots(signature, slots, np.array(values))
 
 
 # -- core operations ------------------------------------------------------

@@ -30,8 +30,8 @@ import numpy as np
 from . import conventions
 from .bilinears import (_GROUP_STARTS, ORIENTATION, BilinearSet, _by_group, _covariant_basis, _covariant_blades,
                         _s_weights, minkowski_dot, minkowski_square)
-from .clifford import (Multivector, Record, RowError, Signature, _from_slots, _frozen, _mul_gather, _numbers, _ray,
-                       _row_max_abs, _unbox, left_mul_matrix, pseudoscalar, rep_matrix, scalar)
+from .clifford import (Multivector, Record, RowError, Signature, _fitting, _from_slots, _frozen, _mul_gather, _numbers,
+                       _quiet, _ray, _row_max_abs, _unbox, left_mul_matrix, pseudoscalar, rep_matrix, scalar)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
 
 __all__ = [
@@ -53,7 +53,8 @@ __all__ = [
 
 def vector_multivector(components, signature: Signature = Signature.MINKOWSKI) -> Multivector:
     """Grade-1 multivector with index-down (..., 4) components, raised with eta_mu."""
-    return _from_slots(signature, slice(1, 5), np.asarray(components, dtype=np.complex128) * signature.metric)
+    components = _numbers(components, np.complex128, Multivector._holds)
+    return _from_slots(signature, slice(1, 5), components * signature.metric)
 
 
 def bivector_multivector(components, signature: Signature = Signature.MINKOWSKI) -> Multivector:
@@ -61,7 +62,7 @@ def bivector_multivector(components, signature: Signature = Signature.MINKOWSKI)
     12, 13, 23) order, raised with eta_mu eta_nu."""
     eta = signature.metric
     raising = [eta[mu] * eta[nu] for mu, nu in BIVECTOR_ORDER]
-    return _from_slots(signature, slice(5, 11), np.asarray(components, dtype=np.complex128) * raising)
+    return _from_slots(signature, slice(5, 11), _numbers(components, np.complex128, Multivector._holds) * raising)
 
 
 class FpkResiduals(Record):
@@ -243,23 +244,29 @@ class SingularAggregateParams(Record):
         super().__init__(np.concatenate([j, s, [h]]))
 
 
+@_quiet
 def build_singular_aggregate(p: SingularAggregateParams, tol: float = 1e-9) -> Multivector:
     """Assemble J (1 + i s + i h e0123) after validating the parameter
-    invariants; the result squares to zero."""
-    j_scale = float(np.sum(p.J ** 2))
-    s_scale = float(np.sum(p.s ** 2))
+    invariants; the result squares to zero.  The invariants are homogeneous
+    in J and in s, so they are tested on J's and s's rays (_even_ray), alike
+    at every scale; an aggregate that does not fit in float64 raises RowError."""
+    (j, _), (s, _) = _even_ray(p.J), _even_ray(p.s)
+    j_scale = float(np.sum(j ** 2))
+    s_scale = float(np.sum(s ** 2))
     if j_scale == 0.0:
         raise ValueError("J must be nonzero")
-    if abs(minkowski_square(p.J)) > tol * j_scale:
+    if abs(minkowski_square(j)) > tol * j_scale:
         raise ValueError("J must be lightlike: J.J = 0")
-    if s_scale == 0.0 or minkowski_square(p.s) >= -tol * s_scale:
+    if s_scale == 0.0 or minkowski_square(s) >= -tol * s_scale:
         raise ValueError("s must be space-like: s.s < 0")
-    if abs(minkowski_dot(p.J, p.s)) > tol * np.sqrt(j_scale * s_scale):
+    if abs(minkowski_dot(j, s)) > tol * np.sqrt(j_scale * s_scale):
         raise ValueError("s must be orthogonal to J: J.s = 0")
     jmv = vector_multivector(p.J)
     smv = vector_multivector(p.s)
     factor = scalar(1.0) + 1j * smv + (1j * p.h) * pseudoscalar()
-    return jmv * factor
+    z = jmv * factor
+    _fitting(z.coeffs, "singular aggregate does not fit in float64")
+    return z
 
 
 def default_probe_spinor(z: Multivector, rep) -> ClassicalSpinor:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import _COVARIANT_FIELDS, _GROUP_STARTS, BilinearSet, _covariants_on_ray
-from .clifford import GammaRep, RowError, Signature, WEYL, _frozen, _unbox
+from .clifford import GammaRep, RowError, Signature, WEYL, _frozen, _numbers, _unbox
 from .fierz import _fpk_check
 from .spinor_forms import ClassicalSpinor
 
@@ -184,6 +184,7 @@ def rescale_class_invariance(psi: ClassicalSpinor, c: complex, tol: float = DEFA
     """Whether classify(c psi) agrees with classify(psi), per spinor of a batch;
     true for every c != 0 since all covariants scale by |c|^2 and thresholds
     are norm-relative.  Zero spinors raise classify's RowError."""
+    c = _numbers(c, np.complex128, "scale factors")
     if c == 0:
         raise ValueError("rescaling factor must be nonzero")
     scaled = ClassicalSpinor(c * psi.components, psi.rep)

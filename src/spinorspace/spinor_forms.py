@@ -257,7 +257,7 @@ def operator_from_coeffs(s: float, s_bivec, p: float) -> SpinorOperator:
     + s03 k.  Antisymmetry supplies s31 = -s13.  s and p may be arrays of a
     batch shape B with s_bivec of shape B + (6,).
     """
-    b = np.asarray(s_bivec, dtype=float)
+    s, b, p = (_numbers(x, np.float64, Multivector._holds) for x in (s, s_bivec, p))
     if b.shape[-1:] != (6,):
         raise ValueError("expected 6 bivector components (01, 02, 03, 12, 13, 23)")
     c = np.zeros(b.shape[:-1] + (16,))

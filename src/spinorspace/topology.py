@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import BilinearSet, euclidean_components_closed_form
-from .clifford import RowError, _unbox
+from .clifford import RowError, _numbers, _unbox
 from .fierz import _fpk_check
 from .lounesto import DEFAULT_TOL
 
@@ -49,7 +49,7 @@ class WindingReport:
 
 
 def _validate_path(path) -> np.ndarray:
-    pts = np.asarray(path, dtype=float)
+    pts = _numbers(path, np.float64, BilinearSet._holds)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValueError("path must be a list of at least 3 (sigma, omega) pairs")
     finite = np.isfinite(pts).all(axis=1)

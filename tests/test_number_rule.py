@@ -1,22 +1,25 @@
 """The number rule: one function, clifford._numbers, decides what counts as
 a number for the public record constructors, the scale factors of the
-algebra records and the command line's files (jsonio.floats).
+algebra records, the helper constructors and array-taking kernels, and the
+command line's files (jsonio.floats).
 
 Ints and floats, Python's or numpy's, pass, and complex numbers pass where
 the record holds complex entries; each passes bit for bit as
 np.array(input, dtype) holds it.  A bool (numpy's too, or a bool array, or
 one hidden in a list of floats), a string, None or an int beyond float
-range is refused: a constructor raises ValueError("<what it holds> must be
-ints or floats"), or "... ints, floats or complex numbers", and a scale
-factor keeps its TypeError("cannot scale a <noun> by <type>").
+range is refused: a constructor, helper or kernel raises ValueError("<what
+it holds> must be ints or floats"), or "... ints, floats or complex
+numbers", and a scale factor keeps its TypeError("cannot scale a <noun> by
+<type>").
 """
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from spinorspace import clifford, jsonio
+from spinorspace import bilinears, classmap, clifford, fierz, jsonio, lounesto, spinor_forms, topology
 from spinorspace.bilinears import BilinearSet
 from spinorspace.classmap import MappingMatrix, MappingParams
 from spinorspace.clifford import Multivector, Signature
@@ -55,6 +58,40 @@ SCALINGS = {
                     "multivector"),
     "Quaternion": (Quaternion([1.0, -2.0], 0.5, 3.0, -0.25), lambda r, x: x * r, "quaternion"),
     "QuatMatrix2": (QuatMatrix2(((Quaternion([1.0, -2.0], 0.5),) * 2,) * 2), lambda r, x: r.scale(x), "quaternion"),
+}
+
+# each helper constructor and array-taking kernel with one slot of its input
+# filled by x, the slot's shape, the dtype it reads and what its messages
+# call the numbers; each reads the slot through the rule as it is, before any
+# arithmetic, so its result on x is its result on np.array(x, dtype)
+PSI = ClassicalSpinor([1, 2j, 0.5, 1 + 1j], clifford.WEYL)
+SQUARE = [[1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]]
+HELPERS = {
+    "scalar": (clifford.scalar, (2,), complex, "blade coefficients"),
+    "from_blade_dict": (lambda x: clifford.from_blade_dict({(): x[0], (1, 2): x[1]}), (2,), complex,
+                        "blade coefficients"),
+    "blade": (lambda x: clifford.blade((0, 3), x), (), complex, "blade coefficients"),
+    "vector_multivector": (fierz.vector_multivector, (4,), complex, "blade coefficients"),
+    "bivector_multivector": (fierz.bivector_multivector, (6,), complex, "blade coefficients"),
+    "euclidean_bilinears": (bilinears.euclidean_bilinears, (4,), complex, "spinor components"),
+    "euclidean_components_closed_form": (bilinears.euclidean_components_closed_form, (4,), complex,
+                                         "spinor components"),
+    "regular_sphere_check": (topology.regular_sphere_check, (4,), complex, "spinor components"),
+    "minkowski_square": (bilinears.minkowski_square, (4,), float, "covariants"),
+    "minkowski_dot.u": (lambda x: bilinears.minkowski_dot(x, [1.0, -2.0, 0.5, 3.0]), (4,), float, "covariants"),
+    "minkowski_dot.v": (lambda x: bilinears.minkowski_dot([1.0, -2.0, 0.5, 3.0], x), (4,), float, "covariants"),
+    "operator_from_coeffs.s": (lambda x: spinor_forms.operator_from_coeffs(x, [1.0] * 6, 2.0), (), float,
+                               "blade coefficients"),
+    "operator_from_coeffs.s_bivec": (lambda x: spinor_forms.operator_from_coeffs(1.0, x, 2.0), (6,), float,
+                                     "blade coefficients"),
+    "operator_from_coeffs.p": (lambda x: spinor_forms.operator_from_coeffs(1.0, [1.0] * 6, x), (), float,
+                               "blade coefficients"),
+    "constraint_residuals": (classmap.constraint_residuals, (4, 4), complex, "mapping matrix entries"),
+    "no_inverse_witness": (classmap.no_inverse_witness, (4, 4), complex, "mapping matrix entries"),
+    "winding_report": (lambda x: topology.winding_report([x] + SQUARE + [x]), (2,), float, "covariants"),
+    "winding_number": (lambda x: topology.winding_number([x] + SQUARE + [x]), (2,), float, "covariants"),
+    "rescale_class_invariance": (lambda x: lounesto.rescale_class_invariance(PSI, x), (), complex,
+                                 "scale factors"),
 }
 
 
@@ -128,12 +165,61 @@ def test_scale_factors_keep_numbers_bit_for_bit(name):
             assert scale(record, given).stack().tobytes() == (array * factor).tobytes(), (number, given)
 
 
+@pytest.mark.parametrize("bad", REFUSED, ids=str)
+@pytest.mark.parametrize("name", HELPERS)
+def test_helpers_and_kernels_refuse_what_is_not_a_number(name, bad):
+    call, shape, dtype, holds = HELPERS[name]
+    with pytest.raises(ValueError, match=rule_message(holds, dtype)):
+        call(REFUSED[bad](shape))
+
+
+def bits(result):
+    """The exact bits of a result: records, tuples and report dataclasses
+    by their arrays, a raised ValueError by its type and message."""
+    if isinstance(result, ValueError):
+        return type(result), str(result)
+    if isinstance(result, clifford.Record):
+        return type(result), bits(result.stack())
+    if dataclasses.is_dataclass(result):
+        return bits(dataclasses.astuple(result))
+    if isinstance(result, tuple):
+        return tuple(map(bits, result))
+    array = np.asarray(result)
+    return array.dtype, array.shape, array.tobytes()
+
+
+def outcome(call, given):
+    try:
+        return bits(call(given))
+    except ValueError as err:
+        return bits(err)
+
+
+@pytest.mark.parametrize("name", HELPERS)
+def test_helpers_and_kernels_keep_numbers_bit_for_bit(name):
+    call, shape, dtype, _ = HELPERS[name]
+    for number in numbers_for(dtype):
+        for given in (slot(shape, number, number), np.full(shape, number)):
+            assert outcome(call, given) == outcome(call, np.array(given, dtype)), (number, given)
+
+
+def test_one_coefficient_per_blade():
+    for coeff in ([1.0, 2.0], [[1.0]], np.ones(3)):
+        with pytest.raises(ValueError, match="^expected one coefficient per blade$"):
+            clifford.blade((0, 1), coeff)
+
+
 def test_real_records_refuse_complex_numbers():
     for name, (build, shape, dtype, holds, _) in CONSTRUCTORS.items():
         if dtype is float:
             for number in COMPLEXES:
                 with pytest.raises(ValueError, match=rule_message(holds, dtype)):
                     build(slot(shape, number))
+    for name, (call, shape, dtype, holds) in HELPERS.items():
+        if dtype is float:
+            for number in COMPLEXES:
+                with pytest.raises(ValueError, match=rule_message(holds, dtype)):
+                    call(slot(shape, number))
     with pytest.raises(TypeError, match="^cannot scale a quaternion by complex$"):
         Quaternion(1.0) * 1j
 

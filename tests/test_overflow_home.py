@@ -8,7 +8,10 @@ overflow after its sandwiches.  These tests read the package's syntax
 trees and pin that no other np.errstate, and no with block entering one,
 comes back, and that a norm beyond float64 is inf without a warning, as
 are the closed-form Euclidean components and the Minkowski square and dot
-of inputs whose squares overflow; the sphere check then names the rows.  A
+of inputs whose squares overflow; the sphere check then names the rows.
+isclose answers False, with no warning, where a difference overflows, and
+the singular aggregate tests its invariants on the rays of J and s, so it
+judges them alike at every scale, and names a product beyond float64.  A
 non-finite scale factor is no overflow: it raises its own RowError for the
 rows it scales, and finite factors keep the overflow message.
 """
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinorspace import bilinears, clifford, spinor_forms, topology
+from spinorspace import bilinears, clifford, fierz, spinor_forms, topology
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spinorspace"
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
@@ -138,3 +141,38 @@ def test_minkowski_forms_beyond_float64_are_inf_without_a_warning(form):
         warnings.simplefilter("error")
         assert form(np.array([1e200, 0.0, 0.0, 0.0])) == np.inf
         assert form(np.array([0.0, 1e200, 0.0, 0.0])) == -np.inf
+
+
+@pytest.mark.parametrize("make", [clifford.scalar, spinor_forms.Quaternion], ids=["multivector", "quaternion"])
+def test_isclose_beyond_float64_is_false_without_a_warning(make):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not make(1.7e308).isclose(make(-1.7e308))
+        assert make(1.7e308).isclose(make(1.7e308))
+
+
+def singular(J, s, h=0.5):
+    return fierz.build_singular_aggregate(fierz.SingularAggregateParams(J, s, h))
+
+
+def test_singular_aggregate_invariants_hold_at_every_scale():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a timelike J whose square overflows is still timelike
+        with pytest.raises(ValueError, match="^J must be lightlike: J.J = 0$"):
+            singular([1e200, 0, 0, 0], [0, 1, 0, 0])
+        # a lightlike J whose squares underflow is still nonzero and lightlike
+        z = singular([1e-200, 0, 0, 1e-200], [0, 1, 0, 0])
+        assert z.max_abs() == 1e-200
+        assert z.coeffs.tobytes() == (singular([1, 0, 0, 1], [0, 1, 0, 0]).coeffs * 1e-200).tobytes()
+        # a space-like s whose squares underflow is still space-like, and orthogonal to J
+        z = singular([1, 0, 0, 1], [0, 1e-300, 0, 0])
+        assert z.max_abs() == 1.0 and np.abs(z.coeffs[5:11]).max() == 1e-300
+
+
+def test_singular_aggregate_beyond_float64_is_named():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(clifford.RowError, match="^singular aggregate does not fit in float64$") as excinfo:
+            singular(np.array([1, 1, 0, 0]) * 1e200, np.array([0, 0, 1, 0]) * 1e200)
+        assert excinfo.value.rows.shape == () and excinfo.value.rows

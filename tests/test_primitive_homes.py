@@ -9,14 +9,16 @@ algebra records; the operand step Record._operand, through which every
 binary operation reads its operand; the blade-slot constructor
 _from_slots, from which every multivector constructor builds; and the
 number rule _numbers, through which every public record constructor, every
-scale factor and every input file reads its numbers.  The bit code of a
-set of flags and the default classification tolerance live in lounesto.
-These tests read the package's syntax trees and pin that no module writes
-one of them out again, and that no module keeps an import it does not use.
+scale factor, every helper constructor and array-taking kernel, and every
+input file reads its numbers.  The bit code of a set of flags and the
+default classification tolerance live in lounesto.  These tests read the
+package's syntax trees and pin that no module writes one of them out again,
+and that no module keeps an import it does not use.
 """
 
 import ast
 import functools
+import importlib
 import inspect
 from pathlib import Path
 
@@ -232,30 +234,46 @@ def test_one_scope_spells_a_complex_normal():
     assert normals & complexes == {"lounesto:_complex_vector"}
 
 
-# the public record constructors: each reads the numbers it is given through
-# the number rule, clifford._numbers, as the scale factors and the command
-# line's files (jsonio.floats) do
+# the public record constructors, the helper constructors and the
+# array-taking kernels: each reads the numbers it is given through the number
+# rule, clifford._numbers, as the scale factors and the command line's files
+# (jsonio.floats) do.  topology._validate_path reads winding_report's path.
 NUMBER_READERS = {
     "clifford:Multivector.__init__", "spinor_forms:Quaternion.__init__", "spinor_forms:ClassicalSpinor.__init__",
     "spinor_forms:AlgebraicSpinor.__init__", "bilinears:BilinearSet.__init__", "bilinears:BilinearSet.from_stack",
     "fierz:FpkResiduals.__init__", "fierz:SingularAggregateParams.__init__", "classmap:MappingParams.__init__",
     "classmap:MappingMatrix.__init__",
+    "clifford:scalar", "clifford:from_blade_dict", "fierz:vector_multivector", "fierz:bivector_multivector",
+    "bilinears:euclidean_bilinears", "bilinears:euclidean_components_closed_form", "bilinears:minkowski_square",
+    "bilinears:minkowski_dot", "spinor_forms:operator_from_coeffs", "classmap:constraint_residuals",
+    "classmap:no_inverse_witness", "topology:_validate_path", "lounesto:rescale_class_invariance",
 }
+
+# public functions that convert values they computed themselves, not a
+# caller's numbers: build_M divides as Python complexes (astype(object) and
+# back), map_to_class4 holds its classes as objects and its flags as bools
+OWN_CONVERSIONS = {"classmap:build_M", "classmap:map_to_class4"}
 
 
 def coerces(node) -> bool:
     """Whether node converts numbers on its own: np.array or np.asarray with
-    a dtype, or an astype call."""
-    return calls(node, "astype") or ((calls(node, "array") or calls(node, "asarray"))
-                                     and any(k.arg == "dtype" for k in node.keywords))
+    a dtype, np.fromiter, or an astype call."""
+    return calls(node, "astype") or calls(node, "fromiter") or (
+        (calls(node, "array") or calls(node, "asarray")) and any(k.arg == "dtype" for k in node.keywords))
 
 
 def test_constructors_coerce_only_through_the_number_rule():
-    """No constructor of a record type, nor the scaling, converts its input
-    but through _numbers, and every number they read goes through it."""
+    """No constructor of a record type, nor the scaling, nor a public
+    function of a layer (its __all__), nor the path reader, converts its
+    input but through _numbers, and every number they read goes through it."""
     records = {f"{module}:{node.name}" for module, tree in modules() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) == "Record" for b in node.bases)}
     assert len(records) == 11
     constructors = {f"{scope}.{name}" for scope in records for name in ("__init__", "from_stack")}
-    assert not (constructors | {"clifford:_Linear._scale"}) & scopes_where(coerces)
+    layers = [importlib.import_module(f"spinorspace.{module}") for module, _ in modules() if module != "__init__"]
+    functions = {f"{layer.__name__.split('.')[-1]}:{name}" for layer in layers for name in getattr(layer, "__all__", ())
+                 if inspect.isfunction(getattr(layer, name))}
+    assert OWN_CONVERSIONS <= functions and "clifford:scalar" in functions
+    readers = constructors | (functions - OWN_CONVERSIONS) | {"clifford:_Linear._scale", "topology:_validate_path"}
+    assert not readers & scopes_where(coerces)
     assert scopes_naming("_numbers", calls_only=True) == NUMBER_READERS | {"clifford:_Linear._scale", "jsonio:floats"}

@@ -158,8 +158,9 @@ def test_frexp_is_called_only_by_the_ray():
 
 def test_the_ray_is_called_only_from_its_homes():
     """The record step, the spinor-to-covariants step, the even ray of
-    fierz's public reconstruct and boomerang_residual, and the check hook of
-    AlgebraicSpinor, whose matrix rows span two axes."""
+    fierz's public reconstruct, boomerang_residual and
+    build_singular_aggregate, and the check hook of AlgebraicSpinor, whose
+    matrix rows span two axes."""
     assert calls_by_function("_ray") == {
         "clifford:Record._on_ray",
         "bilinears:_covariants_on_ray",
