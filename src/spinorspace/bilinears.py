@@ -22,6 +22,10 @@ adjoint times the images of one engine-built covariant basis Gamma_A (which
 fierz also sums into the aggregate and uses as its probes); they differ only
 in the generators, the adjoint and the ORIENTATION sign.  The kernel takes a
 batch (..., 4) of spinors; each row is bit for bit the single-spinor result.
+It computes on the batch's power-of-two ray (clifford._ray) and scales back
+by one exact ldexp, so the covariants are exact wherever they are normal
+floats and are refused only where they do not fit in float64; the public
+functions, lounesto.classify and the CLI all take it.
 """
 
 from __future__ import annotations
@@ -101,17 +105,22 @@ class BilinearSet(Record):
 
 @_quiet
 def minkowski_square(v: np.ndarray) -> float:
-    """v^mu v_mu with the (+, -, -, -) contraction; inf or nan, with no
-    warning, where the squares overflow."""
+    """v^mu v_mu with the (+, -, -, -) contraction of a (4,) vector; inf or
+    nan, with no warning, where the squares overflow."""
     v = _numbers(v, np.float64, BilinearSet._holds)
+    if v.shape != (4,):
+        raise ValueError(f"expected 4 components, got shape {v.shape}")
     return float(v[0] ** 2 - v[1] ** 2 - v[2] ** 2 - v[3] ** 2)
 
 
 @_quiet
 def minkowski_dot(u: np.ndarray, v: np.ndarray) -> float:
-    """u^mu v_mu with the (+, -, -, -) contraction; inf or nan, with no
-    warning, where the products overflow."""
+    """u^mu v_mu with the (+, -, -, -) contraction of two (4,) vectors; inf
+    or nan, with no warning, where the products overflow."""
     u, v = (_numbers(x, np.float64, BilinearSet._holds) for x in (u, v))
+    for x in (u, v):
+        if x.shape != (4,):
+            raise ValueError(f"expected 4 components, got shape {x.shape}")
     return float(u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3])
 
 
@@ -202,61 +211,58 @@ def _s_weights(factor: float) -> np.ndarray:
     return _frozen(_by_group(1.0, 1.0, 1.0, 1.0, factor))
 
 
-def _covariants(comps: np.ndarray, signature: Signature, rep: GammaRep | None = None) -> np.ndarray:
-    """(..., 16) real covariants sigma, omega, J, K, S of the (..., 4) batch
-    comps, in stored order, as a fresh array.  Whether they fit in float64
-    is for the caller to check once, after its last scaling (_fitting)."""
-    values = np.einsum("...i,kij,...j->...k", comps.conj(), _forms(signature, rep), comps)
-    # every row holds |psi|^2 (J_0 or sigma) and nothing larger than 2 |psi|^2
-    moduli = np.abs(values.view(np.float64))   # |real part|, |imaginary part| in turn
-    scale = np.maximum.reduce(moduli[..., ::2], axis=-1, keepdims=True)
-    real = moduli[..., 1::2] <= REALITY_TOL * np.maximum(scale, 1e-300)
+def _covariants_on_ray(comps: np.ndarray, signature: Signature,
+                       rep: GammaRep | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ray, e, v, b) of the (..., 4) batch comps, the package's one covariant
+    kernel: the components on their power-of-two ray (clifford._ray),
+    comps = ray 2^e; the ray's real covariants v, sigma, omega, J, K, S in
+    stored order, of order 1 in every nonzero row; and the batch's own,
+    b = v 4^e, exact wherever they are normal floats.  Rows whose b does not
+    fit in float64 (non-finite components among them) raise RowError naming
+    them, before a covariant with an imaginary part raises InternalError."""
+    ray, e = _ray(comps)
+    values = np.einsum("...i,kij,...j->...k", ray.conj(), _forms(signature, rep), ray)
+    v = values.real * _s_weights(_S_SCALES[signature])
+    b = _fitting(_ldexp_quiet(v, 2 * e), _UNFIT)
+    # a nonzero row's J_0 or sigma, |ray|^2, is at least 1/4: the bound is relative to it
+    real = np.abs(values.imag) <= REALITY_TOL / 4
     if not np.logical_and.reduce(real, axis=None):
-        # a row that does not fit fails the comparison too: it is the input's fault
-        _fitting(values, _UNFIT)
         k = int(np.argmin(real.reshape(-1, len(_LABELS)).all(axis=0)))
         raise InternalError(
             f"internal consistency: {_LABELS[k]} acquired an imaginary part "
-            f"{np.max(np.abs(values.imag[..., k])):.3e} beyond tolerance"
+            f"{np.max(np.abs(values.imag[..., k])):.3e} beyond tolerance on the ray"
         )
-    # no weight above 1: no finite product overflows
-    return values.real * _s_weights(_S_SCALES[signature])
-
-
-def _covariants_on_ray(psi: ClassicalSpinor) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ray, e, v, b): psi's components on their power-of-two ray (clifford._ray),
-    psi = ray 2^e; the ray's covariants v, of order 1 in every row; and psi's
-    own, b = v 4^e, exact wherever they are normal floats.  Spinors whose b
-    does not fit in float64 raise RowError naming their rows."""
-    ray, e = _ray(psi.components)
-    v = _covariants(ray, Signature.MINKOWSKI, psi.rep)
-    return ray, e, v, _fitting(_ldexp_quiet(v, 2 * e), _UNFIT)
+    return ray, e, v, b
 
 
 def bilinear_covariants(psi: ClassicalSpinor) -> BilinearSet:
     """All five covariants of a time-minus spinor in its own representation;
     a batch of spinors gives the covariant batch of the same shape.
 
-    S carries the calibrated normalization conventions.S_SCALE.  Spinors
-    whose covariants overflow float64 raise RowError (a ValueError) naming
-    their rows; anything but a ClassicalSpinor is a ValueError.
+    S carries the calibrated normalization conventions.S_SCALE.  Computed
+    on psi's ray, as classify computes them, so exact wherever they are
+    normal floats and bit for bit classify(psi).bilinears.  Spinors whose
+    covariants overflow float64 raise RowError (a ValueError) naming their
+    rows; anything but a ClassicalSpinor is a ValueError.
     """
     if not isinstance(psi, ClassicalSpinor):
         raise ValueError(f"expected a ClassicalSpinor, got {type(psi).__name__}")
-    v = _covariants(psi.components, Signature.MINKOWSKI, psi.rep)
-    return BilinearSet._of(_fitting(v, _UNFIT), signature=Signature.MINKOWSKI)
+    b = _covariants_on_ray(psi.components, Signature.MINKOWSKI, psi.rep)[3]
+    return BilinearSet._of(b, signature=Signature.MINKOWSKI)
 
 
 def euclidean_bilinears(psi) -> BilinearSet:
     """Observables of psi in C^4 read through the Euclidean algebra, S with
     the calibrated conventions.S_SCALE_EUCLIDEAN; psi may be a (..., 4)
     batch, as components or as a ClassicalSpinor, whose representation tag
-    the Euclidean forms do not read."""
+    the Euclidean forms do not read.  Computed on psi's ray, so exact
+    wherever they are normal floats; rows whose covariants do not fit in
+    float64, non-finite components among them, raise RowError."""
     comps = (psi.components if isinstance(psi, ClassicalSpinor)
              else _numbers(psi, np.complex128, ClassicalSpinor._holds))
     if comps.shape[-1:] != (4,):
         raise ValueError(f"expected 4 components, got shape {comps.shape}")
-    return BilinearSet._of(_fitting(_covariants(comps, Signature.EUCLIDEAN), _UNFIT), signature=Signature.EUCLIDEAN)
+    return BilinearSet._of(_covariants_on_ray(comps, Signature.EUCLIDEAN)[3], signature=Signature.EUCLIDEAN)
 
 
 @_quiet

@@ -426,7 +426,7 @@ def cmd_verify(args) -> int:
     kind, entries = _detect_input_kind(args.input)
     if kind == "spinors":
         def compute(psi):
-            _, e, v, _ = _covariants_on_ray(psi)
+            _, e, v, _ = _covariants_on_ray(psi.components, Signature.MINKOWSKI, psi.rep)
             return _verify_rows(BilinearSet._of(v, signature=Signature.MINKOWSKI), 2 * e, args.mode, args.tol)
         rows = _spinor_rows(*entries, compute)
     else:
@@ -487,7 +487,7 @@ def cmd_winding(args) -> int:
 
 def _reconstruct_rows(psi: ClassicalSpinor, tol: float) -> dict:
     """Rebuild each spinor of the batch from its own aggregate, on its ray."""
-    comps, e, v, _ = _covariants_on_ray(psi)
+    comps, e, v, _ = _covariants_on_ray(psi.components, Signature.MINKOWSKI, psi.rep)
     ray = ClassicalSpinor._of(comps, rep=psi.rep)
     z = fierz.aggregate(BilinearSet._of(v, signature=Signature.MINKOWSKI))
     recovered = fierz.reconstruct(z, fierz.default_probe_spinor(z, ray.rep), psi_ref=ray)

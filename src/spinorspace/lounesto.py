@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import _COVARIANT_FIELDS, _GROUP_STARTS, BilinearSet, _covariants_on_ray
-from .clifford import GammaRep, RowError, Signature, WEYL, _frozen, _numbers, _unbox
+from .clifford import GammaRep, RowError, Signature, WEYL, _fitting, _frozen, _numbers, _quiet, _unbox
 from .fierz import _fpk_check
 from .spinor_forms import ClassicalSpinor
 
@@ -154,7 +154,7 @@ def classify(psi: ClassicalSpinor, tol: float = DEFAULT_TOL) -> ClassificationRe
     float64, raise RowError naming their rows.
     """
     try:
-        _, _, v, b = _covariants_on_ray(psi)
+        _, _, v, b = _covariants_on_ray(psi.components, Signature.MINKOWSKI, psi.rep)
     except RowError:
         # a zero spinor or a bad tolerance comes first: classifying the ray, which fits, raises it
         classify(psi._on_ray()[0], tol)
@@ -180,14 +180,19 @@ def classify_bilinears(b: BilinearSet, tol: float = DEFAULT_TOL) -> LounestoClas
     return _unbox(np.where(_fpk_check(ray, tol)[1].all(axis=-1), cls, LounestoClass.ANOMALOUS))
 
 
+@_quiet
 def rescale_class_invariance(psi: ClassicalSpinor, c: complex, tol: float = DEFAULT_TOL) -> bool:
     """Whether classify(c psi) agrees with classify(psi), per spinor of a batch;
-    true for every c != 0 since all covariants scale by |c|^2 and thresholds
-    are norm-relative.  Zero spinors raise classify's RowError."""
+    true for every finite c != 0 since all covariants scale by |c|^2 and
+    thresholds are norm-relative.  A zero or non-finite c is a ValueError;
+    spinors whose c psi overflows, and zero spinors, raise RowError naming
+    their rows."""
     c = _numbers(c, np.complex128, "scale factors")
     if c == 0:
         raise ValueError("rescaling factor must be nonzero")
-    scaled = ClassicalSpinor(c * psi.components, psi.rep)
+    if not np.isfinite(c):
+        raise ValueError(f"rescaling factor must be finite, got {c.item()!r}")
+    scaled = ClassicalSpinor(_fitting(c * psi.components, "rescaled spinor does not fit in float64"), psi.rep)
     return _unbox(classify(scaled, tol).lounesto_class == classify(psi, tol).lounesto_class)
 
 

@@ -1,5 +1,6 @@
 """Covariant computation, both signatures, both routes."""
 
+import re
 import warnings
 
 import numpy as np
@@ -247,6 +248,35 @@ def test_component_norm_is_the_row_norm():
         warnings.simplefilter("error")
         assert bl.BilinearSet.from_stack(np.full(16, 1e200)).component_norm() == np.inf
         assert bl.BilinearSet.from_stack(np.full((2, 16), 1e200)).component_norm().tolist() == [np.inf, np.inf]
+
+
+def test_euclidean_bilinears_scale_by_exact_powers_of_four(rng):
+    """Scaling psi by 2^-k scales its Euclidean covariants by exactly 4^-k,
+    down to 2^-530, where |psi|^2 is subnormal, and for rows near the top of
+    the range (unit rows times 1.2e154), whose sandwiches would overflow at
+    their own scale."""
+    unit = rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
+    unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+    comps = np.concatenate([unit, 1.2e154 * unit])
+    own = bl.euclidean_bilinears(comps).stack()
+    for k in [*range(0, 530, 23), 530]:
+        scaled = np.ldexp(comps.view(np.float64), -k).view(np.complex128)
+        assert bl.euclidean_bilinears(scaled).stack().tobytes() == np.ldexp(own, -2 * k).tobytes()
+
+
+@pytest.mark.parametrize("call, shape", [
+    (lambda: bl.minkowski_square([1, 0, 0, 0, 5]), (5,)),
+    (lambda: bl.minkowski_square(np.ones((2, 4))), (2, 4)),
+    (lambda: bl.minkowski_square(1.0), ()),
+    (lambda: bl.minkowski_dot([1, 2, 3], [1, 2, 3]), (3,)),
+    (lambda: bl.minkowski_dot([1, 0, 0, 0], np.ones((2, 4))), (2, 4)),
+    (lambda: bl.minkowski_dot(np.ones((1, 4)), [1, 0, 0, 0]), (1, 4)),
+], ids=["five", "batch", "scalar", "three", "batch-right", "batch-left"])
+def test_minkowski_contractions_take_one_four_vector(call, shape):
+    """Anything but shape (4,) is a ValueError naming the shape: no fifth
+    component is dropped, and no batch reaches the indexing."""
+    with pytest.raises(ValueError, match=rf"^expected 4 components, got shape {re.escape(str(shape))}$"):
+        call()
 
 
 @pytest.mark.parametrize("rep", [cl.WEYL, cl.DIRAC], ids=str)

@@ -35,11 +35,12 @@ def test_overflowing_row_is_still_a_row_error(kernel):
 
 def test_reality_fault_is_internal_unless_a_row_does_not_fit(monkeypatch):
     forms = np.zeros((16, 4, 4), dtype=complex)
+    forms[0] = np.eye(4)  # a real sigma, |psi|^2, which overflows for the 1e200 row
     forms[1] = 1j * np.eye(4)  # anti-Hermitian: its sandwich is imaginary
     monkeypatch.setattr(bl, "_forms", lambda signature, rep: forms)
     with pytest.raises(cl.InternalError, match="omega acquired an imaginary part"):
         bl.bilinear_covariants(ClassicalSpinor([[1, 0, 1, 0], [0, 1, 0, 0]], cl.WEYL))
-    # a row whose sandwich overflows is the input's fault, named first
+    # a row whose covariants do not fit is the input's fault, named first
     with pytest.raises(cl.RowError, match="do not fit in float64") as excinfo:
         bl.bilinear_covariants(ClassicalSpinor([[1, 0, 1, 0], [1e200, 0, 0, 0]], cl.WEYL))
     assert excinfo.value.rows.tolist() == [False, True]

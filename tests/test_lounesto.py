@@ -244,6 +244,27 @@ def test_rescale_zero_factor_rejected(rng):
         lounesto.rescale_class_invariance(random_spinor(rng), 0.0)
 
 
+@pytest.mark.parametrize("c", [np.inf, -np.inf, np.nan, complex(0, np.inf), complex(1, np.nan)], ids=repr)
+def test_rescale_non_finite_factor_rejected(c):
+    """A factor that is not finite is refused before it multiplies, with no
+    warning."""
+    psi = ClassicalSpinor([1e10, 2j, 0.5, 1 + 1j], cl.WEYL)
+    with pytest.raises(ValueError, match=r"^rescaling factor must be finite, got "):
+        lounesto.rescale_class_invariance(psi, c)
+
+
+def test_rescale_overflow_is_a_row_error_naming_its_rows():
+    """A product c psi that overflows is a RowError naming its rows, with no
+    overflow warning."""
+    psi = ClassicalSpinor([[1, 2j, 0.5, 1 + 1j], [1e10, 2j, 0.5, 1 + 1j]], cl.WEYL)
+    with pytest.raises(cl.RowError, match="^rescaled spinor does not fit in float64$") as caught:
+        lounesto.rescale_class_invariance(psi, 1e300)
+    assert caught.value.rows.tolist() == [False, True]
+    with pytest.raises(cl.RowError, match="^rescaled spinor does not fit in float64$") as caught:
+        lounesto.rescale_class_invariance(ClassicalSpinor(psi.components[1], cl.WEYL), 1e300)
+    assert caught.value.rows.ndim == 0 and caught.value.rows
+
+
 def test_rescale_zero_spinor_is_classify_row_error(rng):
     """A zero spinor in a batch is classify's RowError naming its row."""
     psi = ClassicalSpinor([random_spinor(rng).components, np.zeros(4)], cl.WEYL)
@@ -294,12 +315,19 @@ def test_classify_overflowing_covariants_rejected():
 
 
 def test_classify_reports_covariants_of_psi(rng):
-    for scale in (1e-3, 1.0, 1e3):
-        psi = ClassicalSpinor(scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4)), cl.DIRAC)
-        got = lounesto.classify(psi).bilinears
-        want = bilinear_covariants(psi)
-        for name in ("sigma", "omega", "J", "K", "S"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+    """classify's covariants are bilinear_covariants' bit for bit, signs of
+    zero included, in both representations and from where |psi|^2 is
+    subnormal (1e-158, 2^-530) to where it is near the largest float
+    (unit rows times 1.2e154)."""
+    unit = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+    unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+    scaled = [scale * unit for scale in (1e-3, 1.0, 1e3, 1e-158, 1.2e154)]
+    scaled.append(np.ldexp(unit.view(np.float64), -530).view(np.complex128))
+    for rep in (cl.WEYL, cl.DIRAC):
+        for comps in scaled:
+            for psi in (ClassicalSpinor(comps, rep), ClassicalSpinor(comps[0], rep)):
+                got = lounesto.classify(psi).bilinears
+                assert got.stack().tobytes() == bilinear_covariants(psi).stack().tobytes()
 
 
 @given(

@@ -83,6 +83,7 @@ def test_isfinite_only_in_the_fit_check_and_the_input_checks():
         "jsonio:_row_texts",
         "topology:_validate_path",
         "cli:_tolerance",
+        "lounesto:rescale_class_invariance",
     }
 
 

@@ -3,11 +3,15 @@
 Every decision at every scale is made on the power-of-two ray of
 clifford._ray, and the package reaches that ray through two steps:
 Record._on_ray takes any record to its ray with its tags, and
-bilinears._covariants_on_ray takes a spinor to its ray and computes its
-covariants there.  Only fierz's even ray, for its public functions at any
-scale, and the check of an ideal element's matrix call _ray besides.
-These tests pin the record step's contract, that the CLI takes each row to
-a ray once, and that no other function writes a ray step of its own.
+bilinears._covariants_on_ray takes a batch of spinor components to its ray
+and computes its covariants there, in either signature: it is the one
+kernel that sandwiches spinors with the covariant forms, for classify, the
+CLI and the public bilinear_covariants and euclidean_bilinears alike.
+Only fierz's even ray, for its public functions at any scale, and the
+check of an ideal element's matrix call _ray besides.  These tests pin the
+record step's contract, that the CLI takes each row to a ray once, that no
+other function writes a ray step of its own, and that no other function
+sandwiches spinors with the forms.
 """
 
 import ast
@@ -167,3 +171,9 @@ def test_the_ray_is_called_only_from_its_homes():
         "fierz:_even_ray",
         "spinor_forms:AlgebraicSpinor.__post_init__",
     }
+
+
+def test_the_forms_are_read_only_by_the_one_kernel():
+    """The covariant kernel on the ray, and the mapping matrix's constraint
+    check, which reads the sigma and omega forms: no second sandwich."""
+    assert calls_by_function("_forms") == {"bilinears:_covariants_on_ray", "classmap:constraint_residuals"}
