@@ -192,6 +192,8 @@ def hermitian_constrain(p: MappingParams, tol: float = 1e-12) -> MappingMatrix:
     expected size does not fit in float64 among them; the returned matrix
     satisfies M = M^dag to machine precision.
     """
+    if p.stack().ndim != 1:
+        raise ValueError(f"hermitian_constrain takes one parameter set, got a batch of shape {p.stack().shape[:-1]}")
     # numpy scalars, whose overflow is quiet here, where Python's complex ** and abs raise
     m11, m12, m13, m14, m22, m41, m42, m43, m44 = p.stack()
     expected_m13, expected_m44 = -m22 * m14 / m12, -m12 * m43 / m22

@@ -412,8 +412,9 @@ def _verify_rows(ray: BilinearSet, e: np.ndarray, mode: str, tol: float) -> dict
         columns = {"residual": values[:, 0], "pass": values[:, 0] <= tol}
     else:
         z = fierz.aggregate(ray)
-        # |Z|^2 is of order 1 on the ray: the floor holds only for the zero set
-        zscale = np.maximum(z.norm() ** 2, 1e-300)
+        # boomerang_residual's floor: |Z|^2 = component_norm()^2 >= 1/4 on a spinor's
+        # ray and on a covariant set's ray, so it binds only for the zero set
+        zscale = np.maximum(z.norm() ** 2, 0.25)
         res5 = fierz.generalized_fpk_residuals(z, ray)
         values = res5 / zscale[:, None]
         columns = {"residuals": values, "pass": res5.max(axis=-1) <= tol * zscale}

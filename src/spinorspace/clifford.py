@@ -144,12 +144,12 @@ def _unbox(x):
 def _row_norm(record, axis=-1) -> float:
     """Euclidean 2-norm of each row (over axis) of a record's array, bound as
     norm(); inf where the squares overflow."""
-    return _unbox(np.sqrt((record._array.conj() * record._array).real.sum(axis=axis)))
+    return _unbox(np.sqrt(np.add.reduce((record._array.conj() * record._array).real, axis=axis)))
 
 
 def _row_max_abs(record) -> float:
     """Largest modulus in each row of a record's array, bound as max_abs()."""
-    return _unbox(np.abs(record._array).max(axis=-1))
+    return _unbox(np.maximum.reduce(np.abs(record._array), axis=-1))
 
 
 def _ray(values: np.ndarray, axis=-1) -> tuple[np.ndarray, np.ndarray]:

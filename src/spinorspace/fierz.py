@@ -31,7 +31,7 @@ from . import conventions
 from .bilinears import (_GROUP_STARTS, ORIENTATION, BilinearSet, _by_group, _covariant_basis, _covariant_blades,
                         _s_weights, minkowski_dot, minkowski_square)
 from .clifford import (Multivector, Record, RowError, Signature, _fitting, _from_slots, _frozen, _mul_gather, _numbers,
-                       _quiet, _ray, _row_max_abs, _unbox, left_mul_matrix, pseudoscalar, rep_matrix, scalar)
+                       _quiet, _row_max_abs, _unbox, left_mul_matrix, pseudoscalar, rep_matrix, scalar)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
 
 __all__ = [
@@ -154,22 +154,12 @@ def aggregate(b: BilinearSet) -> Multivector:
     return Multivector._of(b.stack() @ _aggregate_matrix(b.signature), signature=b.signature)
 
 
-def _even_ray(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ray, k): the complex (..., n) values times 4^-k, k the exponent of
-    clifford._ray halved and rounded down, so that the largest part of each
-    row lies in [0.5, 2); a spinor whose square the values are scales by the
-    exact 2^-k."""
-    ray, e = _ray(values)
-    return np.ldexp(ray.view(np.float64), e & 1).view(values.dtype), e >> 1
-
-
 def boomerang_residual(z: Multivector, sigma: float) -> float:
     """Max-norm of Z Z - 4 sigma Z relative to |Z|^2 (0 for Z = 0), per row
-    of a batch of aggregates and their sigmas, computed with Z and sigma
-    scaled by Z's 4^-k (_even_ray), so alike at every scale."""
-    coeffs, k = _even_ray(z.coeffs)
-    ray = z._like(coeffs)
-    resid = ray * ray - (4.0 * np.ldexp(sigma, -2 * k[..., 0])) * ray
+    of a batch of aggregates and their sigmas, computed with Z on its ray
+    (Record._on_ray) and sigma scaled by the same 2^-e, so alike at every scale."""
+    ray, e = z._on_ray()
+    resid = ray * ray - (4.0 * np.ldexp(sigma, -e[..., 0])) * ray
     # |Z|^2 is at least 1/4 on the ray: the floor only makes 0/0 read 0 for Z = 0
     return _unbox(resid.max_abs() / np.maximum(ray.norm() ** 2, 0.25))
 
@@ -247,10 +237,13 @@ class SingularAggregateParams(Record):
 @_quiet
 def build_singular_aggregate(p: SingularAggregateParams, tol: float = 1e-9) -> Multivector:
     """Assemble J (1 + i s + i h e0123) after validating the parameter
-    invariants; the result squares to zero.  The invariants are homogeneous
-    in J and in s, so they are tested on J's and s's rays (_even_ray), alike
-    at every scale; an aggregate that does not fit in float64 raises RowError."""
-    (j, _), (s, _) = _even_ray(p.J), _even_ray(p.s)
+    invariants; the result squares to zero.  The invariants are tested on
+    the rays of J's and s's multivectors, whose components differ from J's
+    and s's only in the signs eta_mu, in which every invariant is even, so
+    alike at every scale; an aggregate that does not fit in float64 raises
+    RowError."""
+    jmv, smv = vector_multivector(p.J), vector_multivector(p.s)
+    j, s = (v._on_ray()[0].coeffs[1:5].real for v in (jmv, smv))
     j_scale = float(np.sum(j ** 2))
     s_scale = float(np.sum(s ** 2))
     if j_scale == 0.0:
@@ -261,8 +254,6 @@ def build_singular_aggregate(p: SingularAggregateParams, tol: float = 1e-9) -> M
         raise ValueError("s must be space-like: s.s < 0")
     if abs(minkowski_dot(j, s)) > tol * np.sqrt(j_scale * s_scale):
         raise ValueError("s must be orthogonal to J: J.s = 0")
-    jmv = vector_multivector(p.J)
-    smv = vector_multivector(p.s)
     factor = scalar(1.0) + 1j * smv + (1j * p.h) * pseudoscalar()
     z = jmv * factor
     _fitting(z.coeffs, "singular aggregate does not fit in float64")
@@ -272,9 +263,11 @@ def build_singular_aggregate(p: SingularAggregateParams, tol: float = 1e-9) -> M
 def default_probe_spinor(z: Multivector, rep) -> ClassicalSpinor:
     """Deterministic probe: the canonical basis spinor maximizing the
     reconstruction kernel |xi^dag g0 Z xi| (the first such one on ties), one
-    per row of a batch of aggregates."""
-    kernels = np.abs(np.diagonal(rep.gammas[0] @ rep_matrix(z, rep), axis1=-2, axis2=-1))
-    return ClassicalSpinor(np.eye(4, dtype=np.complex128)[np.argmax(kernels, axis=-1)], rep)
+    per row of a batch of aggregates, read on Z's ray (Record._on_ray), so
+    alike at every scale."""
+    ray, _ = z._on_ray()
+    kernels = np.abs((rep.gammas[0] @ rep_matrix(ray, rep)).diagonal(axis1=-2, axis2=-1))
+    return ClassicalSpinor(np.eye(4, dtype=np.complex128)[kernels.argmax(axis=-1)], rep)
 
 
 def reconstruct(
@@ -291,16 +284,17 @@ def reconstruct(
     references are taken row by row; rows with a degenerate probe or an
     orthogonal reference raise RowError naming them.
 
-    Z, xi and psi_ref are each scaled by an even power of two (_even_ray),
-    and the spinor rebuilt from Z 4^-k is scaled back by the exact 2^k, so
-    the result and both tests are alike at every scale.
+    xi and psi_ref are read on their rays (Record._on_ray), and Z on its
+    ray times 2^(e mod 2), Z 4^-k with k = e div 2: an even exponent, so
+    that the spinor rebuilt from it, the square root of Z, scales back by
+    the exact 2^k.  The result and both tests are alike at every scale.
     """
-    coeffs, k = _even_ray(z.coeffs)
-    zm = rep_matrix(z._like(coeffs), xi.rep)
-    xc, _ = _even_ray(xi.components)
-    zxi = np.matmul(zm, xc[..., None])[..., 0]
-    kernel = np.sum(xc.conj() * (zxi @ xi.rep.gammas[0].T), axis=-1)
-    scale = np.max(np.abs(zm), axis=(-2, -1)) * xi._like(xc).norm() ** 2
+    ray, e = z._on_ray()
+    zm = rep_matrix(ray, xi.rep) * np.ldexp(1.0, e & 1)[..., None]
+    xr, _ = xi._on_ray()
+    zxi = np.matmul(zm, xr.components[..., None])[..., 0]
+    kernel = np.sum(xr.components.conj() * (zxi @ xi.rep.gammas[0].T), axis=-1)
+    scale = np.max(np.abs(zm), axis=(-2, -1)) * xr.norm() ** 2
     degenerate = np.abs(kernel) <= tol * scale
     if degenerate.any():
         raise RowError(
@@ -309,14 +303,14 @@ def reconstruct(
         )
     psi = zxi / (2.0 * np.sqrt(kernel))[..., None]
     if psi_ref is not None:
-        ref, _ = _even_ray(psi_ref.to_rep(xi.rep).components)
-        overlap = np.sum(psi.conj() * ref, axis=-1)
-        bound = xi._like(psi).norm() * xi._like(ref).norm()
+        ref, _ = psi_ref.to_rep(xi.rep)._on_ray()
+        overlap = np.sum(psi.conj() * ref.components, axis=-1)
+        bound = ref._like(psi).norm() * ref.norm()
         orthogonal = np.abs(overlap) <= tol * bound
         if orthogonal.any():
             raise RowError("reference spinor is orthogonal to the reconstruction ray", orthogonal)
         psi = psi * (overlap / np.abs(overlap))[..., None]
-    return ClassicalSpinor(np.ldexp(psi.view(np.float64), k).view(np.complex128), xi.rep)
+    return ClassicalSpinor(np.ldexp(psi.view(np.float64), e >> 1).view(np.complex128), xi.rep)
 
 
 def euclidean_fierz_residuals(b: BilinearSet) -> np.ndarray:

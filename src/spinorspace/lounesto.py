@@ -177,7 +177,7 @@ def classify_bilinears(b: BilinearSet, tol: float = DEFAULT_TOL) -> LounestoClas
         raise ValueError("classification applies to time-minus covariants")
     ray, _ = b._on_ray()
     cls, _, _ = _pattern(ray.stack(), ray.component_norm() / 2, tol)
-    return _unbox(np.where(_fpk_check(ray, tol)[1].all(axis=-1), cls, LounestoClass.ANOMALOUS))
+    return _unbox(np.where(np.logical_and.reduce(_fpk_check(ray, tol)[1], axis=-1), cls, LounestoClass.ANOMALOUS))
 
 
 @_quiet

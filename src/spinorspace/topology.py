@@ -119,4 +119,4 @@ def fpk_membership(p: BilinearSet, tol: float = DEFAULT_TOL) -> bool:
     """Whether the point satisfies the quadratic covariant identities (the
     membership gate of the physical sector), per point of a batch and alike
     at every scale.  The all-zero point passes as a degenerate member."""
-    return _unbox(_fpk_check(p._on_ray()[0], tol)[1].all(axis=-1))
+    return _unbox(np.logical_and.reduce(_fpk_check(p._on_ray()[0], tol)[1], axis=-1))

@@ -204,6 +204,15 @@ def test_hermitian_constrain_lists_violations():
     assert ";" in message
 
 
+@pytest.mark.parametrize("batch", [(2,), (9,)])
+def test_hermitian_constrain_refuses_a_batch(batch):
+    """It takes one parameter set: a batch is a ValueError naming its shape,
+    whether or not the batch is nine sets long."""
+    p = classmap.MappingParams(*np.ones((9,) + batch))
+    with pytest.raises(ValueError, match=rf"one parameter set, got a batch of shape \({batch[0]},\)"):
+        classmap.hermitian_constrain(p)
+
+
 @pytest.mark.parametrize("values, violated", [
     ((1, 1, 0, -1e308, 1, 1e308, 0, 0, 0), ["m41 must equal conj(m14)", "m13 must equal -m22 m14 / m12"]),
     ((1, 1e200, 0, 0, 1, 0, 0, 0, 0), ["m11 m22 must equal m12^2"]),

@@ -5,7 +5,9 @@ runs no frame in numpy's fromnumeric.py, the Python-level wrappers behind
 np.all, np.take, np.swapaxes and the like, nor in numpy/_core/_methods.py,
 where array methods such as ndarray.all and ndarray.any forward: the batch
 kernels call numpy through ufuncs, their reductions and the array methods
-written in C, so a single spinor pays for no wrapper.
+written in C, so a single spinor pays for no wrapper.  Neither does one call
+of the row primitives (norm, component_norm, max_abs) or of the fierz,
+lounesto and topology calls built on them.
 """
 
 import sys
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinorspace import bilinears, clifford, fierz, lounesto, spinor_forms
+from spinorspace import bilinears, clifford, fierz, lounesto, spinor_forms, topology
 from spinorspace.spinor_forms import ClassicalSpinor
 
 CLASS1 = np.array([1, 2j, 0.5, 1 + 1j])
@@ -49,14 +51,38 @@ def frames_run(call) -> set[str]:
     return seen
 
 
-@pytest.mark.parametrize("rep", [clifford.WEYL, clifford.DIRAC], ids=str)
-@pytest.mark.parametrize("name", ENTRY_POINTS)
-def test_scalar_call_runs_no_fromnumeric_wrapper(name, rep):
+def wrapper_frames(call, rep) -> list[str]:
+    """The fromnumeric.py and _methods.py frames of one call on the class-1
+    spinor in rep, its covariants and its aggregate."""
     psi = ClassicalSpinor(CLASS1, rep)
     b = bilinears.bilinear_covariants(psi)
     z = fierz.aggregate(b)
-    call = ENTRY_POINTS[name]
     call(psi, b, z)   # the cached tables are built once, with whatever numpy they need
     frames = frames_run(lambda: call(psi, b, z))
     assert frames, "the profile saw no frame"
-    assert sorted(f for f in frames if f.startswith(("fromnumeric.py:", "_methods.py:"))) == []
+    return sorted(f for f in frames if f.startswith(("fromnumeric.py:", "_methods.py:")))
+
+
+@pytest.mark.parametrize("rep", [clifford.WEYL, clifford.DIRAC], ids=str)
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_scalar_call_runs_no_fromnumeric_wrapper(name, rep):
+    assert wrapper_frames(ENTRY_POINTS[name], rep) == []
+
+
+# the row primitives and the calls built on them: the reductions are ufunc
+# reductions (np.add.reduce, np.maximum.reduce, np.logical_and.reduce) and C
+# array methods (diagonal, argmax), which give the wrappers' bits
+ROW_CALLS = {
+    "norm": lambda psi, b, z: psi.norm(),
+    "component_norm": lambda psi, b, z: b.component_norm(),
+    "max_abs": lambda psi, b, z: z.max_abs(),
+    "boomerang_residual": lambda psi, b, z: fierz.boomerang_residual(z, b.sigma),
+    "default_probe_spinor": lambda psi, b, z: fierz.default_probe_spinor(z, psi.rep),
+    "classify_bilinears": lambda psi, b, z: lounesto.classify_bilinears(b),
+    "fpk_membership": lambda psi, b, z: topology.fpk_membership(b),
+}
+
+
+@pytest.mark.parametrize("name", ROW_CALLS)
+def test_row_primitive_runs_no_fromnumeric_wrapper(name):
+    assert wrapper_frames(ROW_CALLS[name], clifford.WEYL) == []

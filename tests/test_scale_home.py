@@ -7,11 +7,11 @@ bilinears._covariants_on_ray takes a batch of spinor components to its ray
 and computes its covariants there, in either signature: it is the one
 kernel that sandwiches spinors with the covariant forms, for classify, the
 CLI and the public bilinear_covariants and euclidean_bilinears alike.
-Only fierz's even ray, for its public functions at any scale, and the
-check of an ideal element's matrix call _ray besides.  These tests pin the
-record step's contract, that the CLI takes each row to a ray once, that no
-other function writes a ray step of its own, and that no other function
-sandwiches spinors with the forms.
+Only the check of an ideal element's matrix, whose rows span two axes,
+calls _ray besides; fierz's public functions reach the ray through the
+record step.  These tests pin the record step's contract, that the CLI
+takes each row to a ray once, that no other function writes a ray step of
+its own, and that no other function sandwiches spinors with the forms.
 """
 
 import ast
@@ -161,14 +161,12 @@ def test_frexp_is_called_only_by_the_ray():
 
 
 def test_the_ray_is_called_only_from_its_homes():
-    """The record step, the spinor-to-covariants step, the even ray of
-    fierz's public reconstruct, boomerang_residual and
-    build_singular_aggregate, and the check hook of AlgebraicSpinor, whose
-    matrix rows span two axes."""
+    """The record step, the spinor-to-covariants step and the check hook of
+    AlgebraicSpinor, whose matrix rows span two axes: fierz has no ray step
+    of its own."""
     assert calls_by_function("_ray") == {
         "clifford:Record._on_ray",
         "bilinears:_covariants_on_ray",
-        "fierz:_even_ray",
         "spinor_forms:AlgebraicSpinor.__post_init__",
     }
 

@@ -4,7 +4,9 @@ A covariant set passes an identity when |r_k| <= tol * component_norm^2.
 Where that arithmetic stays normal, fpk_membership, classify_bilinears and
 the verify --mode fpk columns decide exactly as the rule on the set itself;
 outside that band they decide as the rule does on the set scaled back to
-unit size, so a set classifies and verifies alike at every scale.
+unit size, so a set classifies and verifies alike at every scale.  fierz's
+public functions take their inputs to the ray through Record._on_ray, so
+inputs scaled by a power of two give the unit-scale result scaled exactly.
 """
 
 import json
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from spinorspace import cli, fierz, lounesto, topology
 from spinorspace.bilinears import BilinearSet, bilinear_covariants
-from spinorspace.clifford import WEYL
+from spinorspace.clifford import DIRAC, WEYL, Multivector
 from spinorspace.spinor_forms import ClassicalSpinor
 
 TOLS = (1e-14, 1e-10, 1e-6)
@@ -141,3 +143,86 @@ def test_reconstruct_of_subnormal_covariants_is_not_degenerate():
     z = fierz.aggregate(bilinear_covariants(psi))
     recovered = fierz.reconstruct(z, fierz.default_probe_spinor(z, WEYL), psi_ref=psi)
     assert np.abs(recovered.components - psi.components).max() <= 1e-4 * psi.norm()
+
+
+# -- fierz's public functions on the ray ------------------------------------------------
+
+
+def unit_spinors(n: int, rep, seed: int = 35) -> ClassicalSpinor:
+    """n seeded spinors of unit norm in rep."""
+    rng = np.random.default_rng(seed)
+    comps = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    return ClassicalSpinor(comps / np.linalg.norm(comps, axis=-1, keepdims=True), rep)
+
+
+def ldexp_multivector(z: Multivector, k: int) -> Multivector:
+    return Multivector(z.signature, np.ldexp(z.coeffs.view(np.float64), k).view(np.complex128))
+
+
+SCALES = given(st.integers(-500, 500))
+
+
+@pytest.mark.parametrize("rep", [WEYL, DIRAC], ids=str)
+@SCALES
+def test_boomerang_probe_and_reconstruct_are_alike_at_every_scale(rep, k):
+    """For unit spinors, bit for bit: Z and sigma times 2^k give the boomerang
+    residual and the probe of Z and sigma, and Z times 4^h, h = k div 2,
+    gives the spinor times 2^h whatever the scales of the probe and the
+    reference."""
+    psi = unit_spinors(20, rep)
+    b = bilinear_covariants(psi)
+    z = fierz.aggregate(b)
+    zk = ldexp_multivector(z, k)
+    scaled = fierz.boomerang_residual(zk, np.ldexp(b.sigma, k))
+    assert scaled.tobytes() == fierz.boomerang_residual(z, b.sigma).tobytes()
+    xi = fierz.default_probe_spinor(z, rep)
+    assert fierz.default_probe_spinor(zk, rep) == xi
+    zh, h = ldexp_multivector(z, 2 * (k // 2)), k // 2
+    assert fierz.reconstruct(zh, ldexp_spinor(xi, k)) == ldexp_spinor(fierz.reconstruct(z, xi), h)
+    exact = fierz.reconstruct(zh, ldexp_spinor(xi, -k), psi_ref=ldexp_spinor(psi, k))
+    assert exact == ldexp_spinor(fierz.reconstruct(z, xi, psi_ref=psi), h)
+
+
+# (J, s, h, the message of the unit-scale call or None where it builds)
+SINGULAR_CASES = [
+    ([1, 0, 0, 1], [0, 1, 0, 0], 0.0, None),
+    ([2, 0, 2, 0], [0, 1, 0, 0], -0.5, None),
+    ([5, 3, 4, 0], [0, 4, -3, 0], 1.5, None),
+    ([1, 0, 0, 0], [0, 1, 0, 0], 0.0, "J must be lightlike"),
+    ([1, 0, 0, 1 + 1e-8], [0, 1, 0, 0], 0.0, "J must be lightlike"),
+    ([1, 0, 0, 1], [2, 0, 0, 2], 0.0, "s must be space-like"),
+    ([1, 0, 0, 1], [0, 0, 0, 1], 0.0, "s must be orthogonal"),
+    ([5, 3, 4, 0], [1e-7, 4, -3, 0], 0.0, "s must be orthogonal"),
+]
+
+
+@SCALES
+def test_singular_aggregate_is_alike_at_every_scale(k):
+    """J and s times 2^k and 2^-k are judged as J and s are, and J times
+    2^k gives the aggregate times 2^k, bit for bit."""
+    for J, s, h, message in SINGULAR_CASES:
+        J, s = np.array(J, dtype=float), np.array(s, dtype=float)
+        if message is not None:
+            for jk, sk in ((k, k), (k, -k)):
+                with pytest.raises(ValueError, match=message):
+                    fierz.build_singular_aggregate(fierz.SingularAggregateParams(np.ldexp(J, jk), np.ldexp(s, sk), h))
+            continue
+        z = fierz.build_singular_aggregate(fierz.SingularAggregateParams(J, s, h))
+        zk = fierz.build_singular_aggregate(fierz.SingularAggregateParams(np.ldexp(J, k), s, h))
+        assert zk == ldexp_multivector(z, k)
+        fierz.build_singular_aggregate(fierz.SingularAggregateParams(J, np.ldexp(s, k), h))
+
+
+@pytest.mark.parametrize("rep", [WEYL, DIRAC], ids=str)
+def test_probe_near_the_top_of_float64_is_the_unit_scale_one(rep):
+    """Unit spinors times 1.2e154, whose aggregates reach 1.4e308: the
+    probe read on Z's ray is the unit-scale one, with no warning, where Z's
+    matrix read at its own scale overflows to inf and its kernels to nan,
+    and the spinor comes back."""
+    psi = unit_spinors(200, rep)
+    big = ClassicalSpinor(psi.components * 1.2e154, rep)
+    z, zbig = (fierz.aggregate(bilinear_covariants(p)) for p in (psi, big))
+    probe = fierz.default_probe_spinor(zbig, rep)
+    assert probe == fierz.default_probe_spinor(z, rep)
+    recovered = fierz.reconstruct(zbig, probe, psi_ref=big)
+    assert (np.abs(recovered.components - big.components).max(axis=-1) <= 1e-14 * big.norm()).all()
