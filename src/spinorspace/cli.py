@@ -408,13 +408,11 @@ def _verify_rows(ray: BilinearSet, e: np.ndarray, mode: str, tol: float) -> dict
         columns = {**{f"r{k + 1}": values[:, k] for k in range(4)},
                    **{f"pass_per_identity.r{k + 1}": within[:, k] for k in range(4)}, "pass": within.all(axis=-1)}
     elif mode == "boomerang":
-        values = fierz.boomerang_residual(fierz.aggregate(ray), ray.sigma)[:, None]
-        columns = {"residual": values[:, 0], "pass": values[:, 0] <= tol}
+        values = fierz.boomerang_residual(fierz.aggregate(ray), ray.sigma)
+        columns = {"residual": values, "pass": values <= tol}
     else:
         z = fierz.aggregate(ray)
-        # boomerang_residual's floor: |Z|^2 = component_norm()^2 >= 1/4 on a spinor's
-        # ray and on a covariant set's ray, so it binds only for the zero set
-        zscale = np.maximum(z.norm() ** 2, 0.25)
+        zscale = fierz._z_scale(z)
         res5 = fierz.generalized_fpk_residuals(z, ray)
         values = res5 / zscale[:, None]
         columns = {"residuals": values, "pass": res5.max(axis=-1) <= tol * zscale}

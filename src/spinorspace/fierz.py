@@ -154,14 +154,19 @@ def aggregate(b: BilinearSet) -> Multivector:
     return Multivector._of(b.stack() @ _aggregate_matrix(b.signature), signature=b.signature)
 
 
+def _z_scale(z: Multivector) -> np.ndarray:
+    """|Z|^2 of aggregates on a ray, floored at 1/4: on a ray |Z|^2 >= 1/4, so only Z = 0 meets it."""
+    return np.maximum(z.norm() ** 2, 0.25)
+
+
+@_quiet
 def boomerang_residual(z: Multivector, sigma: float) -> float:
-    """Max-norm of Z Z - 4 sigma Z relative to |Z|^2 (0 for Z = 0), per row
-    of a batch of aggregates and their sigmas, computed with Z on its ray
-    (Record._on_ray) and sigma scaled by the same 2^-e, so alike at every scale."""
+    """Max-norm of Z Z - 4 sigma Z relative to |Z|^2 (0 for Z = 0), per row of a batch
+    of aggregates and their sigmas, on Z's ray (Record._on_ray) with 4 sigma scaled by
+    the same 2^-e in one ldexp, so alike at every scale; RowError names rows beyond float64."""
     ray, e = z._on_ray()
-    resid = ray * ray - (4.0 * np.ldexp(sigma, -e[..., 0])) * ray
-    # |Z|^2 is at least 1/4 on the ray: the floor only makes 0/0 read 0 for Z = 0
-    return _unbox(resid.max_abs() / np.maximum(ray.norm() ** 2, 0.25))
+    resid = ray._like((ray * ray).coeffs - np.ldexp(sigma, 2 - e[..., 0])[..., None] * ray.coeffs)
+    return _unbox(_fitting(resid.max_abs() / _z_scale(ray), "boomerang residual does not fit in float64", axis=()))
 
 
 def is_boomerang(z: Multivector, sigma: float, tol: float = 1e-9) -> bool:
@@ -293,10 +298,10 @@ def reconstruct(
     zm = rep_matrix(ray, xi.rep) * np.ldexp(1.0, e & 1)[..., None]
     xr, _ = xi._on_ray()
     zxi = np.matmul(zm, xr.components[..., None])[..., 0]
-    kernel = np.sum(xr.components.conj() * (zxi @ xi.rep.gammas[0].T), axis=-1)
-    scale = np.max(np.abs(zm), axis=(-2, -1)) * xr.norm() ** 2
+    kernel = np.add.reduce(xr.components.conj() * (zxi @ xi.rep.gammas[0].T), axis=-1)
+    scale = np.maximum.reduce(np.abs(zm), axis=(-2, -1)) * xr.norm() ** 2
     degenerate = np.abs(kernel) <= tol * scale
-    if degenerate.any():
+    if np.logical_or.reduce(degenerate, axis=None):
         raise RowError(
             "degenerate probe: xi^dag g0 Z xi vanishes; choose a different test spinor",
             degenerate,
@@ -304,10 +309,10 @@ def reconstruct(
     psi = zxi / (2.0 * np.sqrt(kernel))[..., None]
     if psi_ref is not None:
         ref, _ = psi_ref.to_rep(xi.rep)._on_ray()
-        overlap = np.sum(psi.conj() * ref.components, axis=-1)
+        overlap = np.add.reduce(psi.conj() * ref.components, axis=-1)
         bound = ref._like(psi).norm() * ref.norm()
         orthogonal = np.abs(overlap) <= tol * bound
-        if orthogonal.any():
+        if np.logical_or.reduce(orthogonal, axis=None):
             raise RowError("reference spinor is orthogonal to the reconstruction ray", orthogonal)
         psi = psi * (overlap / np.abs(overlap))[..., None]
     return ClassicalSpinor(np.ldexp(psi.view(np.float64), e >> 1).view(np.complex128), xi.rep)

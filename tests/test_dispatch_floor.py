@@ -70,14 +70,16 @@ def test_scalar_call_runs_no_fromnumeric_wrapper(name, rep):
 
 
 # the row primitives and the calls built on them: the reductions are ufunc
-# reductions (np.add.reduce, np.maximum.reduce, np.logical_and.reduce) and C
-# array methods (diagonal, argmax), which give the wrappers' bits
+# reductions (np.add.reduce, np.maximum.reduce, np.logical_and.reduce,
+# np.logical_or.reduce) and C array methods (diagonal, argmax), which give the
+# wrappers' bits
 ROW_CALLS = {
     "norm": lambda psi, b, z: psi.norm(),
     "component_norm": lambda psi, b, z: b.component_norm(),
     "max_abs": lambda psi, b, z: z.max_abs(),
     "boomerang_residual": lambda psi, b, z: fierz.boomerang_residual(z, b.sigma),
     "default_probe_spinor": lambda psi, b, z: fierz.default_probe_spinor(z, psi.rep),
+    "reconstruct": lambda psi, b, z: fierz.reconstruct(z, fierz.default_probe_spinor(z, psi.rep), psi_ref=psi),
     "classify_bilinears": lambda psi, b, z: lounesto.classify_bilinears(b),
     "fpk_membership": lambda psi, b, z: topology.fpk_membership(b),
 }

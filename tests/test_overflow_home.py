@@ -13,7 +13,10 @@ isclose answers False, with no warning, where a difference overflows, and
 the singular aggregate tests its invariants on the rays of J and s, so it
 judges them alike at every scale, and names a product beyond float64.  A
 non-finite scale factor is no overflow: it raises its own RowError for the
-rows it scales, and finite factors keep the overflow message.
+rows it scales, and finite factors keep the overflow message.  The
+boomerang residual of a sigma far beyond |Z| names the rows whose residual
+does not fit in float64, whether 4 sigma scaled to Z's ray or its quotient
+by |Z|^2 is the step that overflows.
 """
 
 import ast
@@ -176,3 +179,23 @@ def test_singular_aggregate_beyond_float64_is_named():
         with pytest.raises(clifford.RowError, match="^singular aggregate does not fit in float64$") as excinfo:
             singular(np.array([1, 1, 0, 0]) * 1e200, np.array([0, 0, 1, 0]) * 1e200)
         assert excinfo.value.rows.shape == () and excinfo.value.rows
+
+
+def test_boomerang_residual_beyond_float64_names_its_rows():
+    """Rows 1 and 3 hold a sigma far beyond |Z|: in row 1 Z is the class-1
+    aggregate times 2^-100 and 4 sigma 2^-e overflows; in row 3 Z is the
+    scalar 1/2 and 4 sigma 2^-e fits but the residual over |Z|^2 = 1/4 does
+    not.  Rows 0 and 2 keep their unit-scale residuals."""
+    b = bilinears.bilinear_covariants(spinor_forms.ClassicalSpinor([1, 2j, 0.5, 1 + 1j]))
+    z = fierz.aggregate(b).coeffs
+    batch = clifford.Multivector(clifford.Signature.MINKOWSKI,
+                                 [z, np.ldexp(z.view(np.float64), -100).view(np.complex128), z,
+                                  clifford.scalar(0.5).coeffs])
+    sigma = np.array([b.sigma, 1e300, b.sigma, 4e307])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(clifford.RowError, match="^boomerang residual does not fit in float64$") as excinfo:
+            fierz.boomerang_residual(batch, sigma)
+        assert excinfo.value.rows.tolist() == [False, True, False, True]
+        good = clifford.Multivector(clifford.Signature.MINKOWSKI, [z, z])
+        assert fierz.boomerang_residual(good, sigma[[0, 2]]).tolist() == [0.0, 0.0]

@@ -11,7 +11,9 @@ _from_slots, from which every multivector constructor builds; and the
 number rule _numbers, through which every public record constructor, every
 scale factor, every helper constructor and array-taking kernel, and every
 input file reads its numbers.  The bit code of a set of flags and the
-default classification tolerance live in lounesto.  These tests read the
+default classification tolerance live in lounesto, and the |Z|^2 floor of
+1/4, against which the boomerang check and the aggregate verify measure an
+aggregate on a ray, in fierz._z_scale.  These tests read the
 package's syntax trees and pin that no module writes one of them out again,
 and that no module keeps an import it does not use.
 """
@@ -213,6 +215,15 @@ def test_no_module_writes_a_norm_of_its_own():
     assert not scopes_where(lambda node: isinstance(node, ast.Attribute) and node.attr == "norm"
                             and getattr(node.value, "attr", None) == "linalg")
     assert not scopes_where(lambda node: isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""))
+
+
+def test_the_aggregate_floor_has_one_home():
+    """One scope floors with np.maximum(..., 0.25), fierz._z_scale (the
+    quarter factor of generalized_fpk_residuals is a product, not a floor),
+    and the boomerang check and the aggregate verify call it."""
+    assert scopes_where(lambda node: calls(node, "maximum")
+                        and any(getattr(arg, "value", None) == 0.25 for arg in node.args)) == {"fierz:_z_scale"}
+    assert scopes_naming("_z_scale", calls_only=True) == {"fierz:boomerang_residual", "cli:_verify_rows"}
 
 
 def test_flag_code_tables_are_built_once():
