@@ -36,7 +36,8 @@ import numpy as np
 
 from . import conventions
 from .clifford import (_I2, _O2, PAULI, GammaRep, InternalError, Record, Signature, _blade_matrices, _block,
-                       _fitting, _frozen, _ldexp_quiet, _numbers, _product_table, _quiet, _ray, _row_norm, _unbox)
+                       _fitting, _frozen, _ldexp_quiet, _matmul, _modulus, _numbers, _product_table, _quiet, _ray,
+                       _row_norm, _unbox)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor, Quaternion
 
 __all__ = [
@@ -126,7 +127,7 @@ def minkowski_dot(u: np.ndarray, v: np.ndarray) -> float:
 
 def dirac_adjoint(psi: ClassicalSpinor) -> np.ndarray:
     """Row psi^dag g0 in the spinor's own representation."""
-    return psi.components.conj() @ psi.rep.gammas[0]
+    return _matmul(psi.components.conj(), psi.rep.gammas[0])
 
 
 # generators of the Euclidean algebra acting on C^4; squares are +1 and the
@@ -202,7 +203,7 @@ def _forms(signature: Signature, rep: GammaRep | None) -> np.ndarray:
         adj = rep.gammas[0]
     blades, coeffs = _covariant_blades(signature)
     images = coeffs[:, None, None] * _blade_matrices(rep)[blades]
-    return _frozen(_by_group(1.0, 1.0, 1.0, ORIENTATION[signature], -1.0)[:, None, None] * (adj @ images))
+    return _frozen(_by_group(1.0, 1.0, 1.0, ORIENTATION[signature], -1.0)[:, None, None] * _matmul(adj, images))
 
 
 @functools.lru_cache(maxsize=16)
@@ -225,12 +226,12 @@ def _covariants_on_ray(comps: np.ndarray, signature: Signature,
     v = values.real * _s_weights(_S_SCALES[signature])
     b = _fitting(_ldexp_quiet(v, 2 * e), _UNFIT)
     # a nonzero row's J_0 or sigma, |ray|^2, is at least 1/4: the bound is relative to it
-    real = np.abs(values.imag) <= REALITY_TOL / 4
+    real = _modulus(values.imag) <= REALITY_TOL / 4
     if not np.logical_and.reduce(real, axis=None):
         k = int(np.argmin(real.reshape(-1, len(_LABELS)).all(axis=0)))
         raise InternalError(
             f"internal consistency: {_LABELS[k]} acquired an imaginary part "
-            f"{np.max(np.abs(values.imag[..., k])):.3e} beyond tolerance on the ray"
+            f"{np.maximum.reduce(_modulus(values.imag[..., k]), axis=None):.3e} beyond tolerance on the ray"
         )
     return ray, e, v, b
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import _forms
-from .clifford import WEYL, Record, RowError, Signature, _fitting, _ldexp_quiet, _numbers, _quiet, _row_norm, _unbox
+from .clifford import (WEYL, Record, RowError, Signature, _fitting, _ldexp_quiet, _matmul, _matvec, _modulus, _numbers,
+                       _quiet, _row_norm, _unbox)
 from .lounesto import _PATTERN_BITS, _TINY, DEFAULT_TOL, ClassificationReport, _code_table, _complex_vector, classify
 from .spinor_forms import ClassicalSpinor
 
@@ -94,7 +95,8 @@ def constraint_residuals(m: np.ndarray) -> tuple[float, float]:
     M), per matrix of a (..., 4, 4) batch; both vanish for matrices with the
     dependent-row structure."""
     mat = _numbers(m, np.complex128, MappingMatrix._holds)[..., None, :, :]
-    r = np.abs(mat.conj().mT @ _forms(Signature.MINKOWSKI, WEYL)[:2] @ mat).max(axis=(-2, -1))
+    r = np.maximum.reduce(_modulus(_matmul(_matmul(mat.conj().mT, _forms(Signature.MINKOWSKI, WEYL)[:2]), mat)),
+                          axis=(-2, -1))
     return _unbox(r[..., 0]), _unbox(r[..., 1])
 
 
@@ -155,7 +157,7 @@ def map_to_class4(
         raise RowError(f"input must be a regular spinor (class 1-3), got {first.value}", classes == first)
     ray, e_phi = phi._on_ray()
     m_ray, e_m = m._on_ray((-2, -1))
-    ray_image = np.matmul(m_ray.matrix, ray.components[..., None])[..., 0]
+    ray_image = _matvec(m_ray.matrix, ray.components)
     # phi lies in the kernel where its ray does under M's ray, which judges it relative
     # to M's largest part; both rays are of order 1, so no norm underflows or overflows
     kernel = ray._like(ray_image).norm() <= tol * ray.norm()
@@ -167,7 +169,7 @@ def map_to_class4(
         )
     # M phi is the rays' image times 2^(e_phi + e_M), exact wherever its largest part is a normal float
     parts = _ldexp_quiet(ray_image.view(np.float64), e_phi + e_m[..., 0])
-    largest = np.abs(parts).max(axis=-1)
+    largest = np.maximum.reduce(_modulus(parts), axis=-1)
     outside = ~((_TINY <= largest) & (largest < np.inf))
     if np.any(outside):
         raise RowError("image leaves float64's normal range", outside)
@@ -178,7 +180,7 @@ def map_to_class4(
         # the image is nonzero and tol passed the first classify: only its covariants can fail
         raise RowError("image covariants do not fit in float64", err.rows) from None
     zero = np.stack([image_report.zero_flags[name] for name in _KEPT], axis=-1)
-    return MappedSpinor(out, _DEGENERATE[zero @ _PATTERN_BITS[:len(_KEPT)]], image_report)
+    return MappedSpinor(out, _DEGENERATE[_matmul(zero, _PATTERN_BITS[:len(_KEPT)])], image_report)
 
 
 @_quiet
@@ -213,7 +215,7 @@ def hermitian_constrain(p: MappingParams, tol: float = 1e-12) -> MappingMatrix:
     if violations:
         raise ValueError("self-adjointness relations violated: " + "; ".join(violations))
     m = build_M(p)
-    herm = float(np.max(np.abs(m.matrix - m.matrix.conj().T)))
+    herm = float(np.maximum.reduce(_modulus(m.matrix - m.matrix.conj().T), axis=None))
     if herm > 1e-12 * max(1.0, m.frobenius()):
         raise ValueError(f"assembled matrix is not self-adjoint (residual {herm:.3e})")
     return m

@@ -61,7 +61,8 @@ import numpy as np
 
 from . import classmap, fierz, lounesto
 from .bilinears import _COVARIANT_FIELDS, BilinearSet, _covariants_on_ray
-from .clifford import _REP_BY_TAG, InternalError, RowError, Signature, _fitting, _ldexp_quiet, rep_by_tag
+from .clifford import (_REP_BY_TAG, InternalError, RowError, Signature, _checked_tol, _fitting, _ldexp_quiet, _modulus,
+                       rep_by_tag)
 from .jsonio import Rows, dumps, floats
 from .spinor_forms import ClassicalSpinor
 from .topology import winding_report
@@ -134,11 +135,12 @@ def _field(value, shape: tuple, where: str, what: str) -> np.ndarray:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type for --tol: a finite, non-negative float."""
+    """argparse type for --tol: a float that the package's tolerance rule (_checked_tol) takes."""
     value = float(text)
-    if not np.isfinite(value) or value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
-    return value
+    try:
+        return _checked_tol(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}") from None
 
 
 def _int(text: str) -> int:
@@ -490,7 +492,7 @@ def _reconstruct_rows(psi: ClassicalSpinor, tol: float) -> dict:
     ray = ClassicalSpinor._of(comps, rep=psi.rep)
     z = fierz.aggregate(BilinearSet._of(v, signature=Signature.MINKOWSKI))
     recovered = fierz.reconstruct(z, fierz.default_probe_spinor(z, ray.rep), psi_ref=ray)
-    err = np.abs(recovered.components - ray.components).max(axis=-1)
+    err = np.maximum.reduce(_modulus(recovered.components - ray.components), axis=-1)
     return {"max_abs_error": np.ldexp(err, e[:, 0]), "pass": err <= tol * ray.norm()}
 
 

@@ -97,6 +97,10 @@ class InternalError(RuntimeError):
 # one np.errstate object cannot be entered twice, but its decorated calls nest
 _quiet = np.errstate(all="ignore")
 
+# the one matrix product and the one modulus: numpy's routines whose rounding the host picks
+_matmul = np.matmul
+_modulus = np.abs
+
 
 def _fitting(values: np.ndarray, message: str, axis=-1) -> np.ndarray:
     """values itself; rows (over axis) holding a non-finite entry raise RowError(message)."""
@@ -134,10 +138,23 @@ def _numbers(value, dtype, holds: str) -> np.ndarray:
     raise ValueError(f"{holds} must be {words}")
 
 
+def _checked_tol(tol: float) -> float:
+    """tol itself when finite and non-negative, the rule of a check's
+    tolerance and of the command line's --tol; anything else is a ValueError."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    return tol
+
+
 def _unbox(x):
     """Python scalar for a 0-d result, the array itself for a batch."""
     x = np.asarray(x)
     return x.item() if x.ndim == 0 else x
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m v row by row, (..., n, k) matrices times (..., k) vectors, through _matmul."""
+    return _matmul(m, v[..., None])[..., 0]
 
 
 @_quiet
@@ -149,7 +166,7 @@ def _row_norm(record, axis=-1) -> float:
 
 def _row_max_abs(record) -> float:
     """Largest modulus in each row of a record's array, bound as max_abs()."""
-    return _unbox(np.maximum.reduce(np.abs(record._array), axis=-1))
+    return _unbox(np.maximum.reduce(_modulus(record._array), axis=-1))
 
 
 def _ray(values: np.ndarray, axis=-1) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +174,7 @@ def _ray(values: np.ndarray, axis=-1) -> tuple[np.ndarray, np.ndarray]:
     2^-e that brings the largest real or imaginary part of each row (over
     axis, kept in e) into [0.5, 1), with e = 0 for a zero row."""
     parts = values.view(np.float64)
-    _, e = np.frexp(np.maximum.reduce(np.abs(parts), axis=axis, keepdims=True))
+    _, e = np.frexp(np.maximum.reduce(_modulus(parts), axis=axis, keepdims=True))
     return np.ldexp(parts, -e).view(values.dtype), e
 
 
@@ -200,7 +217,9 @@ class Record:
     on it, rejects it unless every entry is finite and adopts it; kernels
     adopt their fresh results with _of, with no copy and no check, or with
     _like, keeping a record's tags.  Only those three write a record's
-    __dict__.  A binary operation reads its operand through _operand.  Two
+    __dict__.  A binary operation reads its operand through _operand; the
+    products, the representation, the aggregate, the residuals, classify and
+    reconstruct check their first record argument with _expect.  Two
     records are equal when their type, tags and array are; records are
     immutable and unhashable.
 
@@ -253,11 +272,17 @@ class Record:
         array, e = _ray(self._array, axis)
         return self._like(array), e
 
+    @classmethod
+    def _expect(cls, value) -> None:
+        """Raise TypeError("expected a <type>, got <its type>") unless value is
+        a record of this type: the rule of a record argument and of an operand."""
+        if type(value) is not cls:
+            raise TypeError(f"expected a {cls.__name__}, got {type(value).__name__}")
+
     def _operand(self, other) -> np.ndarray:
         """The array of other, the operand of a binary operation: anything but
-        a record of this type raises TypeError, one with other tags ValueError."""
-        if type(other) is not type(self):
-            raise TypeError(f"expected a {type(self).__name__}, got {type(other).__name__}")
+        a record of this type raises TypeError (_expect), one with other tags ValueError."""
+        self._expect(other)
         for name in self._tags:
             mine, theirs = getattr(self, name), getattr(other, name)
             if mine != theirs:
@@ -268,7 +293,7 @@ class Record:
     def isclose(self, other: "Record", tol: float = 1e-12) -> bool:
         """Whether every entry of every row is within tol of other's (_operand);
         False, with no warning, where a difference overflows."""
-        return bool(np.max(np.abs(self._array - self._operand(other))) <= tol)
+        return bool(np.maximum.reduce(_modulus(self._array - self._operand(other)), axis=None) <= tol)
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and all(getattr(self, t) == getattr(other, t) for t in self._tags)
@@ -434,7 +459,7 @@ class Multivector(_Linear, Record):
 
 def _from_slots(signature: Signature, slots, values) -> Multivector:
     """The multivector of the (..., k) values at k blade slots (indices or a slice), every other blade 0."""
-    c = np.zeros(np.shape(values)[:-1] + (DIM,), dtype=np.complex128)
+    c = np.zeros(values.shape[:-1] + (DIM,), dtype=np.complex128)
     c[..., slots] = values
     return Multivector(signature, c)
 
@@ -489,13 +514,14 @@ def _mul_matrix(a: Multivector, right: bool) -> np.ndarray:
     a: entry [index[i, j], j] of L is sign[i, j] a_i, and R uses the
     transposed table.  Each column of index is a permutation, so every entry
     is one signed coefficient, gathered in a single pass."""
+    Multivector._expect(a)
     source, sign = _mul_gather(a.signature, right)
     return sign * a.coeffs.take(source, axis=-1)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """a b, broadcasting the batch shapes of a and b against each other."""
-    return a._like(np.matmul(_mul_matrix(a, False), a._operand(b)[..., None])[..., 0])
+    return a._like(_matvec(_mul_matrix(a, False), a._operand(b)))
 
 
 def left_mul_matrix(a: Multivector) -> np.ndarray:
@@ -577,13 +603,14 @@ def _blade_matrices(rep: GammaRep) -> np.ndarray:
     every blade holding generator g takes its factor gamma_g in turn."""
     mats = np.broadcast_to(np.eye(4, dtype=np.complex128), (DIM, 4, 4))
     for g, gamma in enumerate(rep.gammas):
-        mats = np.where((_MASKS >> g & 1).astype(bool)[:, None, None], mats @ gamma, mats)
+        mats = np.where((_MASKS >> g & 1).astype(bool)[:, None, None], _matmul(mats, gamma), mats)
     return _frozen(mats)
 
 
 def rep_matrix(a: Multivector, rep: GammaRep = WEYL) -> np.ndarray:
     """4x4 complex image of a Minkowski multivector under e_mu -> gamma_mu;
     (..., 4, 4) for a batch."""
+    Multivector._expect(a)
     if a.signature is not Signature.MINKOWSKI:
         raise ValueError("matrix representation requires the Minkowski signature")
     return np.einsum("...k,kij->...ij", a.coeffs, _blade_matrices(rep))

@@ -30,8 +30,9 @@ import numpy as np
 from . import conventions
 from .bilinears import (_GROUP_STARTS, ORIENTATION, BilinearSet, _by_group, _covariant_basis, _covariant_blades,
                         _s_weights, minkowski_dot, minkowski_square)
-from .clifford import (Multivector, Record, RowError, Signature, _fitting, _from_slots, _frozen, _mul_gather, _numbers,
-                       _quiet, _row_max_abs, _unbox, left_mul_matrix, pseudoscalar, rep_matrix, scalar)
+from .clifford import (Multivector, Record, RowError, Signature, _checked_tol, _fitting, _from_slots, _frozen, _matmul,
+                       _matvec, _modulus, _mul_gather, _numbers, _quiet, _row_max_abs, _unbox, left_mul_matrix,
+                       pseudoscalar, rep_matrix, scalar)
 from .spinor_forms import BIVECTOR_ORDER, ClassicalSpinor
 
 __all__ = [
@@ -115,14 +116,14 @@ def _identity_residuals(b: BilinearSet) -> np.ndarray:
     """(..., 4) residuals r1, r2, r3 and r4, the max-norm of the six
     bivector coefficients of _identity_forms, for a covariant batch."""
     x = b.stack()
-    qx = x @ _identity_columns(b.signature)
-    v = np.matmul(qx.reshape(x.shape[:-1] + (9, 16)), x[..., None])[..., 0]
-    v[..., 3] = np.maximum.reduce(np.abs(v[..., 3:]), axis=-1)
+    v = _matvec(_matmul(x, _identity_columns(b.signature)).reshape(x.shape[:-1] + (9, 16)), x)
+    v[..., 3] = np.maximum.reduce(_modulus(v[..., 3:]), axis=-1)
     return v[..., :4]
 
 
 def fpk_residuals(b: BilinearSet) -> FpkResiduals:
     """Residuals of the four time-minus identities, per row of a batch."""
+    BilinearSet._expect(b)
     if b.signature is not Signature.MINKOWSKI:
         raise ValueError("covariant identities here use the time-minus contraction")
     return FpkResiduals._of(_identity_residuals(b))
@@ -134,7 +135,7 @@ def _fpk_check(ray: BilinearSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
     b._on_ray() the flags are b's at every scale, and b's residuals are
     these residuals times 4^e."""
     res = fpk_residuals(ray).stack()
-    return res, np.abs(res) <= tol * np.asarray(ray.component_norm())[..., None] ** 2
+    return res, _modulus(res) <= tol * np.asarray(ray.component_norm())[..., None] ** 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,7 +152,8 @@ def aggregate(b: BilinearSet) -> Multivector:
     the covariants' signature, o its orientation (+1 time-minus, -1
     Euclidean, where the stored omega is read through the reversed volume).
     A batch of covariants gives a batch of aggregates."""
-    return Multivector._of(b.stack() @ _aggregate_matrix(b.signature), signature=b.signature)
+    BilinearSet._expect(b)
+    return Multivector._of(_matmul(b.stack(), _aggregate_matrix(b.signature)), signature=b.signature)
 
 
 def _z_scale(z: Multivector) -> np.ndarray:
@@ -170,7 +172,9 @@ def boomerang_residual(z: Multivector, sigma: float) -> float:
 
 
 def is_boomerang(z: Multivector, sigma: float, tol: float = 1e-9) -> bool:
-    """True when Z Z = 4 sigma Z within tol relative to |Z|^2."""
+    """True when Z Z = 4 sigma Z within tol relative to |Z|^2; tol must be
+    finite and non-negative (ValueError)."""
+    _checked_tol(tol)
     return _unbox(boomerang_residual(z, sigma) <= tol)
 
 
@@ -183,7 +187,7 @@ def _probe_gather(signature: Signature) -> tuple[np.ndarray, np.ndarray, np.ndar
     weights are exact; size[A] = |c_A| stays apart as a (16, 1) column."""
     blades, coeffs = _covariant_blades(signature)
     source, sign = _mul_gather(signature, True)
-    size = np.abs(coeffs)[:, None]
+    size = _modulus(coeffs)[:, None]
     weight = coeffs[:, None] / size * sign[:, blades].T
     return _frozen(np.ascontiguousarray(source[:, blades].T), weight, size)
 
@@ -207,15 +211,16 @@ def generalized_fpk_residuals(z: Multivector, b: BilinearSet) -> np.ndarray:
     normalization; the remaining four lines carry no free constant.  The
     result has shape (5,), or B + (5,) for a batch of shape B.
     """
+    Multivector._expect(z)
     # the sixteen Gamma_A Z are one gather of Z and Z times them one product;
     # 1/4 and |c_A| follow the product, in the order the sandwich matrix
     # 1/4 L(Z) R(Z) of the multivector route applies them, so that every
     # residual is that route's bit for bit
     source, weight, size = _probe_gather(b.signature)
     gathered = weight * z.coeffs.take(source, axis=-1)
-    sandwiches = size * (0.25 * (gathered @ left_mul_matrix(z).swapaxes(-1, -2)))
+    sandwiches = size * (0.25 * _matmul(gathered, left_mul_matrix(z).swapaxes(-1, -2)))
     expected = b.stack() * _s_weights(conventions.GENERALIZED_S_FACTOR)
-    resid = np.abs(sandwiches - expected[..., :, None] * z.coeffs[..., None, :])
+    resid = _modulus(sandwiches - expected[..., :, None] * z.coeffs[..., None, :])
     # each line is the maximum over its rows of Gamma_A, one group of 16-wide
     # rows per covariant, read in the line order sigma, J, S, K, omega
     groups = np.maximum.reduceat(resid.reshape(resid.shape[:-2] + (256,)), _ROW_GROUPS, axis=-1)
@@ -249,8 +254,8 @@ def build_singular_aggregate(p: SingularAggregateParams, tol: float = 1e-9) -> M
     RowError."""
     jmv, smv = vector_multivector(p.J), vector_multivector(p.s)
     j, s = (v._on_ray()[0].coeffs[1:5].real for v in (jmv, smv))
-    j_scale = float(np.sum(j ** 2))
-    s_scale = float(np.sum(s ** 2))
+    j_scale = np.add.reduce(j * j)
+    s_scale = np.add.reduce(s * s)
     if j_scale == 0.0:
         raise ValueError("J must be nonzero")
     if abs(minkowski_square(j)) > tol * j_scale:
@@ -271,7 +276,7 @@ def default_probe_spinor(z: Multivector, rep) -> ClassicalSpinor:
     per row of a batch of aggregates, read on Z's ray (Record._on_ray), so
     alike at every scale."""
     ray, _ = z._on_ray()
-    kernels = np.abs((rep.gammas[0] @ rep_matrix(ray, rep)).diagonal(axis1=-2, axis2=-1))
+    kernels = _modulus(_matmul(rep.gammas[0], rep_matrix(ray, rep)).diagonal(axis1=-2, axis2=-1))
     return ClassicalSpinor(np.eye(4, dtype=np.complex128)[kernels.argmax(axis=-1)], rep)
 
 
@@ -294,13 +299,14 @@ def reconstruct(
     that the spinor rebuilt from it, the square root of Z, scales back by
     the exact 2^k.  The result and both tests are alike at every scale.
     """
+    Multivector._expect(z)
     ray, e = z._on_ray()
     zm = rep_matrix(ray, xi.rep) * np.ldexp(1.0, e & 1)[..., None]
     xr, _ = xi._on_ray()
-    zxi = np.matmul(zm, xr.components[..., None])[..., 0]
-    kernel = np.add.reduce(xr.components.conj() * (zxi @ xi.rep.gammas[0].T), axis=-1)
-    scale = np.maximum.reduce(np.abs(zm), axis=(-2, -1)) * xr.norm() ** 2
-    degenerate = np.abs(kernel) <= tol * scale
+    zxi = _matvec(zm, xr.components)
+    kernel = np.add.reduce(xr.components.conj() * _matmul(zxi, xi.rep.gammas[0].T), axis=-1)
+    scale = np.maximum.reduce(_modulus(zm), axis=(-2, -1)) * xr.norm() ** 2
+    degenerate = _modulus(kernel) <= tol * scale
     if np.logical_or.reduce(degenerate, axis=None):
         raise RowError(
             "degenerate probe: xi^dag g0 Z xi vanishes; choose a different test spinor",
@@ -311,10 +317,10 @@ def reconstruct(
         ref, _ = psi_ref.to_rep(xi.rep)._on_ray()
         overlap = np.add.reduce(psi.conj() * ref.components, axis=-1)
         bound = ref._like(psi).norm() * ref.norm()
-        orthogonal = np.abs(overlap) <= tol * bound
+        orthogonal = _modulus(overlap) <= tol * bound
         if np.logical_or.reduce(orthogonal, axis=None):
             raise RowError("reference spinor is orthogonal to the reconstruction ray", orthogonal)
-        psi = psi * (overlap / np.abs(overlap))[..., None]
+        psi = psi * (overlap / _modulus(overlap))[..., None]
     return ClassicalSpinor(np.ldexp(psi.view(np.float64), e >> 1).view(np.complex128), xi.rep)
 
 

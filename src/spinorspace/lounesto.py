@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import _COVARIANT_FIELDS, _GROUP_STARTS, BilinearSet, _covariants_on_ray
-from .clifford import GammaRep, RowError, Signature, WEYL, _fitting, _frozen, _numbers, _quiet, _unbox
+from .clifford import GammaRep, RowError, Signature, WEYL, _fitting, _frozen, _matmul, _matvec, _numbers, _quiet, _unbox
 from .fierz import _fpk_check
 from .spinor_forms import ClassicalSpinor
 
@@ -131,7 +131,7 @@ def _pattern(v: np.ndarray, scale, tol: float):
     threshold = tol * np.asarray(scale)
     norms = np.sqrt(np.add.reduceat(v * v, _GROUP_STARTS, axis=-1))
     nonzero = norms > threshold[..., None]
-    code = nonzero @ _PATTERN_BITS
+    code = _matmul(nonzero, _PATTERN_BITS)
     smallest = np.minimum.reduce(norms, axis=-1, where=nonzero, initial=np.inf)
     margin = np.where(code, smallest / threshold, 0.0)
     cls = _pattern_table()[code]
@@ -153,6 +153,7 @@ def classify(psi: ClassicalSpinor, tol: float = DEFAULT_TOL) -> ClassificationRe
     normal floats.  Zero spinors, and spinors whose covariants overflow
     float64, raise RowError naming their rows.
     """
+    ClassicalSpinor._expect(psi)
     try:
         _, _, v, b = _covariants_on_ray(psi.components, Signature.MINKOWSKI, psi.rep)
     except RowError:
@@ -252,7 +253,7 @@ def _draw_c4(rng: np.random.Generator, size: int) -> np.ndarray:
         while abs(row[1]) <= 0.2:
             row[:9] = _complex_vector(rng, 9)
         row[9:] = _complex_vector(rng, 4)
-    return np.matmul(build_M(MappingParams(*draws[:, :9].T)).matrix, draws[:, 9:, None])[..., 0]
+    return _matvec(build_M(MappingParams(*draws[:, :9].T)).matrix, draws[:, 9:])
 
 
 _DRAWERS = {

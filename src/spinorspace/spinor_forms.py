@@ -23,8 +23,8 @@ import functools
 import numpy as np
 
 from .clifford import (_I2, BLADES, DIRAC, PAULI, GammaRep, Multivector, Record, Signature, _fitting, _frozen,
-                       _from_slots, _ldexp_quiet, _Linear, _numbers, _product_table, _quiet, _ray, _row_norm, _unbox,
-                       idempotent_f, rep_matrix, weyl_to_dirac_matrix)
+                       _from_slots, _ldexp_quiet, _Linear, _matvec, _modulus, _numbers, _product_table, _quiet, _ray,
+                       _row_norm, _unbox, idempotent_f, rep_matrix, weyl_to_dirac_matrix)
 
 __all__ = [
     "Quaternion",
@@ -205,7 +205,7 @@ class ClassicalSpinor(Record):
             u = u.conj().T
         elif not (self.rep.tag == "weyl" and rep.tag == "dirac"):
             raise ValueError(f"no change of basis from {self.rep.tag} to {rep.tag}")
-        return ClassicalSpinor(np.matmul(u, self.components[..., None])[..., 0], rep)
+        return ClassicalSpinor(_matvec(u, self.components), rep)
 
 
 class SpinorOperator(Record):
@@ -237,8 +237,8 @@ class AlgebraicSpinor(Record):
         # on the ray of m no modulus overflows; 1 there is 2^-e, inf only for
         # an m too tiny to hold an entry above 1e-12
         ray, e = _ray(m, axis=(-2, -1))
-        moduli = np.abs(ray)
-        threshold = 1e-12 * np.maximum(_ldexp_quiet(1.0, -e), moduli.max(axis=(-2, -1), keepdims=True))
+        moduli = _modulus(ray)
+        threshold = 1e-12 * np.maximum(_ldexp_quiet(1.0, -e), np.maximum.reduce(moduli, axis=(-2, -1), keepdims=True))
         if np.logical_or.reduce(moduli[..., 1:] > threshold, axis=None):
             raise ValueError("ideal element must have nonzero entries in the first column only")
 

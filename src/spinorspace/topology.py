@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import BilinearSet, euclidean_components_closed_form
-from .clifford import RowError, _numbers, _unbox
+from .clifford import RowError, _checked_tol, _matmul, _modulus, _numbers, _unbox
 from .fierz import _fpk_check
 from .lounesto import DEFAULT_TOL
 
@@ -81,7 +81,7 @@ def winding_report(path) -> WindingReport:
     angles = np.arctan2(pts[:, 1], pts[:, 0])
     increments = np.diff(angles)
     increments = (increments + np.pi) % (2.0 * np.pi) - np.pi
-    if np.any(np.abs(increments) >= MAX_SEGMENT_ANGLE):
+    if np.any(_modulus(increments) >= MAX_SEGMENT_ANGLE):
         raise ValueError(
             "path too coarse: a segment turns by pi/2 or more around the origin "
             "(or passes through it); refine the path"
@@ -102,21 +102,24 @@ def regular_sphere_check(psi, tol: float = 1e-8) -> float:
 
     The input must satisfy sigma = 1 (i.e. unit norm); rows that do not,
     non-finite ones included, raise RowError naming them, with a
-    normalization hint.
+    normalization hint.  tol must be finite and non-negative (ValueError).
     """
+    _checked_tol(tol)
     sigma, omega, j = euclidean_components_closed_form(psi)
-    off = ~(np.abs(np.asarray(sigma) - 1.0) <= tol)
+    off = ~(_modulus(np.asarray(sigma) - 1.0) <= tol)
     if off.any():
         raise RowError(
             f"sigma = {np.asarray(sigma)[off].flat[0]:.6g}; normalize the spinor to unit norm first", off
         )
     # j . j as a (1, 4) x (4, 1) product per row: the dot of a single J, bit for bit
-    jj = np.matmul(j[..., None, :], j[..., :, None])[..., 0, 0]
-    return _unbox(np.abs(jj + np.asarray(omega) ** 2 - 1.0))
+    jj = _matmul(j[..., None, :], j[..., :, None])[..., 0, 0]
+    return _unbox(_modulus(jj + np.asarray(omega) ** 2 - 1.0))
 
 
 def fpk_membership(p: BilinearSet, tol: float = DEFAULT_TOL) -> bool:
     """Whether the point satisfies the quadratic covariant identities (the
     membership gate of the physical sector), per point of a batch and alike
-    at every scale.  The all-zero point passes as a degenerate member."""
+    at every scale.  The all-zero point passes as a degenerate member; tol
+    must be finite and non-negative (ValueError)."""
+    _checked_tol(tol)
     return _unbox(np.logical_and.reduce(_fpk_check(p._on_ray()[0], tol)[1], axis=-1))

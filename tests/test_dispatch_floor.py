@@ -6,8 +6,9 @@ np.all, np.take, np.swapaxes and the like, nor in numpy/_core/_methods.py,
 where array methods such as ndarray.all and ndarray.any forward: the batch
 kernels call numpy through ufuncs, their reductions and the array methods
 written in C, so a single spinor pays for no wrapper.  Neither does one call
-of the row primitives (norm, component_norm, max_abs) or of the fierz,
-lounesto and topology calls built on them.
+of the row primitives (norm, component_norm, max_abs), of the fierz,
+lounesto and topology calls built on them, of isclose, or of
+build_singular_aggregate.
 """
 
 import sys
@@ -20,6 +21,7 @@ from spinorspace import bilinears, clifford, fierz, lounesto, spinor_forms, topo
 from spinorspace.spinor_forms import ClassicalSpinor
 
 CLASS1 = np.array([1, 2j, 0.5, 1 + 1j])
+SINGULAR = fierz.SingularAggregateParams((1, 0, 0, 1), (0, 1, 0, 0), 0.5)
 
 ENTRY_POINTS = {
     "construct": lambda psi, b, z: ClassicalSpinor(psi.components, psi.rep),
@@ -69,10 +71,10 @@ def test_scalar_call_runs_no_fromnumeric_wrapper(name, rep):
     assert wrapper_frames(ENTRY_POINTS[name], rep) == []
 
 
-# the row primitives and the calls built on them: the reductions are ufunc
-# reductions (np.add.reduce, np.maximum.reduce, np.logical_and.reduce,
-# np.logical_or.reduce) and C array methods (diagonal, argmax), which give the
-# wrappers' bits
+# the row primitives and the calls built on them, isclose and the singular
+# aggregate's invariants: the reductions are ufunc reductions (np.add.reduce,
+# np.maximum.reduce, np.logical_and.reduce, np.logical_or.reduce) and C array
+# methods (diagonal, argmax), which give the wrappers' bits
 ROW_CALLS = {
     "norm": lambda psi, b, z: psi.norm(),
     "component_norm": lambda psi, b, z: b.component_norm(),
@@ -82,6 +84,8 @@ ROW_CALLS = {
     "reconstruct": lambda psi, b, z: fierz.reconstruct(z, fierz.default_probe_spinor(z, psi.rep), psi_ref=psi),
     "classify_bilinears": lambda psi, b, z: lounesto.classify_bilinears(b),
     "fpk_membership": lambda psi, b, z: topology.fpk_membership(b),
+    "isclose": lambda psi, b, z: z.isclose(z),
+    "build_singular_aggregate": lambda psi, b, z: fierz.build_singular_aggregate(SINGULAR),
 }
 
 

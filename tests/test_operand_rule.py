@@ -9,14 +9,20 @@ operand's type, and + or - with another type is Python's unsupported
 operand error.  QuatMatrix2's -, unary - and * are the bits of its scale by
 -1 and by the factor.  The products (geometric, Hamilton, dot and @) and
 isclose read their operand through Record._operand, which names the type
-it expected and the type it got.
+it expected and the type it got.  So do the products, rep_matrix, aggregate,
+the residual functions, classify and reconstruct of a record of the wrong
+type in first position, through Record._expect; bilinear_covariants keeps
+its documented ValueError.
 """
 
 import numpy as np
 import pytest
 
-from spinorspace.clifford import Signature, geometric_product, scalar
-from spinorspace.spinor_forms import Quaternion, quat_matrix
+from spinorspace.bilinears import bilinear_covariants
+from spinorspace.clifford import Signature, geometric_product, left_mul_matrix, rep_matrix, right_mul_matrix, scalar
+from spinorspace.fierz import aggregate, fpk_residuals, generalized_fpk_residuals, reconstruct
+from spinorspace.lounesto import classify
+from spinorspace.spinor_forms import ClassicalSpinor, Quaternion, quat_matrix
 
 
 def quaternion():
@@ -25,6 +31,10 @@ def quaternion():
 
 def quat_matrix_of(q):
     return quat_matrix(q, q, q, q)
+
+
+def spinor():
+    return ClassicalSpinor([1, 2j, 0.5, 1 + 1j])
 
 
 TABLE = {
@@ -49,6 +59,19 @@ TABLE = {
     "multivector-isclose-quaternion": (lambda: scalar(1.0).isclose(quaternion()),
                                        "^expected a Multivector, got Quaternion$"),
     "quaternion-isclose-float": (lambda: quaternion().isclose(2.0), "^expected a Quaternion, got float$"),
+    # a record of the wrong type as the first argument of a function
+    "geometric-product-of-spinors": (lambda: geometric_product(spinor(), spinor()),
+                                     "^expected a Multivector, got ClassicalSpinor$"),
+    "left-mul-matrix-spinor": (lambda: left_mul_matrix(spinor()), "^expected a Multivector, got ClassicalSpinor$"),
+    "right-mul-matrix-spinor": (lambda: right_mul_matrix(spinor()), "^expected a Multivector, got ClassicalSpinor$"),
+    "rep-matrix-spinor": (lambda: rep_matrix(spinor()), "^expected a Multivector, got ClassicalSpinor$"),
+    "aggregate-spinor": (lambda: aggregate(spinor()), "^expected a BilinearSet, got ClassicalSpinor$"),
+    "fpk-residuals-spinor": (lambda: fpk_residuals(spinor()), "^expected a BilinearSet, got ClassicalSpinor$"),
+    "generalized-residuals-spinor": (lambda: generalized_fpk_residuals(spinor(), bilinear_covariants(spinor())),
+                                     "^expected a Multivector, got ClassicalSpinor$"),
+    "classify-bilinears": (lambda: classify(bilinear_covariants(spinor())),
+                           "^expected a ClassicalSpinor, got BilinearSet$"),
+    "reconstruct-spinor": (lambda: reconstruct(spinor(), spinor()), "^expected a Multivector, got ClassicalSpinor$"),
 }
 
 
@@ -59,8 +82,10 @@ def test_an_operand_outside_the_rule_is_a_type_error(call, message):
 
 
 def test_what_the_rule_keeps():
-    """Other tags, complex factors of a multivector, lists and arrays on the left;
-    non-finite factors are tests/test_overflow_home.py's."""
+    """Other tags, complex factors of a multivector, lists and arrays on the left,
+    and bilinear_covariants' ValueError; non-finite factors are tests/test_overflow_home.py's."""
+    with pytest.raises(ValueError, match="^expected a ClassicalSpinor, got Multivector$"):
+        bilinear_covariants(scalar(1.0))
     with pytest.raises(ValueError, match="^signature mismatch: minkowski vs euclidean$"):
         scalar(1.0) - scalar(1.0, Signature.EUCLIDEAN)
     assert (scalar(1.0) * 1j).coeffs[0] == 1j

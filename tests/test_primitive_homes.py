@@ -7,15 +7,20 @@ the norm and max_abs methods of the record types that have them; the
 vector-space arithmetic _Linear (+, -, unary - and scaling) of the three
 algebra records; the operand step Record._operand, through which every
 binary operation reads its operand; the blade-slot constructor
-_from_slots, from which every multivector constructor builds; and the
-number rule _numbers, through which every public record constructor, every
-scale factor, every helper constructor and array-taking kernel, and every
-input file reads its numbers.  The bit code of a set of flags and the
-default classification tolerance live in lounesto, and the |Z|^2 floor of
-1/4, against which the boomerang check and the aggregate verify measure an
-aggregate on a ray, in fierz._z_scale.  These tests read the
-package's syntax trees and pin that no module writes one of them out again,
-and that no module keeps an import it does not use.
+_from_slots, from which every multivector constructor builds; the number
+rule _numbers, through which every public record constructor, every scale
+factor, every helper constructor and array-taking kernel, and every input
+file reads its numbers; the tolerance rule _checked_tol of the public
+checks and the command line's --tol; and the host-sensitive numpy
+routines, the one matrix product _matmul, the row-by-row matrix-vector
+product _matvec built on it and the one modulus _modulus, through which
+every contraction and every absolute value runs, bit for bit np.matmul and
+np.abs today.  The bit code of a set of flags and the default
+classification tolerance live in lounesto, and the |Z|^2 floor of 1/4,
+against which the boomerang check and the aggregate verify measure an
+aggregate on a ray, in fierz._z_scale.  These tests read the package's
+syntax trees and pin that no module writes one of them out again, and that
+no module keeps an import it does not use.
 """
 
 import ast
@@ -84,8 +89,16 @@ def test_isfinite_only_in_the_fit_check_and_the_input_checks():
         "jsonio:floats",
         "jsonio:_row_texts",
         "topology:_validate_path",
-        "cli:_tolerance",
         "lounesto:rescale_class_invariance",
+    }
+
+
+def test_one_tolerance_rule():
+    """A check's tolerance is finite and non-negative by one rule,
+    clifford._checked_tol, which the command line's --tol reads too;
+    classify's stricter bound stays in lounesto._pattern."""
+    assert scopes_naming("_checked_tol", calls_only=True) == {
+        "cli:_tolerance", "fierz:is_boomerang", "topology:regular_sphere_check", "topology:fpk_membership",
     }
 
 
@@ -215,6 +228,62 @@ def test_no_module_writes_a_norm_of_its_own():
     assert not scopes_where(lambda node: isinstance(node, ast.Attribute) and node.attr == "norm"
                             and getattr(node.value, "attr", None) == "linalg")
     assert not scopes_where(lambda node: isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""))
+
+
+# numpy's routines whose bits the host picks: the contractions, whose
+# summation order the BLAS kernel chooses, the modulus, which numpy's SIMD
+# loops round, and LAPACK
+HOST_ROUTINES = ("matmul", "dot", "vdot", "inner", "tensordot", "abs", "absolute", "linalg")
+# the two that stay where they are, each with its reason
+HOST_EXCEPTIONS = {
+    # its bits feed every class-2 and class-3 spinor that generate draws, so it
+    # moves only with the arithmetic that makes the drawn reports host-independent
+    "lounesto:_draw_regular": {"vdot"},
+    # LAPACK's determinant, not a contraction
+    "classmap:no_inverse_witness": {"linalg"},
+}
+
+
+def numpy_routine(node, names) -> bool:
+    """Whether node is np.<name> for a name in names."""
+    return isinstance(node, ast.Attribute) and node.attr in names and getattr(node.value, "id", None) == "np"
+
+
+def test_host_sensitive_routines_have_one_home():
+    """Outside clifford no module names numpy's matrix products or modulus
+    (HOST_ROUTINES) nor writes @; in clifford only the module-level aliases
+    _matmul = np.matmul and _modulus = np.abs name them, and _matvec builds on
+    _matmul.  So the routine every contraction and modulus runs is chosen in
+    those three bodies alone.  HOST_EXCEPTIONS are the two that stay."""
+    found = {}
+    for name in HOST_ROUTINES:
+        for scope in scopes_where(lambda node: numpy_routine(node, (name,))):
+            found.setdefault(scope, set()).add(name)
+    assert found == {"clifford:": {"matmul", "abs"}, **HOST_EXCEPTIONS}
+    homes = {ast.unparse(node) for node in dict(modules())["clifford"].body
+             if not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and any(numpy_routine(child, HOST_ROUTINES) for child in ast.walk(node))}
+    assert homes == {"_matmul = np.matmul", "_modulus = np.abs"}
+    assert not scopes_where(lambda node: isinstance(node, (ast.BinOp, ast.AugAssign))
+                            and isinstance(node.op, ast.MatMult))
+    assert not scopes_where(lambda node: isinstance(node, ast.ImportFrom) and node.module == "numpy")
+    assert "clifford:_matvec" in scopes_naming("_matmul", calls_only=True)
+
+
+def test_a_max_of_moduli_is_one_ufunc_reduction():
+    """Every largest modulus is np.maximum.reduce(_modulus(x), axis=...):
+    no np.max or max method takes a modulus."""
+    assert scopes_naming("_modulus", calls_only=True)
+    assert not scopes_where(lambda node: calls(node, "max")
+                            and any(calls(child, "_modulus") for child in ast.walk(node)))
+
+
+def test_no_einsum_picks_its_own_order():
+    """No np.einsum call passes optimize: complex einsum without it gave the
+    same bits under every BLAS kernel and numpy SIMD level probed, and
+    optimize may hand the contraction to BLAS."""
+    assert scopes_where(lambda node: calls(node, "einsum"))
+    assert not scopes_where(lambda node: calls(node, "einsum") and any(k.arg == "optimize" for k in node.keywords))
 
 
 def test_the_aggregate_floor_has_one_home():
